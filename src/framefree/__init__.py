@@ -12,18 +12,16 @@ from .core import (ATOL, DensityOperator, GroupElement, MAX_QUBITS, RandomSource
                    haar_random_su2_batch, partial_trace, random_density,
                    random_state_vector, tensor, trace_distance)
 from .irreps import (CouplingPath, HalfInteger, IrrepBlock, IrrepDecomposition,
-                     block_projector, clebsch_gordan, decompose, enumerate_paths,
-                     half, multiplicity, total_irrep_count)
-from .twirl import (TwirlChannel, channel_fixed_point_check, twirl_su2_exact,
-                    twirl_su2_monte_carlo, twirl_u1_dephasing)
+                     clebsch_gordan, decompose, enumerate_paths, multiplicity,
+                     total_irrep_count)
+from .twirl import TwirlChannel, twirl_su2_monte_carlo
 from .protocols import (CodeBook, CodeBookEntry, DecodingError, ExchangeAction,
-                        LogicalEncoding, Message, RateRow, RateTable,
-                        block_outcome_probabilities, build_classical_codebook,
-                        classical_rate_asymptote, classical_round_trip,
-                        decode_logical, dephasing_sector_encoding, dfs_basis_4qubit,
-                        dfs_encoding_4qubit, dfs_logical_paulis, encode_logical,
-                        exchange_logical_action, helstrom_success_probability,
-                        logical_bell_chsh, logical_bell_chsh_trials,
+                        LogicalEncoding, Message, RateRow, block_outcome_probabilities,
+                        build_classical_codebook, classical_rate_asymptote,
+                        classical_round_trip, decode_logical, dephasing_sector_encoding,
+                        dfs_basis_4qubit, dfs_encoding_4qubit, dfs_logical_paulis,
+                        encode_logical, exchange_logical_action,
+                        helstrom_success_probability, logical_bell_chsh_trials,
                         most_repeated_irrep, noiseless_subsystem_plan, rate_table,
                         swap_qubits_matrix)
 from .optics import (DetectionDistribution, OpticalProtocolResult, OpticalState,

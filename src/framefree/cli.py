@@ -20,9 +20,9 @@ from math import sqrt
 
 import numpy as np
 
-from .core import (DensityOperator, RandomSource, collective_rotation, fidelity,
-                   haar_random_su2, random_density, random_state_vector,
-                   trace_distance)
+from .core import (DensityOperator, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
+                   MAX_TWIRL_CHECK_QUBITS, RandomSource, collective_rotation, fidelity,
+                   haar_random_su2, random_density, random_state_vector, trace_distance)
 from .irreps import decompose, total_irrep_count
 from .optics import run_optical_protocol
 from .protocols import (block_outcome_probabilities, build_classical_codebook,
@@ -113,19 +113,19 @@ def parse_args(argv) -> RunConfig:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="block multiplicity table for n qubits")
-    p.add_argument("--n", type=_bounded_int(1, 12), default=4)
+    p.add_argument("--n", type=_bounded_int(1, MAX_QUBITS), default=4)
     _add_common(p)
 
     p = sub.add_parser("rates", help="communication rates up to a qubit count")
-    p.add_argument("--max-n", dest="n", type=_bounded_int(1, 64), default=16)
+    p.add_argument("--max-n", dest="n", type=_bounded_int(1, MAX_RATE_QUBITS), default=16)
     _add_common(p)
 
     p = sub.add_parser("twirl-check", help="fixed-point and idempotence residuals")
-    p.add_argument("--n", type=_bounded_int(1, 8), default=2)
+    p.add_argument("--n", type=_bounded_int(1, MAX_TWIRL_CHECK_QUBITS), default=2)
     _add_common(p)
 
     p = sub.add_parser("classical", help="classical round trips under random frames")
-    p.add_argument("--n", type=_bounded_int(1, 10), default=2)
+    p.add_argument("--n", type=_bounded_int(1, MAX_CODEBOOK_QUBITS), default=2)
     p.add_argument("--singlet-first", action="store_true")
     _add_common(p)
 
@@ -174,9 +174,8 @@ def _run_decompose(cfg: RunConfig, rng: RandomSource):
 
 
 def _run_rates(cfg: RunConfig, rng: RandomSource):
-    table = rate_table(cfg.n)
     rows = []
-    for row in table.rows:
+    for row in rate_table(cfg.n):
         rows.append({
             "n": row.n,
             "classical_rate": row.classical_rate,

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 ATOL = 1e-10
-MAX_QUBITS = 12
+
+# Size limits, in qubits.  Each follows from what the largest allowed call costs.
+MAX_QUBITS = 12  # dense 2^n x 2^n algebra: decompose(12) with its coupling matrix peaks near 0.5 GB
+MAX_CODEBOOK_QUBITS = 10  # one dense 2^n rotation per trial and message: n = 10 takes ~12 s per trial
+MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
+MAX_TWIRL_CHECK_QUBITS = 8  # twirl-check eigendecomposes 2^n x 2^n states: ~3 s per 20 states at n = 8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -55,13 +60,16 @@ class RandomSource:
     def normal(self, size=None):
         return self.generator.standard_normal(size)
 
-    def uniform(self, size=None):
-        return self.generator.random(size)
-
     def sample_index(self, probabilities) -> int:
-        """Sample an index from a probability vector (clipped, renormalized)."""
-        p = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-        return int(self.generator.choice(len(p), p=p / p.sum()))
+        """Sample an index from a probability vector; entries and sum are checked to ATOL."""
+        p = np.asarray(probabilities, dtype=float)
+        lowest, total = p.min(), p.sum()
+        if not (lowest >= -ATOL and abs(total - 1.0) <= ATOL):  # NaN fails too
+            raise ValueError(f"not a probability vector: min {lowest}, sum {total}")
+        if lowest < 0.0:  # clipping a nonnegative vector would change nothing
+            p = np.clip(p, 0.0, None)
+            total = p.sum()
+        return int(self.generator.choice(len(p), p=p / total))
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -185,10 +193,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @staticmethod
-    def pure(state: StateVector) -> "DensityOperator":
-        return state.to_density()
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityOperator":

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -67,11 +68,6 @@ class HalfInteger:
     @property
     def is_integral(self) -> bool:
         return self.twice % 2 == 0
-
-
-def half(value) -> HalfInteger:
-    """Shorthand for HalfInteger.of."""
-    return HalfInteger.of(value)
 
 
 @dataclass(frozen=True)
@@ -244,16 +240,22 @@ class IrrepDecomposition:
     def block(self, j, r: int) -> IrrepBlock:
         return self.blocks[self.block_index(j, r)]
 
+    @cached_property
+    def _first_index(self) -> dict[HalfInteger, int]:
+        """Index of each j's first block; equal-j blocks are contiguous, j descending."""
+        table = self.multiplicity_table
+        return dict(zip(table, accumulate(table.values(), initial=0)))
+
     def block_index(self, j, r: int) -> int:
         j = HalfInteger.of(j)
-        for i, b in enumerate(self.blocks):
-            if b.j == j and b.r == r:
-                return i
-        raise KeyError(f"no block with j = {j}, r = {r}")
+        if r not in range(1, self.multiplicity_table.get(j, 0) + 1):
+            raise KeyError(f"no block with j = {j}, r = {r}")
+        return self._first_index[j] + r - 1
 
     def blocks_with_j(self, j) -> list[IrrepBlock]:
         j = HalfInteger.of(j)
-        return [b for b in self.blocks if b.j == j]
+        first = self._first_index.get(j, 0)
+        return list(self.blocks[first:first + self.multiplicity_table.get(j, 0)])
 
     @cached_property
     def coupling_matrix(self) -> np.ndarray:
@@ -325,8 +327,3 @@ def decompose(n: int) -> IrrepDecomposition:
     table = {HalfInteger(tj): c for tj, c in sorted(counts.items(), reverse=True)}
     assert all(c == multiplicity(n, j) for j, c in table.items())
     return IrrepDecomposition(n=n, blocks=tuple(blocks), multiplicity_table=table)
-
-
-def block_projector(decomposition: IrrepDecomposition, j, r: int) -> np.ndarray:
-    """Orthogonal projector onto the (j, r) block; rank 2j + 1."""
-    return decomposition.block(j, r).projector()

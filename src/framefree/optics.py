@@ -158,7 +158,6 @@ class OpticalProtocolResult:
     bit: int
     trials: int
     counts: dict[str, int]  # coincidence / bunch1 / bunch2
-    decoded_histogram: dict[int, int]
     error_rate: float
 
     def to_json_dict(self) -> dict:
@@ -184,13 +183,11 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     outcome_probs = distribution.as_vector()
     labels = ("coincidence", "bunch1", "bunch2")
     counts = dict.fromkeys(labels, 0)
-    decoded = {0: 0, 1: 0}
     errors = 0
     for _ in range(trials):
         outcome = rng.sample_index(outcome_probs)
         counts[labels[outcome]] += 1
         guess = 0 if outcome == 0 else 1
-        decoded[guess] += 1
         errors += int(guess != bit)
     return OpticalProtocolResult(bit=bit, trials=trials, counts=counts,
-                                 decoded_histogram=decoded, error_rate=errors / trials)
+                                 error_rate=errors / trials)

@@ -20,13 +20,10 @@ from typing import Literal
 
 import numpy as np
 
-from .core import (ATOL, DensityOperator, GroupElement, MAX_QUBITS, RandomSource,
-                   StateVector, _readonly, collective_rotation, haar_random_su2,
-                   trace_distance)
+from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_QUBITS,
+                   MAX_RATE_QUBITS, RandomSource, StateVector, _readonly,
+                   collective_rotation, haar_random_su2, trace_distance)
 from .irreps import HalfInteger, IrrepDecomposition, decompose, multiplicity, total_irrep_count
-
-MAX_CODEBOOK_QUBITS = 10
-MAX_RATE_QUBITS = 64
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,9 @@ class CodeBook:
     decomposition: IrrepDecomposition
 
     def entry(self, message: Message) -> CodeBookEntry:
-        for e in self.entries:
-            if e.message == message:
-                return e
-        raise KeyError(f"message {message.index} not in codebook (size {len(self.entries)})")
+        if message.index >= len(self.entries):
+            raise KeyError(f"message {message.index} not in codebook (size {len(self.entries)})")
+        return self.entries[message.index]
 
 
 def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook:
@@ -102,16 +98,16 @@ def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,
 
     PVM outcome probabilities are computed exactly and then sampled, so
     the measurement pathway is exercised even though the distribution is a
-    point mass for valid codewords.
+    point mass for valid codewords.  The sampled block index is the
+    decoded message index, mirrored for a ``singlet_first`` book, whose
+    entries list the blocks in reverse.
     """
     entry = codebook.entry(msg)
     rotated = entry.codeword.evolve(collective_rotation(g, codebook.n))
     outcome = rng.sample_index(block_outcome_probabilities(rotated, codebook.decomposition))
-    block = codebook.decomposition.blocks[outcome]
-    for e in codebook.entries:
-        if e.j == block.j and e.r == block.r:
-            return e.message
-    raise RuntimeError("every block carries a message")  # pragma: no cover
+    if codebook.entries[0].j != codebook.decomposition.blocks[0].j:
+        outcome = len(codebook.entries) - 1 - outcome
+    return codebook.entries[outcome].message
 
 
 def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -> float:
@@ -322,12 +318,7 @@ class RateRow:
     dephasing_quantum_rate: float
 
 
-@dataclass(frozen=True)
-class RateTable:
-    rows: tuple[RateRow, ...]
-
-
-def rate_table(n_max: int) -> RateTable:
+def rate_table(n_max: int) -> tuple[RateRow, ...]:
     """Exact finite-n communication rates, in (qu)bits per transmitted qubit.
 
     classical: log2(block count) / n; quantum: log2(largest multiplicity)
@@ -342,7 +333,7 @@ def rate_table(n_max: int) -> RateTable:
         quantum = log2(most_repeated_irrep(n)[1]) / n
         dephasing = log2(comb(n, n // 2)) / n
         rows.append(RateRow(n, classical, quantum, dephasing))
-    return RateTable(tuple(rows))
+    return tuple(rows)
 
 
 def classical_rate_asymptote(n: int) -> float:
@@ -381,8 +372,3 @@ def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndar
         values[t] = (correlation(rotated, zp, b0) + correlation(rotated, zp, b1)
                      + correlation(rotated, xp, b0) - correlation(rotated, xp, b1))
     return values
-
-
-def logical_bell_chsh(rng: RandomSource, rotation_trials: int) -> float:
-    """Mean CHSH value over rotation trials; 2*sqrt(2) for the logical pair."""
-    return float(logical_bell_chsh_trials(rng, rotation_trials).mean())

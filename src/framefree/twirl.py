@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
-from .core import (DensityOperator, MAX_QUBITS, RandomSource, haar_random_su2_batch,
-                   trace_distance)
+from .core import DensityOperator, MAX_QUBITS, RandomSource, haar_random_su2_batch
 from .irreps import IrrepDecomposition, decompose
 
 _MC_ENTRY_BUDGET = 4_000_000  # max batched matrix entries per Monte Carlo chunk
@@ -37,21 +35,24 @@ def _qubit_count(dim: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TwirlChannel:
-    """Trace-preserving, idempotent frame-averaging channel on n qubits."""
+    """Trace-preserving, idempotent frame-averaging channel on n qubits.
+
+    A channel that holds the irrep decomposition averages over the full
+    SU(2); one without it averages over rotations about a shared axis only.
+    """
 
     n: int
-    kind: Literal["full_su2", "u1_dephasing"]
     decomposition: IrrepDecomposition | None = None
 
     @staticmethod
     def full_su2(n: int) -> "TwirlChannel":
-        return TwirlChannel(n=n, kind="full_su2", decomposition=decompose(n))
+        return TwirlChannel(n=n, decomposition=decompose(n))
 
     @staticmethod
     def u1_dephasing(n: int) -> "TwirlChannel":
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-        return TwirlChannel(n=n, kind="u1_dephasing")
+        return TwirlChannel(n=n)
 
     @property
     def dim(self) -> int:
@@ -64,41 +65,33 @@ class TwirlChannel:
         return weights[:, None] == weights[None, :]
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
-        if self.kind == "full_su2":
-            return twirl_su2_exact(rho, self)
-        return twirl_u1_dephasing(rho, self)
+        """Average rho over the channel's frame rotations, in closed form.
 
-
-def twirl_su2_exact(rho: DensityOperator, channel: TwirlChannel) -> DensityOperator:
-    """Average rho over identical rotations of every qubit, in closed form.
-
-    In the coupled basis the output carries, for each pair of equal-j
-    blocks (r, r'), the multiplicity matrix element
-    (2j+1)^-1 sum_m <j,m,r|rho|j,m,r'> spread uniformly over the carrier
-    diagonal; everything between different j values is set to zero.
-    """
-    if channel.kind != "full_su2":
-        raise ValueError(f"expected a full_su2 channel, got {channel.kind}")
-    if rho.dim != channel.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, channel {channel.dim}")
-    d = channel.decomposition
-    w = d.coupling_matrix
-    coupled = w.conj().T @ rho.matrix @ w
-    out = np.zeros_like(coupled)
-    offset = 0
-    index = 0
-    while index < len(d.blocks):
-        j = d.blocks[index].j
-        count = d.multiplicity_table[j]
-        width = j.twice + 1
-        size = count * width
-        sector = coupled[offset:offset + size, offset:offset + size]
-        mult = np.trace(sector.reshape(count, width, count, width), axis1=1, axis2=3)
-        out[offset:offset + size, offset:offset + size] = np.kron(mult, np.eye(width)) / width
-        offset += size
-        index += count
-    result = w @ out @ w.conj().T
-    return DensityOperator(0.5 * (result + result.conj().T))
+        Dephasing keeps every total-m sector of rho and erases the coherence
+        between sectors: sum_m P_m rho P_m.  For the full SU(2), in the
+        coupled basis the output carries, for each pair of equal-j blocks
+        (r, r'), the multiplicity matrix element
+        (2j+1)^-1 sum_m <j,m,r|rho|j,m,r'> spread uniformly over the carrier
+        diagonal; everything between different j values is set to zero.
+        """
+        if rho.dim != self.dim:
+            raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
+        d = self.decomposition
+        if d is None:
+            return DensityOperator(np.where(self._sector_mask, rho.matrix, 0.0))
+        w = d.coupling_matrix
+        coupled = w.conj().T @ rho.matrix @ w
+        out = np.zeros_like(coupled)
+        offset = 0
+        for j, count in d.multiplicity_table.items():
+            width = j.twice + 1
+            size = count * width
+            sector = coupled[offset:offset + size, offset:offset + size]
+            mult = np.trace(sector.reshape(count, width, count, width), axis1=1, axis2=3)
+            out[offset:offset + size, offset:offset + size] = np.kron(mult, np.eye(width)) / width
+            offset += size
+        result = w @ out @ w.conj().T
+        return DensityOperator(0.5 * (result + result.conj().T))
 
 
 def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
@@ -126,22 +119,3 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
     out = acc / samples
     out /= np.trace(out).real
     return DensityOperator(0.5 * (out + out.conj().T))
-
-
-def twirl_u1_dephasing(rho: DensityOperator, channel: TwirlChannel) -> DensityOperator:
-    """Project onto total-m sectors: sum_m P_m rho P_m.
-
-    Coherence between different total-m eigenspaces is erased; each sector
-    passes through untouched.
-    """
-    if channel.kind != "u1_dephasing":
-        raise ValueError(f"expected a u1_dephasing channel, got {channel.kind}")
-    if rho.dim != channel.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, channel {channel.dim}")
-    return DensityOperator(np.where(channel._sector_mask, rho.matrix, 0.0))
-
-
-def channel_fixed_point_check(rho: DensityOperator, channel: TwirlChannel,
-                              tol: float) -> bool:
-    """True iff rho is a fixed point of the channel within tol (trace distance)."""
-    return trace_distance(channel.apply(rho), rho) <= tol

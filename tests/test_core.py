@@ -35,6 +35,14 @@ class TestRandomSource:
     def test_sample_index_point_mass(self, rng):
         assert all(rng.sample_index([0.0, 1.0, 0.0]) == 1 for _ in range(50))
 
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0]])
+    def test_sample_index_rejects_non_distributions(self, rng, bad):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            rng.sample_index(bad)
+
+    def test_sample_index_accepts_rounding_within_atol(self, rng):
+        assert all(rng.sample_index([-1e-12, 1.0 + 1e-12]) == 1 for _ in range(50))
+
 
 class TestHaarSampling:
     def test_group_membership(self, rng):

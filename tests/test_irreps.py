@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefree.core import collective_rotation, haar_random_su2
-from framefree.irreps import (CouplingPath, HalfInteger, block_projector,
-                              clebsch_gordan, decompose, enumerate_paths, half,
-                              multiplicity, total_irrep_count)
+from framefree.irreps import (CouplingPath, HalfInteger, clebsch_gordan, decompose,
+                              enumerate_paths, multiplicity, total_irrep_count)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -139,38 +138,38 @@ class TestClebschGordan:
 
 class TestHalfInteger:
     def test_coercion(self):
-        assert half(1.5).twice == 3
-        assert half(2).twice == 4
-        assert half(Fraction(1, 2)).twice == 1
-        assert half(half(0.5)) == HalfInteger(1)
+        assert HalfInteger.of(1.5).twice == 3
+        assert HalfInteger.of(2).twice == 4
+        assert HalfInteger.of(Fraction(1, 2)).twice == 1
+        assert HalfInteger.of(HalfInteger.of(0.5)) == HalfInteger(1)
 
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
-            half(0.3)
+            HalfInteger.of(0.3)
 
     def test_arithmetic_and_order(self):
-        assert half(0.5) + half(1) == half(1.5)
-        assert half(2) - half(0.5) == half(1.5)
-        assert -half(0.5) == HalfInteger(-1)
-        assert half(0.5) < half(1)
+        assert HalfInteger.of(0.5) + HalfInteger.of(1) == HalfInteger.of(1.5)
+        assert HalfInteger.of(2) - HalfInteger.of(0.5) == HalfInteger.of(1.5)
+        assert -HalfInteger.of(0.5) == HalfInteger(-1)
+        assert HalfInteger.of(0.5) < HalfInteger.of(1)
 
     def test_str(self):
-        assert str(half(1.5)) == "3/2"
-        assert str(half(2)) == "2"
+        assert str(HalfInteger.of(1.5)) == "3/2"
+        assert str(HalfInteger.of(2)) == "2"
 
 
 class TestCouplingPath:
     def test_validation(self):
-        CouplingPath((half(0.5), half(1), half(0.5)))
+        CouplingPath((HalfInteger.of(0.5), HalfInteger.of(1), HalfInteger.of(0.5)))
         with pytest.raises(ValueError):
-            CouplingPath((half(1),))  # must start at 1/2
+            CouplingPath((HalfInteger.of(1),))  # must start at 1/2
         with pytest.raises(ValueError):
-            CouplingPath((half(0.5), half(1.5)))  # step of 1
+            CouplingPath((HalfInteger.of(0.5), HalfInteger.of(1.5)))  # step of 1
 
     def test_steps(self):
-        path = CouplingPath((half(0.5), half(1), half(0.5), half(0)))
+        path = CouplingPath((HalfInteger.of(0.5), HalfInteger.of(1), HalfInteger.of(0.5), HalfInteger.of(0)))
         assert path.steps == (1, -1, -1)
-        assert path.final == half(0)
+        assert path.final == HalfInteger.of(0)
 
 
 class TestMultiplicity:
@@ -215,7 +214,7 @@ class TestEnumeratePaths:
     def test_two_qubits(self):
         paths = enumerate_paths(2, 0)
         assert len(paths) == 1
-        assert paths[0].js == (half(0.5), half(0))
+        assert paths[0].js == (HalfInteger.of(0.5), HalfInteger.of(0))
 
     def test_four_qubits_j0(self):
         paths = enumerate_paths(4, 0)
@@ -238,7 +237,7 @@ class TestDecompose:
     def test_single_qubit(self):
         d = decompose(1)
         assert len(d.blocks) == 1
-        assert d.blocks[0].j == half(0.5)
+        assert d.blocks[0].j == HalfInteger.of(0.5)
         assert np.array_equal(d.blocks[0].isometry, np.eye(2))
 
     def test_two_qubits(self):
@@ -311,18 +310,18 @@ class TestBlockProjector:
     def test_two_qubit_singlet_projector(self):
         d = decompose(2)
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2
-        assert np.abs(block_projector(d, 0, 1) - np.outer(singlet, singlet)).max() < 1e-12
+        assert np.abs(d.block(0, 1).projector() - np.outer(singlet, singlet)).max() < 1e-12
 
     def test_completeness(self):
         for n in (2, 3, 4):
             d = decompose(n)
-            total = sum(block_projector(d, b.j, b.r) for b in d.blocks)
+            total = sum(d.block(b.j, b.r).projector() for b in d.blocks)
             assert np.abs(total - np.eye(2 ** n)).max() < 1e-10
 
     def test_ranks_for_four_qubits(self):
         d = decompose(4)
         for r in (1, 2, 3):
-            eigenvalues = np.linalg.eigvalsh(block_projector(d, 1, r))
+            eigenvalues = np.linalg.eigvalsh(d.block(1, r).projector())
             assert int(np.sum(eigenvalues > 0.5)) == 3
 
     def test_pairwise_orthogonality(self):
@@ -333,4 +332,34 @@ class TestBlockProjector:
 
     def test_rejects_unknown_label(self):
         with pytest.raises(KeyError):
-            block_projector(decompose(2), 0, 2)
+            decompose(2).block(0, 2).projector()
+
+
+class TestBlockIndexOracle:
+    """Index arithmetic on the block order against a scan over ``blocks``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_index_matches_scan(self, n):
+        d = decompose(n)
+        for j in d.multiplicity_table:
+            for r in range(1, d.multiplicity_table[j] + 1):
+                scan = [i for i, b in enumerate(d.blocks) if b.j == j and b.r == r]
+                assert [d.block_index(j, r)] == scan
+                assert d.block(j, r) is d.blocks[scan[0]]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_blocks_with_j_matches_scan(self, n):
+        d = decompose(n)
+        for tj in range(n + 2):
+            j = HalfInteger(tj)
+            assert d.blocks_with_j(j) == [b for b in d.blocks if b.j == j]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unknown_labels_raise_key_error(self, n):
+        d = decompose(n)
+        for j, count in d.multiplicity_table.items():
+            for r in (0, count + 1):
+                with pytest.raises(KeyError):
+                    d.block_index(j, r)
+        with pytest.raises(KeyError):
+            d.block_index(HalfInteger((n + 1) % 2), 1)  # wrong parity for n

@@ -180,7 +180,7 @@ class TestBeamSplitterConvention:
 class TestProtocol:
     def test_single_trial_identity_fiber(self, rng):
         result = run_optical_protocol(0, GroupElement.identity(), 1, rng)
-        assert result.decoded_histogram == {0: 1, 1: 0}
+        assert result.counts == {"coincidence": 1, "bunch1": 0, "bunch2": 0}
         assert result.error_rate == 0.0
 
     @pytest.mark.parametrize("bit", [0, 1])

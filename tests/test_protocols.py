@@ -4,14 +4,14 @@ import pytest
 from framefree.core import (GroupElement, RandomSource, StateVector,
                             collective_rotation, fidelity, haar_random_su2,
                             random_density, random_state_vector, trace_distance)
-from framefree.irreps import half
+from framefree.irreps import HalfInteger
 from framefree.protocols import (DecodingError, Message, block_outcome_probabilities,
                                  build_classical_codebook, classical_rate_asymptote,
                                  classical_round_trip, decode_logical,
                                  dephasing_sector_encoding, dfs_basis_4qubit,
                                  dfs_encoding_4qubit, dfs_logical_paulis,
                                  encode_logical, exchange_logical_action,
-                                 helstrom_success_probability, logical_bell_chsh,
+                                 helstrom_success_probability,
                                  logical_bell_chsh_trials, most_repeated_irrep,
                                  noiseless_subsystem_plan, rate_table,
                                  swap_qubits_matrix)
@@ -42,7 +42,7 @@ class TestCodeBook:
         book = build_classical_codebook(2)
         assert len(book.entries) == 2
         first, second = book.entries
-        assert first.j == half(1) and abs(first.codeword.overlap(SINGLET)) < 1e-12
+        assert first.j == HalfInteger.of(1) and abs(first.codeword.overlap(SINGLET)) < 1e-12
         assert abs(abs(second.codeword.overlap(SINGLET)) - 1.0) < 1e-12
 
     def test_singlet_first_flag(self):
@@ -91,6 +91,42 @@ class TestClassicalRoundTrip:
             probs = block_outcome_probabilities(rotated, book.decomposition)
             assert abs(probs.max() - 1.0) < 1e-10
             assert abs(probs.sum() - 1.0) < 1e-10
+
+
+class FixedOutcome:
+    """Stands in for a RandomSource whose every sample is one block index."""
+
+    def __init__(self, outcome: int):
+        self.outcome = outcome
+
+    def sample_index(self, probabilities) -> int:
+        return self.outcome
+
+
+CODEBOOKS = [(n, False) for n in range(1, 7)] + [(2, True)]
+
+
+class TestCodeBookIndexOracle:
+    """Message and outcome lookups against a scan over ``entries``."""
+
+    @pytest.mark.parametrize("n, singlet_first", CODEBOOKS)
+    def test_entry_matches_scan(self, n, singlet_first):
+        book = build_classical_codebook(n, singlet_first=singlet_first)
+        for i in range(len(book.entries)):
+            scan = [e for e in book.entries if e.message == Message(i)]
+            assert [book.entry(Message(i))] == scan
+        with pytest.raises(KeyError):
+            book.entry(Message(len(book.entries)))
+
+    @pytest.mark.parametrize("n, singlet_first", CODEBOOKS)
+    def test_outcome_to_message_matches_scan(self, n, singlet_first):
+        book = build_classical_codebook(n, singlet_first=singlet_first)
+        sent = book.entries[0].message
+        for outcome, block in enumerate(book.decomposition.blocks):
+            scan = [e.message for e in book.entries if e.j == block.j and e.r == block.r]
+            decoded = classical_round_trip(sent, book, GroupElement.identity(),
+                                           FixedOutcome(outcome))
+            assert [decoded] == scan
 
 
 class TestHelstrom:
@@ -301,48 +337,48 @@ class TestExchangeGates:
 class TestNoiselessSubsystemPlan:
     def test_three_qubits(self):
         enc = noiseless_subsystem_plan(3)
-        assert enc.j == half(0.5)
+        assert enc.j == HalfInteger.of(0.5)
         assert enc.logical_dim == 2
 
     def test_four_qubits(self):
         enc = noiseless_subsystem_plan(4)
-        assert enc.j == half(1)
+        assert enc.j == HalfInteger.of(1)
         assert enc.logical_dim == 3  # multiplicity table {0: 2, 1: 3, 2: 1}
 
     def test_two_qubits_tie_breaks_to_smaller_j(self):
         enc = noiseless_subsystem_plan(2)
-        assert enc.j == half(0)
+        assert enc.j == HalfInteger.of(0)
         assert enc.logical_dim == 1
 
     def test_most_repeated_irrep_table(self):
-        assert most_repeated_irrep(4) == (half(1), 3)
-        assert most_repeated_irrep(6) == (half(1), 9)
+        assert most_repeated_irrep(4) == (HalfInteger.of(1), 3)
+        assert most_repeated_irrep(6) == (HalfInteger.of(1), 9)
 
 
 class TestRates:
     def test_two_qubit_classical_rate(self):
-        assert rate_table(2).rows[1].classical_rate == 0.5
+        assert rate_table(2)[1].classical_rate == 0.5
 
     def test_four_qubit_classical_rate(self):
-        assert abs(rate_table(4).rows[3].classical_rate - np.log2(6) / 4) < 1e-15
+        assert abs(rate_table(4)[3].classical_rate - np.log2(6) / 4) < 1e-15
 
     def test_twenty_qubit_rate_and_gap_trend(self):
-        rows = rate_table(20).rows
+        rows = rate_table(20)
         assert abs(rows[19].classical_rate - 0.8747) < 5e-4
         gap10 = classical_rate_asymptote(10) - rows[9].classical_rate
         gap20 = classical_rate_asymptote(20) - rows[19].classical_rate
         assert 0 < gap20 < gap10
 
     def test_quantum_rates(self):
-        rows = rate_table(4).rows
+        rows = rate_table(4)
         assert abs(rows[2].quantum_rate - np.log2(2) / 3) < 1e-15
         assert abs(rows[3].quantum_rate - np.log2(3) / 4) < 1e-15
 
     def test_dephasing_rate(self):
-        assert rate_table(2).rows[1].dephasing_quantum_rate == 0.5
+        assert rate_table(2)[1].dephasing_quantum_rate == 0.5
 
     def test_all_rates_in_unit_interval_and_monotone(self):
-        rows = rate_table(64).rows
+        rows = rate_table(64)
         for row in rows:
             for rate in (row.classical_rate, row.quantum_rate, row.dephasing_quantum_rate):
                 assert 0.0 <= rate <= 1.0
@@ -376,10 +412,10 @@ class TestLogicalBellChsh:
         assert np.abs(values - 2 * SQRT2).max() < 1e-9
 
     def test_mean_violates_classical_bound(self):
-        value = logical_bell_chsh(RandomSource(7), 10)
+        value = float(logical_bell_chsh_trials(RandomSource(7), 10).mean())
         assert value > 2.0
         assert abs(value - 2 * SQRT2) < 1e-9
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            logical_bell_chsh(RandomSource(7), 0)
+            logical_bell_chsh_trials(RandomSource(7), 0)

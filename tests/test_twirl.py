@@ -4,8 +4,7 @@ import pytest
 from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
                             collective_rotation, haar_random_su2, random_density,
                             random_state_vector, trace_distance)
-from framefree.twirl import (TwirlChannel, channel_fixed_point_check, twirl_su2_exact,
-                             twirl_su2_monte_carlo, twirl_u1_dephasing)
+from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 SYMMETRIC_MIXED = DensityOperator((np.eye(4) - np.outer(SINGLET.amplitudes,
@@ -23,18 +22,18 @@ class TestExactTwirl:
         channel = TwirlChannel.full_su2(1)
         for _ in range(100):
             rho = random_density(rng, 2)
-            out = twirl_su2_exact(rho, channel)
+            out = channel.apply(rho)
             assert trace_distance(out, DensityOperator.maximally_mixed(2)) < 1e-9
 
     def test_singlet_is_fixed(self):
         channel = TwirlChannel.full_su2(2)
         rho = SINGLET.to_density()
-        assert trace_distance(twirl_su2_exact(rho, channel), rho) < 1e-9
+        assert trace_distance(channel.apply(rho), rho) < 1e-9
 
     def test_symmetric_states_mix_over_symmetric_subspace(self, rng):
         channel = TwirlChannel.full_su2(2)
         for _ in range(50):
-            out = twirl_su2_exact(random_symmetric_pure(rng), channel)
+            out = channel.apply(random_symmetric_pure(rng))
             assert trace_distance(out, SYMMETRIC_MIXED) < 1e-9
 
     def test_product_state_pair_trace_distance(self):
@@ -42,8 +41,8 @@ class TestExactTwirl:
         # |00><00| -> Pi_sym / 3 and |01><01| -> singlet/2 + Pi_sym/6
         channel = TwirlChannel.full_su2(2)
         singlet_proj = np.outer(SINGLET.amplitudes, SINGLET.amplitudes.conj())
-        out00 = twirl_su2_exact(StateVector.from_bits("00").to_density(), channel)
-        out01 = twirl_su2_exact(StateVector.from_bits("01").to_density(), channel)
+        out00 = channel.apply(StateVector.from_bits("00").to_density())
+        out01 = channel.apply(StateVector.from_bits("01").to_density())
         assert np.abs(out00.matrix - (np.eye(4) - singlet_proj) / 3.0).max() < 1e-12
         assert np.abs(out01.matrix - (singlet_proj / 2.0
                                       + (np.eye(4) - singlet_proj) / 6.0)).max() < 1e-12
@@ -54,11 +53,7 @@ class TestExactTwirl:
 
     def test_rejects_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            twirl_su2_exact(random_density(rng, 8), TwirlChannel.full_su2(2))
-
-    def test_rejects_wrong_kind(self, rng):
-        with pytest.raises(ValueError):
-            twirl_su2_exact(random_density(rng, 4), TwirlChannel.u1_dephasing(2))
+            TwirlChannel.full_su2(2).apply(random_density(rng, 8))
 
 
 class TestMonteCarloTwirl:
@@ -80,7 +75,7 @@ class TestMonteCarloTwirl:
         channel = TwirlChannel.full_su2(3)
         rho = random_density(rng, 8)
         mc = twirl_su2_monte_carlo(rho, 50_000, rng)
-        assert trace_distance(mc, twirl_su2_exact(rho, channel)) < 0.05
+        assert trace_distance(mc, channel.apply(rho)) < 0.05
 
     def test_singlet_invariant_for_any_sample_count(self, rng):
         rho = SINGLET.to_density()
@@ -90,7 +85,7 @@ class TestMonteCarloTwirl:
     def test_converges_to_exact_channel(self, rng):
         channel = TwirlChannel.full_su2(2)
         rho = StateVector.from_bits("00").to_density()
-        exact = twirl_su2_exact(rho, channel)
+        exact = channel.apply(rho)
         mc = twirl_su2_monte_carlo(rho, 100_000, rng)
         assert trace_distance(mc, exact) < 0.02
 
@@ -103,7 +98,7 @@ class TestDephasing:
     def test_single_qubit_plus_state(self):
         channel = TwirlChannel.u1_dephasing(1)
         plus = StateVector.normalized([1.0, 1.0]).to_density()
-        out = twirl_u1_dephasing(plus, channel)
+        out = channel.apply(plus)
         assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-12
 
     def test_m_zero_sector_untouched(self, rng):
@@ -112,34 +107,34 @@ class TestDephasing:
         for _ in range(20):
             rho = StateVector.normalized(
                 basis @ (rng.normal(2) + 1j * rng.normal(2))).to_density()
-            assert trace_distance(twirl_u1_dephasing(rho, channel), rho) < 1e-12
+            assert trace_distance(channel.apply(rho), rho) < 1e-12
 
     def test_phi_plus_loses_cross_sector_coherence(self):
         channel = TwirlChannel.u1_dephasing(2)
         phi_plus = StateVector.normalized([1.0, 0.0, 0.0, 1.0]).to_density()
-        out = twirl_u1_dephasing(phi_plus, channel)
+        out = channel.apply(phi_plus)
         expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         assert np.abs(out.matrix - expected).max() < 1e-12
 
     def test_rejects_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            twirl_u1_dephasing(random_density(rng, 2), TwirlChannel.u1_dephasing(2))
+            TwirlChannel.u1_dephasing(2).apply(random_density(rng, 2))
 
 
 class TestFixedPointCheck:
     def test_singlet_fixed_under_full_twirl(self):
-        assert channel_fixed_point_check(SINGLET.to_density(),
-                                         TwirlChannel.full_su2(2), 1e-9)
+        rho = SINGLET.to_density()
+        assert trace_distance(TwirlChannel.full_su2(2).apply(rho), rho) <= 1e-9
 
     def test_product_state_not_fixed(self):
-        assert not channel_fixed_point_check(StateVector.from_bits("00").to_density(),
-                                             TwirlChannel.full_su2(2), 1e-9)
+        rho = StateVector.from_bits("00").to_density()
+        assert trace_distance(TwirlChannel.full_su2(2).apply(rho), rho) > 1e-9
 
     def test_maximally_mixed_always_fixed(self):
         for n in (1, 2, 3):
             mixed = DensityOperator.maximally_mixed(2 ** n)
-            assert channel_fixed_point_check(mixed, TwirlChannel.full_su2(n), 1e-9)
-            assert channel_fixed_point_check(mixed, TwirlChannel.u1_dephasing(n), 1e-9)
+            assert trace_distance(TwirlChannel.full_su2(n).apply(mixed), mixed) <= 1e-9
+            assert trace_distance(TwirlChannel.u1_dephasing(n).apply(mixed), mixed) <= 1e-9
 
 
 class TestChannelProperties:

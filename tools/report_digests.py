@@ -1,0 +1,65 @@
+"""Digest every report of a fixed CLI matrix, with ``duration_s`` removed.
+
+Usage::
+
+    python3 tools/report_digests.py > digests.txt
+
+Each command of the matrix runs in-process through ``framefree.cli.main``
+from the ``src/`` tree next to this script.  One line per command gives the
+exit code and the sha256 of what it wrote to stdout and to stderr, after
+dropping the JSON ``"duration_s"`` line or the CSV ``duration_s`` row (the
+only field that varies between runs).  Running the script on two checkouts
+and diffing the outputs checks that a change left every report
+byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from framefree import cli  # noqa: E402
+
+MATRIX = (
+    "decompose --n 12",
+    "rates --max-n 64",
+    "rates --max-n 20 --output csv",
+    "twirl-check --n 8 --trials 3 --seed 5",
+    "twirl-check --n 3 --trials 20 --output csv",
+    "classical --n 2 --trials 50 --singlet-first",
+    "classical --n 6 --trials 5 --seed 9",
+    "classical --n 3 --trials 20 --output csv",
+    "quantum --trials 50",
+    "optics --trials 2000",
+    "bell --trials 20",
+    "classical --n 11",
+)
+
+_DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(_DURATION.sub("", text).encode("utf-8")).hexdigest()
+
+
+def run(command: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(command.split())
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    for command in MATRIX:
+        code, out, err = run(command)
+        print(f"exit={code} stdout={digest(out)} stderr={digest(err)}  {command}")
+
+
+if __name__ == "__main__":
+    main()
