@@ -19,8 +19,8 @@ import numpy as np
 ATOL = 1e-10
 
 # Size limits, in qubits.  Each follows from what the largest allowed call costs.
-MAX_QUBITS = 12  # dense 2^n x 2^n algebra: decompose(12) with its coupling matrix peaks near 0.5 GB
-MAX_CODEBOOK_QUBITS = 10  # one dense 2^n rotation per trial and message: n = 10 takes ~12 s per trial
+MAX_QUBITS = 12  # dense 2^n x 2^n algebra: decompose(12) takes ~0.7 s and peaks near 170 MB
+MAX_CODEBOOK_QUBITS = 10  # one dense 2^n rotation per trial and message: n = 10 takes ~10 s per trial
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
 MAX_TWIRL_CHECK_QUBITS = 8  # twirl-check eigendecomposes 2^n x 2^n states: ~3 s per 20 states at n = 8
 

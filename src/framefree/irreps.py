@@ -65,10 +65,6 @@ class HalfInteger:
             return str(self.twice // 2)
         return f"{self.twice}/2"
 
-    @property
-    def is_integral(self) -> bool:
-        return self.twice % 2 == 0
-
 
 @dataclass(frozen=True)
 class CouplingPath:
@@ -207,16 +203,15 @@ def enumerate_paths(n: int, j) -> list[CouplingPath]:
 
 @dataclass(frozen=True, eq=False)
 class IrrepBlock:
-    """One (j, r) block: an isometry whose columns are |j, m, r>, m = j..-j."""
+    """One (j, r) block: a real isometry whose columns are |j, m, r>, m = j..-j."""
 
     j: HalfInteger
     r: int  # 1-based index among blocks sharing this j
-    path: CouplingPath
     isometry: np.ndarray
 
     def __post_init__(self):
         v = self.isometry
-        gram = v.conj().T @ v
+        gram = v.T @ v
         if np.abs(gram - np.eye(v.shape[1])).max() > ATOL:
             raise ValueError("isometry columns are not orthonormal")
 
@@ -226,7 +221,7 @@ class IrrepBlock:
         return self.j.twice + 1
 
     def projector(self) -> np.ndarray:
-        return self.isometry @ self.isometry.conj().T
+        return self.isometry @ self.isometry.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +231,7 @@ class IrrepDecomposition:
     n: int
     blocks: tuple[IrrepBlock, ...]
     multiplicity_table: dict[HalfInteger, int]
+    coupling_matrix: np.ndarray  # real orthogonal; each block's isometry is a view of its columns
 
     def block(self, j, r: int) -> IrrepBlock:
         return self.blocks[self.block_index(j, r)]
@@ -257,11 +253,6 @@ class IrrepDecomposition:
         first = self._first_index.get(j, 0)
         return list(self.blocks[first:first + self.multiplicity_table.get(j, 0)])
 
-    @cached_property
-    def coupling_matrix(self) -> np.ndarray:
-        """The 2^n x 2^n unitary whose columns run through every block in order."""
-        return _readonly(np.hstack([b.isometry for b in self.blocks]))
-
     def summary(self) -> dict:
         """JSON-friendly multiplicity table; j is reported as 2j."""
         return {
@@ -272,22 +263,29 @@ class IrrepDecomposition:
         }
 
 
-def _couple_qubit(basis: np.ndarray, tj: int, new_tj: int) -> np.ndarray:
-    """Couple one more qubit to a spin-(tj/2) basis whose columns run m = j..-j."""
-    rows = basis.shape[0]
-    out = np.zeros((2 * rows, new_tj + 1))
-    j1, jq, jn = HalfInteger(tj), HalfInteger(1), HalfInteger(new_tj)
+def _couple_qubit(basis: np.ndarray, tj: int, new_tj: int, out: np.ndarray) -> None:
+    """Couple one more qubit to a spin-(tj/2) basis whose columns run m = j..-j.
+
+    Adds the spin-(new_tj/2) columns into ``out``.  The closed-form spin-1/2
+    coefficients equal ``clebsch_gordan`` bit for bit.
+    """
     for col, tm in enumerate(range(new_tj, -new_tj - 1, -2)):
         for tmu, offset in ((1, 0), (-1, 1)):  # |0> carries m = +1/2
             tm1 = tm - tmu
             if abs(tm1) > tj:
                 continue
-            coeff = clebsch_gordan(j1, HalfInteger(tm1), jq, HalfInteger(tmu),
-                                   jn, HalfInteger(tm))
-            if coeff == 0.0:
-                continue
+            if new_tj > tj:
+                coeff = sqrt((tj + tmu * tm + 1) / (2 * tj + 2))
+            else:
+                coeff = -tmu * sqrt((tj - tmu * tm + 1) / (2 * tj + 2))
             out[offset::2, col] += coeff * basis[:, (tj - tm1) // 2]
-    return out
+
+
+def _block_starts(k: int) -> dict[int, int]:
+    """First column of each 2j among k qubits: j descending, each block 2j + 1 wide."""
+    tjs = range(k, -1, -2)
+    widths = (multiplicity(k, HalfInteger(tj)) * (tj + 1) for tj in tjs)
+    return dict(zip(tjs, accumulate(widths, initial=0)))
 
 
 @lru_cache(maxsize=None)
@@ -301,29 +299,32 @@ def decompose(n: int) -> IrrepDecomposition:
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    levels: dict[tuple[int, ...], np.ndarray] = {(1,): np.eye(2)}
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
-        for path, basis in levels.items():
-            tj = path[-1]
-            for step in (1, -1):  # up-step first keeps insertion order lexicographic
-                new_tj = tj + step
+    # Column-major: blocks are column slices, strided (and slower) in a row-major
+    # matrix, such as one stacked side by side from row-major per-block arrays.
+    w = np.eye(2, order="F")
+    level = [(1, 0)]  # (2j, first column) of each coupling path, in path order
+    for k in range(2, n + 1):
+        starts = _block_starts(k)
+        cursor = dict(starts)
+        nxt = np.zeros((2 ** k, 2 ** k), order="F")
+        paths = []
+        for tj, start in level:
+            for new_tj in (tj + 1, tj - 1):  # up-step first keeps paths lexicographic
                 if new_tj < 0:
                     continue
-                nxt[path + (new_tj,)] = _couple_qubit(basis, tj, new_tj)
-        levels = nxt
-
-    blocks: list[IrrepBlock] = []
-    counts: dict[int, int] = {}
-    for path, basis in sorted(levels.items(), key=lambda item: -item[0][-1]):
-        tj = path[-1]
-        counts[tj] = counts.get(tj, 0) + 1
-        blocks.append(IrrepBlock(
-            j=HalfInteger(tj),
-            r=counts[tj],
-            path=CouplingPath(tuple(HalfInteger(t) for t in path)),
-            isometry=_readonly(basis.astype(complex)),
-        ))
-    table = {HalfInteger(tj): c for tj, c in sorted(counts.items(), reverse=True)}
-    assert all(c == multiplicity(n, j) for j, c in table.items())
-    return IrrepDecomposition(n=n, blocks=tuple(blocks), multiplicity_table=table)
+                col = cursor[new_tj]
+                cursor[new_tj] += new_tj + 1
+                _couple_qubit(w[:, start:start + tj + 1], tj, new_tj,
+                              nxt[:, col:col + new_tj + 1])
+                paths.append((new_tj, col))
+        assert list(cursor.values()) == [*list(starts.values())[1:], 2 ** k]
+        level, w = paths, nxt
+    _readonly(w)  # before slicing: views taken earlier would stay writeable
+    table = {HalfInteger(tj): multiplicity(n, HalfInteger(tj)) for tj in range(n, -1, -2)}
+    blocks, start = [], 0
+    for j, count in table.items():
+        for r in range(1, count + 1):
+            blocks.append(IrrepBlock(j=j, r=r, isometry=w[:, start:start + j.twice + 1]))
+            start += j.twice + 1
+    return IrrepDecomposition(n=n, blocks=tuple(blocks), multiplicity_table=table,
+                              coupling_matrix=w)

@@ -87,7 +87,7 @@ def block_outcome_probabilities(state: StateVector,
                                 decomposition: IrrepDecomposition) -> np.ndarray:
     """Exact block-PVM outcome distribution, in canonical block order."""
     return np.array([
-        float(np.linalg.norm(b.isometry.conj().T @ state.amplitudes) ** 2)
+        float(np.linalg.norm(b.isometry.T @ state.amplitudes) ** 2)
         for b in decomposition.blocks
     ])
 

@@ -80,7 +80,7 @@ class TwirlChannel:
         if d is None:
             return DensityOperator(np.where(self._sector_mask, rho.matrix, 0.0))
         w = d.coupling_matrix
-        coupled = w.conj().T @ rho.matrix @ w
+        coupled = w.T @ rho.matrix @ w
         out = np.zeros_like(coupled)
         offset = 0
         for j, count in d.multiplicity_table.items():
@@ -90,7 +90,7 @@ class TwirlChannel:
             mult = np.trace(sector.reshape(count, width, count, width), axis1=1, axis2=3)
             out[offset:offset + size, offset:offset + size] = np.kron(mult, np.eye(width)) / width
             offset += size
-        result = w @ out @ w.conj().T
+        result = w @ out @ w.T
         return DensityOperator(0.5 * (result + result.conj().T))
 
 
@@ -98,8 +98,7 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
                           rng: RandomSource) -> DensityOperator:
     """Average U rho U^dag over explicit Haar samples of collective rotations.
 
-    Sampling is chunked but deterministic for a given source; the result is
-    renormalized to unit trace to absorb accumulated rounding.
+    Sampling is chunked but deterministic for a given source.
     """
     if samples < 1:
         raise ValueError(f"sample count must be positive, got {samples}")
@@ -117,5 +116,4 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
         acc += np.einsum("kab,bc,kdc->ad", us, rho.matrix, us.conj(), optimize=True)
         remaining -= k
     out = acc / samples
-    out /= np.trace(out).real
     return DensityOperator(0.5 * (out + out.conj().T))

@@ -1,13 +1,14 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefree.core import collective_rotation, haar_random_su2
-from framefree.irreps import (CouplingPath, HalfInteger, clebsch_gordan, decompose,
-                              enumerate_paths, multiplicity, total_irrep_count)
+from framefree.irreps import (CouplingPath, HalfInteger, _couple_qubit, clebsch_gordan,
+                              decompose, enumerate_paths, multiplicity, total_irrep_count)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -65,6 +66,87 @@ def ladder_coupled_states(tj1: int, tj2: int) -> dict[tuple[int, int], np.ndarra
     return states
 
 
+# ---------------------------------------------------------------------------
+# reference builder: every coefficient from the Racah sum, one array per path
+# ---------------------------------------------------------------------------
+
+def racah_couple_qubit(basis: np.ndarray, tj: int, new_tj: int) -> np.ndarray:
+    """Couple one more qubit to a spin-(tj/2) basis, taking coefficients from clebsch_gordan."""
+    rows = basis.shape[0]
+    out = np.zeros((2 * rows, new_tj + 1))
+    j1, jq, jn = HalfInteger(tj), HalfInteger(1), HalfInteger(new_tj)
+    for col, tm in enumerate(range(new_tj, -new_tj - 1, -2)):
+        for tmu, offset in ((1, 0), (-1, 1)):  # |0> carries m = +1/2
+            tm1 = tm - tmu
+            if abs(tm1) > tj:
+                continue
+            coeff = clebsch_gordan(j1, HalfInteger(tm1), jq, HalfInteger(tmu),
+                                   jn, HalfInteger(tm))
+            if coeff == 0.0:
+                continue
+            out[offset::2, col] += coeff * basis[:, (tj - tm1) // 2]
+    return out
+
+
+@lru_cache(maxsize=None)
+def racah_coupled_bases(n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Map each coupling path, as its 2j values, to the basis coupled along it."""
+    levels = {(1,): np.eye(2)}
+    for _ in range(n - 1):
+        nxt = {}
+        for path, basis in levels.items():
+            tj = path[-1]
+            for step in (1, -1):
+                if tj + step >= 0:
+                    nxt[path + (tj + step,)] = racah_couple_qubit(basis, tj, tj + step)
+        levels = nxt
+    return levels
+
+
+class TestCouplingBuildOracle:
+    """The closed-form, column-major build against the Racah-sum build."""
+
+    @pytest.mark.parametrize("tj", range(40))
+    def test_closed_form_coefficients_match_racah_bit_for_bit(self, tj):
+        for new_tj in (tj + 1, tj - 1):
+            if new_tj < 0:
+                continue
+            out = np.zeros((2 * (tj + 1), new_tj + 1), order="F")
+            _couple_qubit(np.eye(tj + 1), tj, new_tj, out)
+            assert np.array_equal(out, racah_couple_qubit(np.eye(tj + 1), tj, new_tj))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_coupling_matrix_equals_racah_build(self, n):
+        levels = racah_coupled_bases(n)
+        ordered = sorted(levels.items(), key=lambda item: -item[0][-1])  # stable: path order
+        reference = np.hstack([basis for _, basis in ordered])
+        assert np.array_equal(decompose(n).coupling_matrix, reference)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_block_r_is_the_rth_coupling_path(self, n):
+        levels = racah_coupled_bases(n)
+        d = decompose(n)
+        for j in d.multiplicity_table:
+            for r, path in enumerate(enumerate_paths(n, j), start=1):
+                key = tuple(t.twice for t in path.js)
+                assert np.array_equal(d.block(j, r).isometry, levels[key]), (n, str(j), r)
+
+
+class TestCouplingMatrixLayout:
+    """One real, column-major, read-only matrix; every block is a view of it."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_blocks_are_read_only_column_major_views(self, n):
+        d = decompose(n)
+        w = d.coupling_matrix
+        assert w.dtype == np.float64
+        assert w.flags.f_contiguous and not w.flags.writeable
+        for b in d.blocks:
+            v = b.isometry
+            assert v.flags.f_contiguous and not v.flags.writeable, (n, str(b.j), b.r)
+            assert np.shares_memory(v, w)
+
+
 class TestClebschGordanOracle:
     @pytest.mark.parametrize("tj1,tj2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (4, 1), (3, 2)])
     def test_matches_ladder_construction(self, tj1, tj2):
@@ -78,6 +160,39 @@ class TestClebschGordanOracle:
                                        HalfInteger(tj2), HalfInteger(tm2),
                                        HalfInteger(tj), HalfInteger(tm))
                 assert abs(coeff - amp) < 1e-10, (tj1, tj2, tj, tm, tm1, tm2)
+
+
+class TestClebschGordanSympy:
+    """clebsch_gordan against sympy's closed forms, skipped without sympy."""
+
+    @staticmethod
+    def assert_matches_sympy(tj1, tj2, tj, tm1, tm2):
+        pytest.importorskip("sympy")
+        from sympy import Rational
+        from sympy.physics.quantum.cg import CG
+
+        args = [Rational(t, 2) for t in (tj1, tm1, tj2, tm2, tj, tm1 + tm2)]
+        expected = float(CG(*args).doit())
+        actual = clebsch_gordan(*(HalfInteger(t) for t in (tj1, tm1, tj2, tm2, tj, tm1 + tm2)))
+        assert abs(actual - expected) <= 1e-15, (tj1, tm1, tj2, tm2, tj)
+
+    def test_every_spin_half_coupling_up_to_j1_6(self):
+        # 2j1 <= 12 covers every coupling decompose makes up to MAX_QUBITS = 12
+        for tj1 in range(13):
+            for tj in (tj1 + 1, tj1 - 1):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in (1, -1):
+                        if tj >= 0 and abs(tm1 + tm2) <= tj:
+                            self.assert_matches_sympy(tj1, 1, tj, tm1, tm2)
+
+    def test_all_couplings_up_to_j1_j2_3(self):
+        for tj1 in range(7):
+            for tj2 in range(7):
+                for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    for tm1 in range(-tj1, tj1 + 1, 2):
+                        for tm2 in range(-tj2, tj2 + 1, 2):
+                            if abs(tm1 + tm2) <= tj:
+                                self.assert_matches_sympy(tj1, tj2, tj, tm1, tm2)
 
 
 class TestClebschGordan:
