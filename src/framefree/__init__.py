@@ -8,8 +8,8 @@ Bell tests, and a two-photon optical realization of the two-qubit case.
 """
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_QUBITS, RandomSource,
-                   StateVector, collective_rotation, fidelity, haar_random_su2,
-                   haar_random_su2_batch, partial_trace, random_density,
+                   StateVector, apply_collective_rotation, collective_rotation, fidelity,
+                   haar_random_su2, haar_random_su2_batch, partial_trace, random_density,
                    random_state_vector, tensor, trace_distance)
 from .irreps import (CouplingPath, HalfInteger, IrrepBlock, IrrepDecomposition,
                      clebsch_gordan, decompose, enumerate_paths, multiplicity,

@@ -13,21 +13,24 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
+import uuid
 from dataclasses import asdict, dataclass
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 
 from .core import (DensityOperator, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
-                   MAX_TWIRL_CHECK_QUBITS, RandomSource, collective_rotation, fidelity,
-                   haar_random_su2, random_density, random_state_vector, trace_distance)
+                   MAX_TWIRL_CHECK_QUBITS, RandomSource, apply_collective_rotation,
+                   fidelity, haar_random_su2, random_density, random_state_vector,
+                   trace_distance)
 from .irreps import decompose, total_irrep_count
 from .optics import run_optical_protocol
 from .protocols import (block_outcome_probabilities, build_classical_codebook,
-                        classical_rate_asymptote, classical_round_trip,
-                        decode_logical, dephasing_sector_encoding,
+                        classical_rate_asymptote, decode_logical, dephasing_sector_encoding,
                         dfs_encoding_4qubit, encode_logical, logical_bell_chsh_trials,
                         most_repeated_irrep, noiseless_subsystem_plan, rate_table)
 from .twirl import TwirlChannel
@@ -225,16 +228,17 @@ def _run_twirl_check(cfg: RunConfig, rng: RandomSource):
 
 def _run_classical(cfg: RunConfig, rng: RandomSource):
     codebook = build_classical_codebook(cfg.n, singlet_first=cfg.singlet_first)
+    d = codebook.decomposition
     errors = 0
     min_correct = 1.0
     for entry in codebook.entries:
+        block_index = d.block_index(entry.j, entry.r)
         for _ in range(cfg.trials):
+            # classical_round_trip, keeping the distribution it samples from
             g = haar_random_su2(rng)
-            decoded = classical_round_trip(entry.message, codebook, g, rng)
+            probs = block_outcome_probabilities(apply_collective_rotation(g, entry.codeword), d)
+            decoded = codebook.message_for_block(rng.sample_index(probs))
             errors += int(decoded != entry.message)
-            rotated = entry.codeword.evolve(collective_rotation(g, cfg.n))
-            probs = block_outcome_probabilities(rotated, codebook.decomposition)
-            block_index = codebook.decomposition.block_index(entry.j, entry.r)
             min_correct = min(min_correct, float(probs[block_index]))
     payload = {
         "protocol": "classical",
@@ -362,14 +366,24 @@ def _flatten(tree, prefix=""):
 
 
 def emit_report(report: Report, cfg: RunConfig) -> str:
-    """Serialize and write the report; returns the emitted text."""
+    """Serialize and write the report; returns the emitted text.
+
+    An output file is written to a temporary file beside it and renamed into
+    place, so a failed write leaves the target as it was.
+    """
     if cfg.output_format == "csv":
         text = _csv_text(report)
     else:
         text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        target = Path(cfg.output_path)
+        temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(temp, "x", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(temp, target)
+        finally:
+            temp.unlink(missing_ok=True)
     else:
         sys.stdout.write(text)
     return text

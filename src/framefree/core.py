@@ -20,7 +20,7 @@ ATOL = 1e-10
 
 # Size limits, in qubits.  Each follows from what the largest allowed call costs.
 MAX_QUBITS = 12  # dense 2^n x 2^n algebra: decompose(12) takes ~0.7 s and peaks near 170 MB
-MAX_CODEBOOK_QUBITS = 10  # one dense 2^n rotation per trial and message: n = 10 takes ~10 s per trial
+MAX_CODEBOOK_QUBITS = 10  # 2^n x 2^n real products per trial and message: n = 10 takes ~0.2 s per trial
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
 MAX_TWIRL_CHECK_QUBITS = 8  # twirl-check eigendecomposes 2^n x 2^n states: ~3 s per 20 states at n = 8
 
@@ -212,13 +212,42 @@ def tensor(a, b) -> np.ndarray:
 
 
 def collective_rotation(g: GroupElement, n: int) -> np.ndarray:
-    """The n-fold tensor power g (x) g (x) ... (x) g applied to n qubits."""
+    """The n-fold tensor power g (x) g (x) ... (x) g applied to n qubits.
+
+    Each level writes the four products out * g[i, j] into the strided
+    quarters of the next level: the same products as ``np.kron``, so the same
+    bits, but each multiply runs over whole rows where kron's broadcast runs
+    two elements at a time.  States are rotated by
+    ``apply_collective_rotation``, which builds no matrix.
+    """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    out = np.array(g.matrix)
+    u = g.matrix
+    out = np.array(u)
     for _ in range(n - 1):
-        out = np.kron(out, g.matrix)
+        k = out.shape[0]
+        nxt = np.empty((k, 2, k, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                np.multiply(out, u[i, j], out=nxt[:, i, :, j])
+        out = nxt.reshape(2 * k, 2 * k)
     return out
+
+
+def apply_collective_rotation(g: GroupElement, state: StateVector) -> StateVector:
+    """The state g (x) ... (x) g |state>, in O(n 2^n) work and no 2^n x 2^n array.
+
+    Each step applies g to the leading qubit and moves that qubit to the
+    back, so after n steps every qubit is rotated once and the original
+    order is restored.
+    """
+    n = state.dim.bit_length() - 1
+    if n < 1 or state.dim != 2 ** n:
+        raise ValueError(f"state dimension {state.dim} is not a qubit count's 2^n")
+    a = state.amplitudes
+    for _ in range(n):
+        a = (g.matrix @ a.reshape(2, -1)).T.reshape(-1)
+    return StateVector(a)
 
 
 def partial_trace(rho: DensityOperator, keep, dims) -> DensityOperator:

@@ -242,6 +242,21 @@ class IrrepDecomposition:
         table = self.multiplicity_table
         return dict(zip(table, accumulate(table.values(), initial=0)))
 
+    @cached_property
+    def column_starts(self) -> np.ndarray:
+        """First ``coupling_matrix`` column of each block, in canonical block order."""
+        dims = [b.dim for b in self.blocks]
+        return _readonly(np.cumsum([0, *dims[:-1]]))
+
+    def sector(self, j) -> np.ndarray:
+        """The columns of every block with this j: one read-only view of ``coupling_matrix``."""
+        j = HalfInteger.of(j)
+        count = self.multiplicity_table.get(j, 0)
+        if not count:
+            raise KeyError(f"no block with j = {j}")
+        start = int(self.column_starts[self._first_index[j]])
+        return self.coupling_matrix[:, start:start + count * (j.twice + 1)]
+
     def block_index(self, j, r: int) -> int:
         j = HalfInteger.of(j)
         if r not in range(1, self.multiplicity_table.get(j, 0) + 1):

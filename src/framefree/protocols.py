@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_QUBITS,
                    MAX_RATE_QUBITS, RandomSource, StateVector, _readonly,
-                   collective_rotation, haar_random_su2, trace_distance)
+                   apply_collective_rotation, collective_rotation, haar_random_su2,
+                   trace_distance)
 from .irreps import HalfInteger, IrrepDecomposition, decompose, multiplicity, total_irrep_count
 
 
@@ -58,6 +59,16 @@ class CodeBook:
             raise KeyError(f"message {message.index} not in codebook (size {len(self.entries)})")
         return self.entries[message.index]
 
+    def message_for_block(self, index: int) -> Message:
+        """The message riding on block ``index`` (canonical order) of the decomposition.
+
+        The message index is the block index, mirrored for a ``singlet_first``
+        book, whose entries list the blocks in reverse.
+        """
+        if self.entries[0].j != self.decomposition.blocks[0].j:
+            index = len(self.entries) - 1 - index
+        return self.entries[index].message
+
 
 def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook:
     """Codebook with the highest-weight state |j, m=j, r> of every block.
@@ -85,11 +96,17 @@ def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook
 
 def block_outcome_probabilities(state: StateVector,
                                 decomposition: IrrepDecomposition) -> np.ndarray:
-    """Exact block-PVM outcome distribution, in canonical block order."""
-    return np.array([
-        float(np.linalg.norm(b.isometry.T @ state.amplitudes) ** 2)
-        for b in decomposition.blocks
-    ])
+    """Exact block-PVM outcome distribution, in canonical block order.
+
+    Two real vector-matrix products give the real and imaginary parts of
+    every coupled-basis coefficient; the squared moduli summed over each
+    block's columns are its probability.  The real coupling matrix is never
+    cast to complex, which would copy it, and two vector products beat one
+    two-column matrix product, which also grows BLAS's packing buffer.
+    """
+    a, w = state.amplitudes, decomposition.coupling_matrix
+    coefficients = np.square(a.real @ w) + np.square(a.imag @ w)
+    return np.add.reduceat(coefficients, decomposition.column_starts)
 
 
 def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,
@@ -98,16 +115,12 @@ def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,
 
     PVM outcome probabilities are computed exactly and then sampled, so
     the measurement pathway is exercised even though the distribution is a
-    point mass for valid codewords.  The sampled block index is the
-    decoded message index, mirrored for a ``singlet_first`` book, whose
-    entries list the blocks in reverse.
+    point mass for valid codewords.  The rotation is applied qubit by qubit,
+    never as a 2^n x 2^n matrix.
     """
-    entry = codebook.entry(msg)
-    rotated = entry.codeword.evolve(collective_rotation(g, codebook.n))
-    outcome = rng.sample_index(block_outcome_probabilities(rotated, codebook.decomposition))
-    if codebook.entries[0].j != codebook.decomposition.blocks[0].j:
-        outcome = len(codebook.entries) - 1 - outcome
-    return codebook.entries[outcome].message
+    rotated = apply_collective_rotation(g, codebook.entry(msg).codeword)
+    probabilities = block_outcome_probabilities(rotated, codebook.decomposition)
+    return codebook.message_for_block(rng.sample_index(probabilities))
 
 
 def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -> float:
@@ -243,12 +256,10 @@ def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> Dens
     if encoding.kind in ("dfs_j0", "dephasing_m_sector"):
         reduced = encoding.isometry.conj().T @ rho_phys.matrix @ encoding.isometry
     else:
-        blocks = decompose(encoding.n).blocks_with_j(encoding.j)
+        sector = decompose(encoding.n).sector(encoding.j)  # a view, not a copy
         width = encoding.j.twice + 1
-        count = len(blocks)
-        sector = np.hstack([b.isometry for b in blocks])
-        inside = (sector.conj().T @ rho_phys.matrix @ sector).reshape(
-            count, width, count, width)
+        count = sector.shape[1] // width
+        inside = (sector.T @ rho_phys.matrix @ sector).reshape(count, width, count, width)
         reduced = np.trace(inside, axis1=1, axis2=3)
     probability = float(np.trace(reduced).real)
     if probability < 1e-12:

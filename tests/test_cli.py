@@ -1,6 +1,9 @@
 import json
+import os
+import tracemalloc
 
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
+from framefree.irreps import decompose
 
 
 def run_json(capsys, argv):
@@ -54,6 +57,18 @@ class TestCommands:
             capsys, ["classical", "--n", "2", "--trials", "20", "--singlet-first"])
         assert code == 0
         assert report["payload"]["errors"] == 0
+
+    def test_classical_n10_builds_no_dense_rotation(self, capsys):
+        decompose(10)  # cached block structure, as in any later call
+        tracemalloc.start()
+        try:
+            code, report = run_json(capsys, ["classical", "--n", "10", "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert report["payload"]["messages"] == 252 and report["payload"]["errors"] == 0
+        assert peak < 2 ** 24  # bytes in one 2^10 x 2^10 complex matrix
 
     def test_twirl_check(self, capsys):
         code, report = run_json(capsys, ["twirl-check", "--n", "2", "--trials", "10"])
@@ -127,6 +142,43 @@ class TestEmission:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["payload"]["total"] == 3
+
+    def test_missing_directory_exits_1_and_leaves_no_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code = main(["decompose", "--n", "2", "--out-file", str(target)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "FileNotFoundError"
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_failed_replace_keeps_the_old_file_and_no_temp(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        code = main(["decompose", "--n", "2", "--out-file", str(target)])
+        assert code == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert target.is_dir()
+
+    def test_failed_rename_leaves_the_old_file_whole(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "report.json"
+        target.write_text("previous report")
+        assert main(["decompose", "--n", "2", "--out-file", str(target)]) == 1
+        assert json.loads(capsys.readouterr().err)["detail"] == "rename refused"
+        assert target.read_text() == "previous report"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_out_file_replaces_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("stale")
+        assert main(["decompose", "--n", "3", "--out-file", str(target)]) == 0
+        assert json.loads(target.read_text())["payload"]["total"] == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_unwritable_path_exits_1(self, capsys):
         code = main(["decompose", "--n", "2", "--out-file", "/nonexistent/dir/report.json"])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
-                            collective_rotation, fidelity, haar_random_su2,
-                            haar_random_su2_batch, partial_trace, random_density,
-                            random_state_vector, tensor, trace_distance)
+                            apply_collective_rotation, collective_rotation, fidelity,
+                            haar_random_su2, haar_random_su2_batch, partial_trace,
+                            random_density, random_state_vector, tensor, trace_distance)
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
@@ -100,6 +100,37 @@ class TestCollectiveRotation:
     def test_rejects_zero_qubits(self, rng):
         with pytest.raises(ValueError):
             collective_rotation(haar_random_su2(rng), 0)
+
+
+def kron_chain(g: GroupElement, n: int) -> np.ndarray:
+    """The dense oracle: g (x) ... (x) g as a left-to-right np.kron chain."""
+    out = np.array(g.matrix)
+    for _ in range(n - 1):
+        out = np.kron(out, g.matrix)
+    return out
+
+
+class TestCollectiveRotationOracle:
+    """The fast builder and the matrix-free rotation against the kron chain."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_builder_equals_kron_chain_bit_for_bit(self, rng, n):
+        for _ in range(3):
+            g = haar_random_su2(rng)
+            assert np.array_equal(collective_rotation(g, n), kron_chain(g, n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matrix_free_matches_dense(self, rng, n):
+        for _ in range(3):
+            g = haar_random_su2(rng)
+            state = random_state_vector(rng, 2 ** n)
+            dense = kron_chain(g, n) @ state.amplitudes
+            assert np.abs(apply_collective_rotation(g, state).amplitudes - dense).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_matrix_free_rejects_non_qubit_dimensions(self, dim):
+        with pytest.raises(ValueError, match="not a qubit count"):
+            apply_collective_rotation(GroupElement.identity(), StateVector.basis(dim, 0))
 
 
 class TestTensor:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from framefree.core import (GroupElement, RandomSource, StateVector,
+from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
                             collective_rotation, fidelity, haar_random_su2,
                             random_density, random_state_vector, trace_distance)
-from framefree.irreps import HalfInteger
+from framefree.irreps import HalfInteger, decompose
 from framefree.protocols import (DecodingError, Message, block_outcome_probabilities,
                                  build_classical_codebook, classical_rate_asymptote,
                                  classical_round_trip, decode_logical,
@@ -91,6 +93,37 @@ class TestClassicalRoundTrip:
             probs = block_outcome_probabilities(rotated, book.decomposition)
             assert abs(probs.max() - 1.0) < 1e-10
             assert abs(probs.sum() - 1.0) < 1e-10
+
+
+class TestBlockOutcomeOracle:
+    """The one-product block distribution against a per-block loop."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_per_block_norms(self, rng, n):
+        d = decompose(n)
+        for _ in range(3):
+            a = random_state_vector(rng, 2 ** n).amplitudes
+            loop = np.array([np.linalg.norm(b.isometry.T @ a) ** 2 for b in d.blocks])
+            probs = block_outcome_probabilities(StateVector(a), d)
+            assert probs.shape == loop.shape
+            assert np.abs(probs - loop).max() < 1e-14
+            assert abs(probs.sum() - 1.0) < 1e-14
+
+
+class TestNoDenseRotationPerTrial:
+    """A 2^n x 2^n complex matrix takes 16 MB at n = 10; a round trip allocates far less."""
+
+    def test_round_trip_peak_memory(self, rng):
+        book = build_classical_codebook(10)
+        g = haar_random_su2(rng)
+        tracemalloc.start()
+        try:
+            for entry in book.entries[:5]:
+                assert classical_round_trip(entry.message, book, g, rng) == entry.message
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # bytes; the dense rotation alone is 2^24
 
 
 class FixedOutcome:
@@ -332,6 +365,39 @@ class TestExchangeGates:
         assert np.abs(x - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
         assert np.abs(z @ x + x @ z).max() < 1e-9
         assert np.abs(x @ x - np.eye(2)).max() < 1e-9
+
+
+def decode_with_stacked_sector(rho: DensityOperator, encoding) -> np.ndarray:
+    """The oracle decode: the j sector copied block by block with np.hstack."""
+    blocks = decompose(encoding.n).blocks_with_j(encoding.j)
+    width, count = encoding.j.twice + 1, len(blocks)
+    sector = np.hstack([b.isometry for b in blocks])
+    inside = (sector.conj().T @ rho.matrix @ sector).reshape(count, width, count, width)
+    reduced = np.trace(inside, axis1=1, axis2=3)
+    reduced = reduced / np.trace(reduced).real
+    return 0.5 * (reduced + reduced.conj().T)
+
+
+class TestNoiselessSubsystemSector:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sector_is_a_view_of_the_coupling_matrix(self, n):
+        d = decompose(n)
+        j = noiseless_subsystem_plan(n).j
+        sector = d.sector(j)
+        assert np.shares_memory(sector, d.coupling_matrix)
+        assert np.array_equal(sector, np.hstack([b.isometry for b in d.blocks_with_j(j)]))
+
+    def test_sector_rejects_absent_j(self):
+        with pytest.raises(KeyError):
+            decompose(4).sector(HalfInteger.of(0.5))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_decode_matches_stacked_sector(self, rng, n):
+        enc = noiseless_subsystem_plan(n)
+        for _ in range(3):
+            rho = random_density(rng, 2 ** n)
+            decoded = decode_logical(rho, enc).matrix
+            assert np.abs(decoded - decode_with_stacked_sector(rho, enc)).max() < 1e-14
 
 
 class TestNoiselessSubsystemPlan:

@@ -36,6 +36,7 @@ MATRIX = (
     "classical --n 6 --trials 5 --seed 9",
     "classical --n 3 --trials 20 --output csv",
     "classical --n 8 --trials 2 --seed 3",
+    "classical --n 10 --trials 1 --seed 7",
     "quantum --trials 50",
     "optics --trials 2000",
     "bell --trials 20",
