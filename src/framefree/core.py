@@ -30,6 +30,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _qubit_count(dim: int) -> int:
+    """The n with dim = 2^n, n >= 1; anything else raises ``ValueError``."""
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 2 ** n:
+        raise ValueError(f"dimension {dim} is not a qubit count's 2^n")
+    return n
+
+
 def _as_complex_array(values, ndim: int) -> np.ndarray:
     a = np.array(values, dtype=complex)
     if a.ndim != ndim:
@@ -241,11 +249,8 @@ def apply_collective_rotation(g: GroupElement, state: StateVector) -> StateVecto
     back, so after n steps every qubit is rotated once and the original
     order is restored.
     """
-    n = state.dim.bit_length() - 1
-    if n < 1 or state.dim != 2 ** n:
-        raise ValueError(f"state dimension {state.dim} is not a qubit count's 2^n")
     a = state.amplitudes
-    for _ in range(n):
+    for _ in range(_qubit_count(state.dim)):
         a = (g.matrix @ a.reshape(2, -1)).T.reshape(-1)
     return StateVector(a)
 

@@ -263,11 +263,6 @@ class IrrepDecomposition:
             raise KeyError(f"no block with j = {j}, r = {r}")
         return self._first_index[j] + r - 1
 
-    def blocks_with_j(self, j) -> list[IrrepBlock]:
-        j = HalfInteger.of(j)
-        first = self._first_index.get(j, 0)
-        return list(self.blocks[first:first + self.multiplicity_table.get(j, 0)])
-
     def summary(self) -> dict:
         """JSON-friendly multiplicity table; j is reported as 2j."""
         return {
@@ -276,6 +271,19 @@ class IrrepDecomposition:
                       for j, c in self.multiplicity_table.items()],
             "total": sum(self.multiplicity_table.values()),
         }
+
+
+def carrier_trace(v: np.ndarray, a: np.ndarray, width: int) -> np.ndarray:
+    """Compress ``a`` onto the columns of ``v`` and trace out the carrier.
+
+    The columns of ``v`` run over (r, m) with m fastest, ``width`` values of m
+    per r, as in a ``sector``.  Entry (r, r') of the result is
+    sum_m <v_{r,m}| a |v_{r',m}>, the multiplicity-space operator that frame
+    averaging keeps.  With ``width`` 1 this is the plain compression v^dag a v.
+    """
+    count = v.shape[1] // width
+    inside = (v.conj().T @ a @ v).reshape(count, width, count, width)
+    return np.trace(inside, axis1=1, axis2=3)
 
 
 def _couple_qubit(basis: np.ndarray, tj: int, new_tj: int, out: np.ndarray) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, log2, sqrt
-from typing import Literal
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX
                    MAX_RATE_QUBITS, RandomSource, StateVector, _readonly,
                    apply_collective_rotation, collective_rotation, haar_random_su2,
                    trace_distance)
-from .irreps import HalfInteger, IrrepDecomposition, decompose, multiplicity, total_irrep_count
+from .irreps import (HalfInteger, IrrepDecomposition, carrier_trace, decompose, multiplicity,
+                     total_irrep_count)
 
 
 @dataclass(frozen=True)
@@ -156,31 +156,42 @@ def dfs_basis_4qubit(basis=None) -> tuple[StateVector, StateVector]:
 
 @dataclass(frozen=True, eq=False)
 class LogicalEncoding:
-    """Isometric embedding of a logical space into n physical qubits."""
+    """A logical space carried by n physical qubits, read through one carrier trace.
+
+    The isometry's columns run over (r, m) with m fastest, ``carrier_dim``
+    values of m per logical index r.  A code with a sector j (the noiseless
+    subsystem, or the 4-qubit j=0 code) has carrier 2j+1; a subspace code
+    (``j`` None) has carrier 1, so its columns are the logical basis.
+    """
 
     n: int
-    logical_dim: int
     isometry: np.ndarray
-    kind: Literal["dfs_j0", "noiseless_subsystem", "dephasing_m_sector"]
-    j: HalfInteger | None = None  # noiseless subsystem sector
+    j: HalfInteger | None = None  # SU(2) sector
     m: HalfInteger | None = None  # dephasing sector
 
     def __post_init__(self):
         v = np.array(self.isometry, dtype=complex)
-        if v.shape != (2 ** self.n, self.logical_dim):
-            raise ValueError(f"isometry shape {v.shape} does not match "
-                             f"({2 ** self.n}, {self.logical_dim})")
-        if np.abs(v.conj().T @ v - np.eye(self.logical_dim)).max() > ATOL:
+        if v.ndim != 2 or v.shape[0] != 2 ** self.n or v.shape[1] % self.carrier_dim:
+            raise ValueError(f"isometry shape {v.shape} is not (2^{self.n}, a multiple "
+                             f"of {self.carrier_dim})")
+        if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > ATOL:
             raise ValueError("isometry columns are not orthonormal")
         object.__setattr__(self, "isometry", _readonly(v))
+
+    @property
+    def carrier_dim(self) -> int:
+        return 1 if self.j is None else self.j.twice + 1
+
+    @property
+    def logical_dim(self) -> int:
+        return self.isometry.shape[1] // self.carrier_dim
 
 
 def dfs_encoding_4qubit(basis=None) -> LogicalEncoding:
     """One logical qubit in the j=0 sector of four physical qubits."""
     zero, one = dfs_basis_4qubit(basis)
-    return LogicalEncoding(n=4, logical_dim=2,
-                           isometry=np.column_stack([zero.amplitudes, one.amplitudes]),
-                           kind="dfs_j0")
+    return LogicalEncoding(n=4, isometry=np.column_stack([zero.amplitudes, one.amplitudes]),
+                           j=HalfInteger(0))
 
 
 def most_repeated_irrep(n: int) -> tuple[HalfInteger, int]:
@@ -196,16 +207,14 @@ def most_repeated_irrep(n: int) -> tuple[HalfInteger, int]:
 def noiseless_subsystem_plan(n: int) -> LogicalEncoding:
     """Encode into the multiplicity space of the most-repeated irrep.
 
-    Logical basis state r rides on |j_max, m=j_max, r>; frame averaging
-    mixes only the carrier index, so the multiplicity index survives.
+    The isometry is the whole j_max sector of the coupled basis.  Logical
+    basis state r rides on |j_max, m=j_max, r>; frame averaging mixes only
+    the carrier index, so the multiplicity index survives.
     """
     if not 2 <= n <= MAX_CODEBOOK_QUBITS:
         raise ValueError(f"qubit count must be in 2..{MAX_CODEBOOK_QUBITS}, got {n}")
-    j_max, count = most_repeated_irrep(n)
-    blocks = decompose(n).blocks_with_j(j_max)
-    columns = np.column_stack([b.isometry[:, 0] for b in blocks])
-    return LogicalEncoding(n=n, logical_dim=count, isometry=columns,
-                           kind="noiseless_subsystem", j=j_max)
+    j_max, _ = most_repeated_irrep(n)
+    return LogicalEncoding(n=n, isometry=decompose(n).sector(j_max), j=j_max)
 
 
 def dephasing_sector_encoding(n: int, m=None) -> LogicalEncoding:
@@ -227,16 +236,15 @@ def dephasing_sector_encoding(n: int, m=None) -> LogicalEncoding:
     indices = np.flatnonzero(weights == weight)
     iso = np.zeros((2 ** n, len(indices)), dtype=complex)
     iso[indices, np.arange(len(indices))] = 1.0
-    return LogicalEncoding(n=n, logical_dim=len(indices), isometry=iso,
-                           kind="dephasing_m_sector", m=HalfInteger(n - 2 * weight))
+    return LogicalEncoding(n=n, isometry=iso, m=HalfInteger(n - 2 * weight))
 
 
 def encode_logical(psi: StateVector, encoding: LogicalEncoding) -> DensityOperator:
-    """Embed a logical pure state into the physical space."""
+    """Embed a logical pure state into the physical space, on the m=j column of each r."""
     if psi.dim != encoding.logical_dim:
         raise ValueError(f"logical state dim {psi.dim} does not match "
                          f"encoding dim {encoding.logical_dim}")
-    return StateVector(encoding.isometry @ psi.amplitudes).to_density()
+    return StateVector(encoding.isometry[:, ::encoding.carrier_dim] @ psi.amplitudes).to_density()
 
 
 class DecodingError(ValueError):
@@ -244,23 +252,15 @@ class DecodingError(ValueError):
 
 
 def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> DensityOperator:
-    """Invert the encoding; for noiseless subsystems, discard the carrier factor.
+    """Invert the encoding: compress onto the code and trace out its carrier.
 
-    Subspace codes compress with the isometry and renormalize by the
-    in-code probability.  The noiseless subsystem projects onto its j
-    sector, reshapes into carrier and multiplicity factors, and traces the
-    carrier out.
+    One ``carrier_trace`` serves every code; for a subspace code the carrier
+    is trivial and this is the plain compression V^dag rho V.  The result is
+    renormalized by the in-code probability.
     """
     if rho_phys.dim != 2 ** encoding.n:
         raise ValueError(f"physical state dim {rho_phys.dim} does not match n = {encoding.n}")
-    if encoding.kind in ("dfs_j0", "dephasing_m_sector"):
-        reduced = encoding.isometry.conj().T @ rho_phys.matrix @ encoding.isometry
-    else:
-        sector = decompose(encoding.n).sector(encoding.j)  # a view, not a copy
-        width = encoding.j.twice + 1
-        count = sector.shape[1] // width
-        inside = (sector.T @ rho_phys.matrix @ sector).reshape(count, width, count, width)
-        reduced = np.trace(inside, axis1=1, axis2=3)
+    reduced = carrier_trace(encoding.isometry, rho_phys.matrix, encoding.carrier_dim)
     probability = float(np.trace(reduced).real)
     if probability < 1e-12:
         raise DecodingError("state has no support on the code space")
@@ -295,7 +295,7 @@ def exchange_logical_action(a: int, b: int, encoding: LogicalEncoding) -> Exchan
     The reported leakage is the Frobenius norm of (I - P_code) SWAP V,
     i.e. how much of the swapped code space escapes the code.
     """
-    if encoding.kind != "dfs_j0" or encoding.n != 4:
+    if encoding.n != 4 or encoding.j != HalfInteger(0):
         raise ValueError("exchange gates are defined for the 4-qubit j=0 code")
     swap = swap_qubits_matrix(4, a, b)
     v = encoding.isometry

@@ -20,17 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityOperator, MAX_QUBITS, RandomSource, haar_random_su2_batch
-from .irreps import IrrepDecomposition, decompose
+from .core import DensityOperator, MAX_QUBITS, RandomSource, _qubit_count, haar_random_su2_batch
+from .irreps import IrrepDecomposition, carrier_trace, decompose
 
 _MC_ENTRY_BUDGET = 4_000_000  # max batched matrix entries per Monte Carlo chunk
-
-
-def _qubit_count(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim != 2 ** n:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,29 +61,22 @@ class TwirlChannel:
         """Average rho over the channel's frame rotations, in closed form.
 
         Dephasing keeps every total-m sector of rho and erases the coherence
-        between sectors: sum_m P_m rho P_m.  For the full SU(2), in the
-        coupled basis the output carries, for each pair of equal-j blocks
-        (r, r'), the multiplicity matrix element
-        (2j+1)^-1 sum_m <j,m,r|rho|j,m,r'> spread uniformly over the carrier
-        diagonal; everything between different j values is set to zero.
+        between sectors: sum_m P_m rho P_m.  For the full SU(2), each j sector
+        S_j (a view of the coupling matrix) keeps its multiplicity operator
+        M_j = ``carrier_trace(S_j, rho, 2j+1)`` and gets the maximally mixed
+        carrier: the output is sum_j S_j (M_j (x) I/(2j+1)) S_j^T, and all
+        coherence between different j values is gone.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
         d = self.decomposition
         if d is None:
             return DensityOperator(np.where(self._sector_mask, rho.matrix, 0.0))
-        w = d.coupling_matrix
-        coupled = w.T @ rho.matrix @ w
-        out = np.zeros_like(coupled)
-        offset = 0
-        for j, count in d.multiplicity_table.items():
-            width = j.twice + 1
-            size = count * width
-            sector = coupled[offset:offset + size, offset:offset + size]
-            mult = np.trace(sector.reshape(count, width, count, width), axis1=1, axis2=3)
-            out[offset:offset + size, offset:offset + size] = np.kron(mult, np.eye(width)) / width
-            offset += size
-        result = w @ out @ w.T
+        result = np.zeros_like(rho.matrix)
+        for j in d.multiplicity_table:
+            s, width = d.sector(j), j.twice + 1
+            mult = carrier_trace(s, rho.matrix, width)
+            result += s @ np.kron(mult / width, np.eye(width)) @ s.T
         return DensityOperator(0.5 * (result + result.conj().T))
 
 

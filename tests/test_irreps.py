@@ -463,11 +463,16 @@ class TestBlockIndexOracle:
                 assert d.block(j, r) is d.blocks[scan[0]]
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_blocks_with_j_matches_scan(self, n):
+    def test_sector_matches_scan(self, n):
         d = decompose(n)
         for tj in range(n + 2):
             j = HalfInteger(tj)
-            assert d.blocks_with_j(j) == [b for b in d.blocks if b.j == j]
+            scan = [b.isometry for b in d.blocks if b.j == j]
+            if scan:
+                assert np.array_equal(d.sector(j), np.hstack(scan))
+            else:
+                with pytest.raises(KeyError):
+                    d.sector(j)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unknown_labels_raise_key_error(self, n):

@@ -7,7 +7,8 @@ from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVe
                             collective_rotation, fidelity, haar_random_su2,
                             random_density, random_state_vector, trace_distance)
 from framefree.irreps import HalfInteger, decompose
-from framefree.protocols import (DecodingError, Message, block_outcome_probabilities,
+from framefree.protocols import (DecodingError, LogicalEncoding, Message,
+                                 block_outcome_probabilities,
                                  build_classical_codebook, classical_rate_asymptote,
                                  classical_round_trip, decode_logical,
                                  dephasing_sector_encoding, dfs_basis_4qubit,
@@ -345,6 +346,13 @@ class TestExchangeGates:
         with pytest.raises(ValueError):
             exchange_logical_action(1, 2, noiseless_subsystem_plan(3))
 
+    @pytest.mark.parametrize("make", [noiseless_subsystem_plan, dephasing_sector_encoding])
+    def test_rejects_four_qubit_codes_off_j0(self, make):
+        enc = make(4)  # n = 4, so only the j check rejects these
+        assert enc.n == 4 and enc.j != HalfInteger(0)
+        with pytest.raises(ValueError):
+            exchange_logical_action(1, 2, enc)
+
     def test_exchange_commutes_with_collective_rotations(self, rng):
         s = swap_qubits_matrix(4, 2, 3)
         for _ in range(20):
@@ -367,15 +375,33 @@ class TestExchangeGates:
         assert np.abs(x @ x - np.eye(2)).max() < 1e-9
 
 
+def blocks_with_j(d, j) -> list:
+    """The blocks of one j, by a scan over every block."""
+    return [b for b in d.blocks if b.j == j]
+
+
 def decode_with_stacked_sector(rho: DensityOperator, encoding) -> np.ndarray:
     """The oracle decode: the j sector copied block by block with np.hstack."""
-    blocks = decompose(encoding.n).blocks_with_j(encoding.j)
+    blocks = blocks_with_j(decompose(encoding.n), encoding.j)
     width, count = encoding.j.twice + 1, len(blocks)
     sector = np.hstack([b.isometry for b in blocks])
     inside = (sector.conj().T @ rho.matrix @ sector).reshape(count, width, count, width)
     reduced = np.trace(inside, axis1=1, axis2=3)
     reduced = reduced / np.trace(reduced).real
     return 0.5 * (reduced + reduced.conj().T)
+
+
+def decode_by_compression(rho: DensityOperator, isometry: np.ndarray) -> np.ndarray:
+    """The oracle decode of a subspace code: V^dag rho V, renormalized."""
+    reduced = isometry.conj().T @ rho.matrix @ isometry
+    reduced = reduced / np.trace(reduced).real
+    return 0.5 * (reduced + reduced.conj().T)
+
+
+def encode_by_stacked_columns(psi: StateVector, n: int, j) -> np.ndarray:
+    """The oracle noiseless-subsystem encode: the m=j column of each block, stacked."""
+    columns = np.column_stack([b.isometry[:, 0] for b in blocks_with_j(decompose(n), j)])
+    return np.outer(columns @ psi.amplitudes, (columns @ psi.amplitudes).conj())
 
 
 class TestNoiselessSubsystemSector:
@@ -385,7 +411,7 @@ class TestNoiselessSubsystemSector:
         j = noiseless_subsystem_plan(n).j
         sector = d.sector(j)
         assert np.shares_memory(sector, d.coupling_matrix)
-        assert np.array_equal(sector, np.hstack([b.isometry for b in d.blocks_with_j(j)]))
+        assert np.array_equal(sector, np.hstack([b.isometry for b in blocks_with_j(d, j)]))
 
     def test_sector_rejects_absent_j(self):
         with pytest.raises(KeyError):
@@ -397,7 +423,50 @@ class TestNoiselessSubsystemSector:
         for _ in range(3):
             rho = random_density(rng, 2 ** n)
             decoded = decode_logical(rho, enc).matrix
-            assert np.abs(decoded - decode_with_stacked_sector(rho, enc)).max() < 1e-14
+            assert np.abs(decoded - decode_with_stacked_sector(rho, enc)).max() < 1e-15
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_isometry_is_the_sector(self, n):
+        enc = noiseless_subsystem_plan(n)
+        assert np.array_equal(enc.isometry, decompose(n).sector(enc.j))
+        assert enc.carrier_dim == enc.j.twice + 1
+        assert enc.logical_dim == most_repeated_irrep(n)[1]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_encode_matches_stacked_columns(self, rng, n):
+        enc = noiseless_subsystem_plan(n)
+        for _ in range(3):
+            psi = random_state_vector(rng, enc.logical_dim)
+            expected = encode_by_stacked_columns(psi, n, enc.j)
+            assert np.abs(encode_logical(psi, enc).matrix - expected).max() < 1e-15
+
+
+class TestSingleDecodePath:
+    """``decode_logical``'s carrier trace against plain compression, for the subspace codes.
+
+    The noiseless subsystem is checked against its stacked-sector oracle above.
+    """
+
+    @pytest.mark.parametrize("code", ["dfs", 2, 3, 4, 5, 6])  # dephasing codes by n
+    def test_subspace_codes_match_compression(self, rng, code):
+        enc = dfs_encoding_4qubit() if code == "dfs" else dephasing_sector_encoding(code)
+        assert enc.carrier_dim == 1
+        for _ in range(3):
+            rho = random_density(rng, 2 ** enc.n)
+            expected = decode_by_compression(rho, enc.isometry)
+            assert np.abs(decode_logical(rho, enc).matrix - expected).max() < 1e-15
+
+
+class TestLogicalEncodingShape:
+    def test_rejects_column_count_off_the_carrier(self):
+        sector = decompose(3).sector(HalfInteger.of(0.5))  # 2 blocks of width 2
+        with pytest.raises(ValueError):
+            LogicalEncoding(n=3, isometry=sector[:, :3], j=HalfInteger.of(0.5))
+
+    def test_rejects_row_count_off_two_to_the_n(self):
+        sector = decompose(3).sector(HalfInteger.of(0.5))
+        with pytest.raises(ValueError):
+            LogicalEncoding(n=4, isometry=sector, j=HalfInteger.of(0.5))
 
 
 class TestNoiselessSubsystemPlan:

@@ -4,11 +4,30 @@ import pytest
 from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
                             collective_rotation, haar_random_su2, random_density,
                             random_state_vector, trace_distance)
+from framefree.irreps import decompose
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 SYMMETRIC_MIXED = DensityOperator((np.eye(4) - np.outer(SINGLET.amplitudes,
                                                         SINGLET.amplitudes.conj())) / 3.0)
+
+
+def twirl_whole_matrix(rho: DensityOperator, n: int) -> np.ndarray:
+    """The oracle twirl: conjugate into the coupled basis, mix each carrier, conjugate back."""
+    d = decompose(n)
+    w = d.coupling_matrix
+    coupled = w.T @ rho.matrix @ w
+    out = np.zeros_like(coupled)
+    offset = 0
+    for j, count in d.multiplicity_table.items():
+        width = j.twice + 1
+        size = count * width
+        sector = coupled[offset:offset + size, offset:offset + size]
+        mult = np.trace(sector.reshape(count, width, count, width), axis1=1, axis2=3)
+        out[offset:offset + size, offset:offset + size] = np.kron(mult, np.eye(width)) / width
+        offset += size
+    result = w @ out @ w.T
+    return 0.5 * (result + result.conj().T)
 
 
 def random_symmetric_pure(rng) -> DensityOperator:
@@ -55,6 +74,13 @@ class TestExactTwirl:
         with pytest.raises(ValueError):
             TwirlChannel.full_su2(2).apply(random_density(rng, 8))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sector_views_match_whole_matrix_oracle(self, rng, n):
+        channel = TwirlChannel.full_su2(n)
+        for _ in range(1 if n >= 9 else 3):
+            rho = random_density(rng, 2 ** n)
+            assert np.abs(channel.apply(rho).matrix - twirl_whole_matrix(rho, n)).max() < 1e-15
+
 
 class TestMonteCarloTwirl:
     def test_identity_conjugation_is_identity(self, rng):
@@ -92,6 +118,11 @@ class TestMonteCarloTwirl:
     def test_rejects_zero_samples(self, rng):
         with pytest.raises(ValueError):
             twirl_su2_monte_carlo(random_density(rng, 2), 0, rng)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rejects_non_qubit_dimensions(self, dim):
+        with pytest.raises(ValueError, match="not a qubit count"):
+            twirl_su2_monte_carlo(DensityOperator.maximally_mixed(dim), 4, RandomSource(0))
 
 
 class TestDephasing:
