@@ -9,6 +9,11 @@ columns run over m = j, j-1, ..., -j.  Blocks are ordered j descending,
 then paths lexicographic by step sequence with an up-step sorting before a
 down-step.
 
+The whole structure is one real, column-major coupling matrix with the
+blocks side by side in that order.  ``block(j, r)`` is the view of one
+block's columns and ``sector(j)`` the view of every block with that j; no
+other form of the blocks is stored.
+
 Multiplicities follow the two-row closed form
 c_j = binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1), evaluated in exact
 integer arithmetic; path enumeration provides an independent count.
@@ -24,7 +29,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .core import ATOL, MAX_QUBITS, _readonly
+from .core import MAX_QUBITS, _readonly
 
 
 @dataclass(frozen=True, order=True)
@@ -202,39 +207,19 @@ def enumerate_paths(n: int, j) -> list[CouplingPath]:
 
 
 @dataclass(frozen=True, eq=False)
-class IrrepBlock:
-    """One (j, r) block: a real isometry whose columns are |j, m, r>, m = j..-j."""
-
-    j: HalfInteger
-    r: int  # 1-based index among blocks sharing this j
-    isometry: np.ndarray
-
-    def __post_init__(self):
-        v = self.isometry
-        gram = v.T @ v
-        if np.abs(gram - np.eye(v.shape[1])).max() > ATOL:
-            raise ValueError("isometry columns are not orthonormal")
-
-    @property
-    def dim(self) -> int:
-        """Carrier dimension 2j + 1."""
-        return self.j.twice + 1
-
-    def projector(self) -> np.ndarray:
-        return self.isometry @ self.isometry.T
-
-
-@dataclass(frozen=True, eq=False)
 class IrrepDecomposition:
     """Complete block structure of the collective SU(2) action on n qubits."""
 
     n: int
-    blocks: tuple[IrrepBlock, ...]
     multiplicity_table: dict[HalfInteger, int]
-    coupling_matrix: np.ndarray  # real orthogonal; each block's isometry is a view of its columns
+    coupling_matrix: np.ndarray  # real orthogonal; every block and sector is a view of its columns
 
-    def block(self, j, r: int) -> IrrepBlock:
-        return self.blocks[self.block_index(j, r)]
+    def block(self, j, r: int) -> np.ndarray:
+        """Columns |j, m, r>, m = j..-j, of one block: a read-only view of ``coupling_matrix``."""
+        j = HalfInteger.of(j)
+        self.block_index(j, r)  # rejects an unknown label
+        start = _sector_starts(self.n)[j.twice] + (r - 1) * (j.twice + 1)
+        return self.coupling_matrix[:, start:start + j.twice + 1]
 
     @cached_property
     def _first_index(self) -> dict[HalfInteger, int]:
@@ -245,7 +230,7 @@ class IrrepDecomposition:
     @cached_property
     def column_starts(self) -> np.ndarray:
         """First ``coupling_matrix`` column of each block, in canonical block order."""
-        dims = [b.dim for b in self.blocks]
+        dims = [j.twice + 1 for j, count in self.multiplicity_table.items() for _ in range(count)]
         return _readonly(np.cumsum([0, *dims[:-1]]))
 
     def sector(self, j) -> np.ndarray:
@@ -254,7 +239,7 @@ class IrrepDecomposition:
         count = self.multiplicity_table.get(j, 0)
         if not count:
             raise KeyError(f"no block with j = {j}")
-        start = int(self.column_starts[self._first_index[j]])
+        start = _sector_starts(self.n)[j.twice]
         return self.coupling_matrix[:, start:start + count * (j.twice + 1)]
 
     def block_index(self, j, r: int) -> int:
@@ -304,8 +289,9 @@ def _couple_qubit(basis: np.ndarray, tj: int, new_tj: int, out: np.ndarray) -> N
             out[offset::2, col] += coeff * basis[:, (tj - tm1) // 2]
 
 
-def _block_starts(k: int) -> dict[int, int]:
-    """First column of each 2j among k qubits: j descending, each block 2j + 1 wide."""
+@lru_cache(maxsize=None)
+def _sector_starts(k: int) -> dict[int, int]:
+    """First column of each 2j sector among k qubits: j descending, c_j blocks 2j + 1 wide."""
     tjs = range(k, -1, -2)
     widths = (multiplicity(k, HalfInteger(tj)) * (tj + 1) for tj in tjs)
     return dict(zip(tjs, accumulate(widths, initial=0)))
@@ -327,7 +313,7 @@ def decompose(n: int) -> IrrepDecomposition:
     w = np.eye(2, order="F")
     level = [(1, 0)]  # (2j, first column) of each coupling path, in path order
     for k in range(2, n + 1):
-        starts = _block_starts(k)
+        starts = _sector_starts(k)
         cursor = dict(starts)
         nxt = np.zeros((2 ** k, 2 ** k), order="F")
         paths = []
@@ -342,12 +328,5 @@ def decompose(n: int) -> IrrepDecomposition:
                 paths.append((new_tj, col))
         assert list(cursor.values()) == [*list(starts.values())[1:], 2 ** k]
         level, w = paths, nxt
-    _readonly(w)  # before slicing: views taken earlier would stay writeable
     table = {HalfInteger(tj): multiplicity(n, HalfInteger(tj)) for tj in range(n, -1, -2)}
-    blocks, start = [], 0
-    for j, count in table.items():
-        for r in range(1, count + 1):
-            blocks.append(IrrepBlock(j=j, r=r, isometry=w[:, start:start + j.twice + 1]))
-            start += j.twice + 1
-    return IrrepDecomposition(n=n, blocks=tuple(blocks), multiplicity_table=table,
-                              coupling_matrix=w)
+    return IrrepDecomposition(n=n, multiplicity_table=table, coupling_matrix=_readonly(w))

@@ -65,7 +65,7 @@ class CodeBook:
         The message index is the block index, mirrored for a ``singlet_first``
         book, whose entries list the blocks in reverse.
         """
-        if self.entries[0].j != self.decomposition.blocks[0].j:
+        if self.entries[0].j != next(iter(self.decomposition.multiplicity_table)):
             index = len(self.entries) - 1 - index
         return self.entries[index].message
 
@@ -81,16 +81,13 @@ def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook
     if not 1 <= n <= MAX_CODEBOOK_QUBITS:
         raise ValueError(f"codebook size must be in 1..{MAX_CODEBOOK_QUBITS}, got {n}")
     d = decompose(n)
-    order = list(range(len(d.blocks)))
+    labels = [(j, r) for j, count in d.multiplicity_table.items() for r in range(1, count + 1)]
     if singlet_first:
         if n != 2:
             raise ValueError("singlet_first only applies to the two-qubit codebook")
-        order.reverse()
-    entries = tuple(
-        CodeBookEntry(Message(i), StateVector(d.blocks[b].isometry[:, 0]),
-                      d.blocks[b].j, d.blocks[b].r)
-        for i, b in enumerate(order)
-    )
+        labels.reverse()
+    entries = tuple(CodeBookEntry(Message(i), StateVector(d.block(j, r)[:, 0]), j, r)
+                    for i, (j, r) in enumerate(labels))
     return CodeBook(n=n, entries=entries, decomposition=d)
 
 
@@ -167,7 +164,6 @@ class LogicalEncoding:
     n: int
     isometry: np.ndarray
     j: HalfInteger | None = None  # SU(2) sector
-    m: HalfInteger | None = None  # dephasing sector
 
     def __post_init__(self):
         v = np.array(self.isometry, dtype=complex)
@@ -236,7 +232,7 @@ def dephasing_sector_encoding(n: int, m=None) -> LogicalEncoding:
     indices = np.flatnonzero(weights == weight)
     iso = np.zeros((2 ** n, len(indices)), dtype=complex)
     iso[indices, np.arange(len(indices))] = 1.0
-    return LogicalEncoding(n=n, isometry=iso, m=HalfInteger(n - 2 * weight))
+    return LogicalEncoding(n=n, isometry=iso)
 
 
 def encode_logical(psi: StateVector, encoding: LogicalEncoding) -> DensityOperator:

@@ -1,14 +1,14 @@
 import json
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framefree.core import collective_rotation, haar_random_su2
+from framefree.core import MAX_QUBITS, collective_rotation, haar_random_su2
 from framefree.irreps import (CouplingPath, HalfInteger, _couple_qubit, clebsch_gordan,
                               decompose, enumerate_paths, multiplicity, total_irrep_count)
+from racah_oracle import racah_blocks, racah_couple_qubit, racah_coupled_bases
 
 SQRT2 = np.sqrt(2.0)
 
@@ -66,43 +66,6 @@ def ladder_coupled_states(tj1: int, tj2: int) -> dict[tuple[int, int], np.ndarra
     return states
 
 
-# ---------------------------------------------------------------------------
-# reference builder: every coefficient from the Racah sum, one array per path
-# ---------------------------------------------------------------------------
-
-def racah_couple_qubit(basis: np.ndarray, tj: int, new_tj: int) -> np.ndarray:
-    """Couple one more qubit to a spin-(tj/2) basis, taking coefficients from clebsch_gordan."""
-    rows = basis.shape[0]
-    out = np.zeros((2 * rows, new_tj + 1))
-    j1, jq, jn = HalfInteger(tj), HalfInteger(1), HalfInteger(new_tj)
-    for col, tm in enumerate(range(new_tj, -new_tj - 1, -2)):
-        for tmu, offset in ((1, 0), (-1, 1)):  # |0> carries m = +1/2
-            tm1 = tm - tmu
-            if abs(tm1) > tj:
-                continue
-            coeff = clebsch_gordan(j1, HalfInteger(tm1), jq, HalfInteger(tmu),
-                                   jn, HalfInteger(tm))
-            if coeff == 0.0:
-                continue
-            out[offset::2, col] += coeff * basis[:, (tj - tm1) // 2]
-    return out
-
-
-@lru_cache(maxsize=None)
-def racah_coupled_bases(n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Map each coupling path, as its 2j values, to the basis coupled along it."""
-    levels = {(1,): np.eye(2)}
-    for _ in range(n - 1):
-        nxt = {}
-        for path, basis in levels.items():
-            tj = path[-1]
-            for step in (1, -1):
-                if tj + step >= 0:
-                    nxt[path + (tj + step,)] = racah_couple_qubit(basis, tj, tj + step)
-        levels = nxt
-    return levels
-
-
 class TestCouplingBuildOracle:
     """The closed-form, column-major build against the Racah-sum build."""
 
@@ -117,9 +80,7 @@ class TestCouplingBuildOracle:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_coupling_matrix_equals_racah_build(self, n):
-        levels = racah_coupled_bases(n)
-        ordered = sorted(levels.items(), key=lambda item: -item[0][-1])  # stable: path order
-        reference = np.hstack([basis for _, basis in ordered])
+        reference = np.hstack([basis for *_, basis in racah_blocks(n)])
         assert np.array_equal(decompose(n).coupling_matrix, reference)
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -129,11 +90,11 @@ class TestCouplingBuildOracle:
         for j in d.multiplicity_table:
             for r, path in enumerate(enumerate_paths(n, j), start=1):
                 key = tuple(t.twice for t in path.js)
-                assert np.array_equal(d.block(j, r).isometry, levels[key]), (n, str(j), r)
+                assert np.array_equal(d.block(j, r), levels[key]), (n, str(j), r)
 
 
 class TestCouplingMatrixLayout:
-    """One real, column-major, read-only matrix; every block is a view of it."""
+    """One real, column-major, read-only matrix; every block and sector is a view of it."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_blocks_are_read_only_column_major_views(self, n):
@@ -141,10 +102,11 @@ class TestCouplingMatrixLayout:
         w = d.coupling_matrix
         assert w.dtype == np.float64
         assert w.flags.f_contiguous and not w.flags.writeable
-        for b in d.blocks:
-            v = b.isometry
-            assert v.flags.f_contiguous and not v.flags.writeable, (n, str(b.j), b.r)
-            assert np.shares_memory(v, w)
+        views = [(str(j), r, d.block(j, r)) for j, r, _, _ in racah_blocks(n)]
+        views += [(str(j), None, d.sector(j)) for j in {j for j, *_ in racah_blocks(n)}]
+        for j, r, v in views:
+            assert v.flags.f_contiguous and not v.flags.writeable, (n, j, r)
+            assert np.shares_memory(v, w), (n, j, r)
 
 
 class TestClebschGordanOracle:
@@ -351,21 +313,20 @@ class TestEnumeratePaths:
 class TestDecompose:
     def test_single_qubit(self):
         d = decompose(1)
-        assert len(d.blocks) == 1
-        assert d.blocks[0].j == HalfInteger.of(0.5)
-        assert np.array_equal(d.blocks[0].isometry, np.eye(2))
+        assert d.multiplicity_table == {HalfInteger.of(0.5): 1}
+        assert np.array_equal(d.block(0.5, 1), np.eye(2))
 
     def test_two_qubits(self):
         d = decompose(2)
-        assert [b.j.twice for b in d.blocks] == [2, 0]
-        assert d.blocks[0].dim == 3
+        assert [(j.twice, c) for j, c in d.multiplicity_table.items()] == [(2, 1), (0, 1)]
+        assert d.block(1, 1).shape == (4, 3)
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2
-        assert np.abs(d.blocks[1].isometry[:, 0] - singlet).max() < 1e-12
+        assert np.abs(d.block(0, 1)[:, 0] - singlet).max() < 1e-12
 
     def test_four_qubits(self):
         d = decompose(4)
         assert {j.twice: c for j, c in d.multiplicity_table.items()} == {4: 1, 2: 3, 0: 2}
-        assert len(d.blocks) == 6
+        assert len(d.column_starts) == 6
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -373,41 +334,45 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(13)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_coupling_matrix_is_unitary(self, n):
-        w = decompose(n).coupling_matrix
-        assert np.abs(w.conj().T @ w - np.eye(2 ** n)).max() < 1e-10
+        w = decompose(n).coupling_matrix  # real (TestCouplingMatrixLayout)
+        gram = w.T @ w
+        gram[np.diag_indices_from(gram)] -= 1.0  # in place: 128 MB per copy at n = 12
+        assert np.abs(gram).max() < 1e-10
 
     def test_blocks_are_rotation_invariant(self, rng):
         for n in (2, 3, 4):
             d = decompose(n)
             for _ in range(20):
                 u = collective_rotation(haar_random_su2(rng), n)
-                for b in d.blocks:
-                    p = b.projector()
+                for j, r, _, _ in racah_blocks(n):
+                    v = d.block(j, r)
+                    p = v @ v.T
                     assert np.abs(p @ u - u @ p).max() < 1e-9
 
     def test_block_ordering_matches_paths(self):
         d = decompose(4)
-        labels = [(b.j.twice, b.r) for b in d.blocks]
-        assert labels == [(4, 1), (2, 1), (2, 2), (2, 3), (0, 1), (0, 2)]
+        labels = [(4, 1), (2, 1), (2, 2), (2, 3), (0, 1), (0, 2)]
+        assert [d.block_index(HalfInteger(tj), r) for tj, r in labels] == list(range(6))
 
     def test_commutant_inside_each_block_is_trivial(self, rng):
         # the only matrices commuting with the sampled block rotations are
         # multiples of the identity
         for n in (2, 3, 4):
             d = decompose(n)
-            for b in d.blocks:
-                dim = b.dim
+            for j, r, _, _ in racah_blocks(n):
+                v = d.block(j, r)
+                dim = v.shape[1]
                 rows = []
                 for _ in range(20):
                     u = collective_rotation(haar_random_su2(rng), n)
-                    inside = b.isometry.conj().T @ u @ b.isometry
+                    inside = v.T @ u @ v
                     rows.append(np.kron(inside, np.eye(dim))
                                 - np.kron(np.eye(dim), inside.T))
                 stacked = np.vstack(rows)
                 nullity = int(np.sum(np.linalg.svd(stacked, compute_uv=False) < 1e-8))
-                assert nullity == 1, (n, str(b.j), b.r)
+                assert nullity == 1, (n, str(j), r)
 
     def test_summary_serialization(self):
         summary = decompose(4).summary()
@@ -423,51 +388,54 @@ class TestDecompose:
 
 class TestBlockProjector:
     def test_two_qubit_singlet_projector(self):
-        d = decompose(2)
+        v = decompose(2).block(0, 1)
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2
-        assert np.abs(d.block(0, 1).projector() - np.outer(singlet, singlet)).max() < 1e-12
+        assert np.abs(v @ v.T - np.outer(singlet, singlet)).max() < 1e-12
 
     def test_completeness(self):
         for n in (2, 3, 4):
             d = decompose(n)
-            total = sum(d.block(b.j, b.r).projector() for b in d.blocks)
+            total = sum(v @ v.T for v in (d.block(j, r) for j, r, _, _ in racah_blocks(n)))
             assert np.abs(total - np.eye(2 ** n)).max() < 1e-10
 
     def test_ranks_for_four_qubits(self):
         d = decompose(4)
         for r in (1, 2, 3):
-            eigenvalues = np.linalg.eigvalsh(d.block(1, r).projector())
+            v = d.block(1, r)
+            eigenvalues = np.linalg.eigvalsh(v @ v.T)
             assert int(np.sum(eigenvalues > 0.5)) == 3
 
     def test_pairwise_orthogonality(self):
         d = decompose(4)
-        for i, a in enumerate(d.blocks):
-            for b in d.blocks[i + 1:]:
-                assert np.abs(a.projector() @ b.projector()).max() < 1e-10
+        projectors = [v @ v.T for v in (d.block(j, r) for j, r, _, _ in racah_blocks(4))]
+        for i, a in enumerate(projectors):
+            for b in projectors[i + 1:]:
+                assert np.abs(a @ b).max() < 1e-10
 
     def test_rejects_unknown_label(self):
         with pytest.raises(KeyError):
-            decompose(2).block(0, 2).projector()
+            decompose(2).block(0, 2)
 
 
 class TestBlockIndexOracle:
-    """Index arithmetic on the block order against a scan over ``blocks``."""
+    """Index arithmetic on the block order against the Racah levels walked in path order."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_block_index_matches_scan(self, n):
         d = decompose(n)
-        for j in d.multiplicity_table:
-            for r in range(1, d.multiplicity_table[j] + 1):
-                scan = [i for i, b in enumerate(d.blocks) if b.j == j and b.r == r]
-                assert [d.block_index(j, r)] == scan
-                assert d.block(j, r) is d.blocks[scan[0]]
+        scan = racah_blocks(n)
+        for i, (j, r, start, basis) in enumerate(scan):
+            assert d.block_index(j, r) == i
+            assert np.array_equal(d.block(j, r), basis), (n, str(j), r)
+            assert np.array_equal(d.block(j, r), d.coupling_matrix[:, start:start + j.twice + 1])
+        assert d.column_starts.tolist() == [start for _, _, start, _ in scan]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_sector_matches_scan(self, n):
         d = decompose(n)
         for tj in range(n + 2):
             j = HalfInteger(tj)
-            scan = [b.isometry for b in d.blocks if b.j == j]
+            scan = [basis for j_, _, _, basis in racah_blocks(n) if j_ == j]
             if scan:
                 assert np.array_equal(d.sector(j), np.hstack(scan))
             else:
@@ -481,5 +449,8 @@ class TestBlockIndexOracle:
             for r in (0, count + 1):
                 with pytest.raises(KeyError):
                     d.block_index(j, r)
-        with pytest.raises(KeyError):
-            d.block_index(HalfInteger((n + 1) % 2), 1)  # wrong parity for n
+                with pytest.raises(KeyError):
+                    d.block(j, r)
+        for lookup in (d.block_index, d.block):
+            with pytest.raises(KeyError):
+                lookup(HalfInteger((n + 1) % 2), 1)  # wrong parity for n

@@ -19,6 +19,7 @@ from framefree.protocols import (DecodingError, LogicalEncoding, Message,
                                  noiseless_subsystem_plan, rate_table,
                                  swap_qubits_matrix)
 from framefree.twirl import TwirlChannel
+from racah_oracle import racah_blocks
 
 SQRT2 = np.sqrt(2.0)
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
@@ -61,7 +62,8 @@ class TestCodeBook:
     def test_codewords_live_in_their_blocks(self):
         book = build_classical_codebook(4)
         for entry in book.entries:
-            p = book.decomposition.block(entry.j, entry.r).projector()
+            v = book.decomposition.block(entry.j, entry.r)
+            p = v @ v.T
             assert np.abs(p @ entry.codeword.amplitudes
                           - entry.codeword.amplitudes).max() < 1e-10
 
@@ -104,7 +106,7 @@ class TestBlockOutcomeOracle:
         d = decompose(n)
         for _ in range(3):
             a = random_state_vector(rng, 2 ** n).amplitudes
-            loop = np.array([np.linalg.norm(b.isometry.T @ a) ** 2 for b in d.blocks])
+            loop = np.array([np.linalg.norm(basis.T @ a) ** 2 for *_, basis in racah_blocks(n)])
             probs = block_outcome_probabilities(StateVector(a), d)
             assert probs.shape == loop.shape
             assert np.abs(probs - loop).max() < 1e-14
@@ -156,8 +158,8 @@ class TestCodeBookIndexOracle:
     def test_outcome_to_message_matches_scan(self, n, singlet_first):
         book = build_classical_codebook(n, singlet_first=singlet_first)
         sent = book.entries[0].message
-        for outcome, block in enumerate(book.decomposition.blocks):
-            scan = [e.message for e in book.entries if e.j == block.j and e.r == block.r]
+        for outcome, (j, r, _, _) in enumerate(racah_blocks(n)):
+            scan = [e.message for e in book.entries if e.j == j and e.r == r]
             decoded = classical_round_trip(sent, book, GroupElement.identity(),
                                            FixedOutcome(outcome))
             assert [decoded] == scan
@@ -375,16 +377,16 @@ class TestExchangeGates:
         assert np.abs(x @ x - np.eye(2)).max() < 1e-9
 
 
-def blocks_with_j(d, j) -> list:
-    """The blocks of one j, by a scan over every block."""
-    return [b for b in d.blocks if b.j == j]
+def bases_with_j(n: int, j) -> list[np.ndarray]:
+    """The Racah-built bases of one j, in path order, by a scan over every block."""
+    return [basis for j_, _, _, basis in racah_blocks(n) if j_ == j]
 
 
 def decode_with_stacked_sector(rho: DensityOperator, encoding) -> np.ndarray:
     """The oracle decode: the j sector copied block by block with np.hstack."""
-    blocks = blocks_with_j(decompose(encoding.n), encoding.j)
-    width, count = encoding.j.twice + 1, len(blocks)
-    sector = np.hstack([b.isometry for b in blocks])
+    bases = bases_with_j(encoding.n, encoding.j)
+    width, count = encoding.j.twice + 1, len(bases)
+    sector = np.hstack(bases)
     inside = (sector.conj().T @ rho.matrix @ sector).reshape(count, width, count, width)
     reduced = np.trace(inside, axis1=1, axis2=3)
     reduced = reduced / np.trace(reduced).real
@@ -400,7 +402,7 @@ def decode_by_compression(rho: DensityOperator, isometry: np.ndarray) -> np.ndar
 
 def encode_by_stacked_columns(psi: StateVector, n: int, j) -> np.ndarray:
     """The oracle noiseless-subsystem encode: the m=j column of each block, stacked."""
-    columns = np.column_stack([b.isometry[:, 0] for b in blocks_with_j(decompose(n), j)])
+    columns = np.column_stack([basis[:, 0] for basis in bases_with_j(n, j)])
     return np.outer(columns @ psi.amplitudes, (columns @ psi.amplitudes).conj())
 
 
@@ -411,7 +413,7 @@ class TestNoiselessSubsystemSector:
         j = noiseless_subsystem_plan(n).j
         sector = d.sector(j)
         assert np.shares_memory(sector, d.coupling_matrix)
-        assert np.array_equal(sector, np.hstack([b.isometry for b in blocks_with_j(d, j)]))
+        assert np.array_equal(sector, np.hstack(bases_with_j(n, j)))
 
     def test_sector_rejects_absent_j(self):
         with pytest.raises(KeyError):

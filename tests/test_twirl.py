@@ -6,6 +6,7 @@ from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVe
                             random_state_vector, trace_distance)
 from framefree.irreps import decompose
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
+from racah_oracle import racah_blocks
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 SYMMETRIC_MIXED = DensityOperator((np.eye(4) - np.outer(SINGLET.amplitudes,
@@ -204,8 +205,9 @@ class TestChannelProperties:
         channel = TwirlChannel.full_su2(n)
         rho = random_density(rng, 2 ** n)
         out = channel.apply(rho)
-        for block in channel.decomposition.blocks:
-            p = block.projector()
+        for j, r, _, _ in racah_blocks(n):
+            v = channel.decomposition.block(j, r)
+            p = v @ v.T
             before = np.trace(p @ rho.matrix @ p).real
             after = np.trace(p @ out.matrix @ p).real
             assert abs(before - after) < 1e-10

@@ -32,6 +32,8 @@ MATRIX = (
     "rates --max-n 20 --output csv",
     "twirl-check --n 8 --trials 3 --seed 5",
     "twirl-check --n 3 --trials 20 --output csv",
+    "classical --n 1 --trials 5",
+    "classical --n 2 --trials 20",
     "classical --n 2 --trials 50 --singlet-first",
     "classical --n 6 --trials 5 --seed 9",
     "classical --n 3 --trials 20 --output csv",
