@@ -18,7 +18,7 @@ import sys
 import time
 import uuid
 from dataclasses import asdict, dataclass
-from math import sqrt
+from math import inf, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +94,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"value must be nonnegative, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {value}")
+    if not 0 < value < inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {value}")
     return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=_positive_int, default=1000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_nonnegative_int, default=42)
     parser.add_argument("--tolerance", type=_positive_float, default=1e-9)
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out-file", default=None)

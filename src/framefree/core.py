@@ -68,8 +68,12 @@ class RandomSource:
     def normal(self, size=None):
         return self.generator.standard_normal(size)
 
-    def sample_index(self, probabilities) -> int:
-        """Sample an index from a probability vector; entries and sum are checked to ATOL."""
+    def sample_index(self, probabilities, size: int | None = None) -> int | np.ndarray:
+        """Sample an index from a probability vector; entries and sum are checked to ATOL.
+
+        With ``size``, return an array of ``size`` indices.  They consume the
+        stream exactly as ``size`` single draws do, so batching changes no sample.
+        """
         p = np.asarray(probabilities, dtype=float)
         lowest, total = p.min(), p.sum()
         if not (lowest >= -ATOL and abs(total - 1.0) <= ATOL):  # NaN fails too
@@ -77,7 +81,8 @@ class RandomSource:
         if lowest < 0.0:  # clipping a nonnegative vector would change nothing
             p = np.clip(p, 0.0, None)
             total = p.sum()
-        return int(self.generator.choice(len(p), p=p / total))
+        draws = self.generator.choice(len(p), size=size, p=p / total)
+        return int(draws) if size is None else draws
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -311,9 +316,8 @@ def random_state_vector(rng: RandomSource, dim: int) -> StateVector:
     return StateVector.normalized(rng.normal(dim) + 1j * rng.normal(dim))
 
 
-def random_density(rng: RandomSource, dim: int, rank: int | None = None) -> DensityOperator:
-    """Random mixed state from the Ginibre ensemble, optionally rank-limited."""
-    rank = dim if rank is None else rank
-    g = rng.normal((dim, rank)) + 1j * rng.normal((dim, rank))
+def random_density(rng: RandomSource, dim: int) -> DensityOperator:
+    """Random full-rank mixed state from the Ginibre ensemble."""
+    g = rng.normal((dim, dim)) + 1j * rng.normal((dim, dim))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m).real)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb, factorial, sqrt
+from math import comb, factorial, inf, sqrt
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .core import MAX_QUBITS, _readonly
 
 @dataclass(frozen=True, order=True)
 class HalfInteger:
-    """Exact half-integer; stores twice the value so arithmetic never rounds."""
+    """Exact half-integer, stored as twice its value so it never rounds."""
 
     twice: int
 
@@ -49,21 +49,9 @@ class HalfInteger:
         if isinstance(value, HalfInteger):
             return value
         doubled = 2 * value
-        if doubled != round(doubled):
+        if not (abs(doubled) < inf and doubled == round(doubled)):  # NaN fails too
             raise ValueError(f"{value!r} is not a half-integer")
         return HalfInteger(int(round(doubled)))
-
-    def __add__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice + HalfInteger.of(other).twice)
-
-    def __sub__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice - HalfInteger.of(other).twice)
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice)
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

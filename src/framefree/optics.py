@@ -24,6 +24,8 @@ from .core import ATOL, GroupElement, RandomSource, StateVector, _readonly
 N_MODES = 4
 _PAIRS = tuple((i, j) for i in range(N_MODES) for j in range(i, N_MODES))
 
+_DRAW_CHUNK = 2 ** 16  # outcomes drawn per call, which bounds memory for any trial count
+
 _BEAM_SPLITTER = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
                          np.eye(2)).astype(complex)
 
@@ -93,15 +95,10 @@ def prepare_bell(which: str) -> OpticalState:
     raise ValueError(f"unknown Bell state {which!r}")
 
 
-def polarization_rotation(state: OpticalState, g: GroupElement,
-                          modes=(1, 2)) -> OpticalState:
-    """Rotate the (H, V) amplitudes of each listed spatial mode by g."""
-    u = np.eye(N_MODES, dtype=complex)
-    for spatial in set(modes):
-        if spatial not in (1, 2):
-            raise ValueError(f"spatial modes are labeled 1 and 2, got {spatial}")
-        k = 2 * (spatial - 1)
-        u[k:k + 2, k:k + 2] = g.matrix
+def polarization_rotation(state: OpticalState, g: GroupElement) -> OpticalState:
+    """Rotate the (H, V) amplitudes of both spatial modes by the same g."""
+    u = np.zeros((N_MODES, N_MODES), dtype=complex)
+    u[:2, :2] = u[2:, 2:] = g.matrix
     return apply_mode_transform(state, u)
 
 
@@ -178,16 +175,13 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
-    misaligned = polarization_rotation(state, g_fiber, (1, 2))
-    distribution = detect(beam_splitter(misaligned))
-    outcome_probs = distribution.as_vector()
-    labels = ("coincidence", "bunch1", "bunch2")
-    counts = dict.fromkeys(labels, 0)
-    errors = 0
-    for _ in range(trials):
-        outcome = rng.sample_index(outcome_probs)
-        counts[labels[outcome]] += 1
-        guess = 0 if outcome == 0 else 1
-        errors += int(guess != bit)
+    misaligned = polarization_rotation(state, g_fiber)
+    outcome_probs = detect(beam_splitter(misaligned)).as_vector()
+    totals = np.zeros(3, dtype=np.int64)
+    for done in range(0, trials, _DRAW_CHUNK):
+        outcomes = rng.sample_index(outcome_probs, size=min(_DRAW_CHUNK, trials - done))
+        totals += np.bincount(outcomes, minlength=3)
+    counts = dict(zip(("coincidence", "bunch1", "bunch2"), map(int, totals)))
+    errors = counts["coincidence"] if bit else trials - counts["coincidence"]
     return OpticalProtocolResult(bit=bit, trials=trials, counts=counts,
                                  error_rate=errors / trials)

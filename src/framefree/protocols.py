@@ -125,23 +125,14 @@ def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -
     return 0.5 + 0.5 * trace_distance(rho0, rho1)
 
 
-def dfs_basis_4qubit(basis=None) -> tuple[StateVector, StateVector]:
-    """The two j=0 states of four qubits, expanded in a given 1-qubit basis.
-
-    ``basis`` is a 2x2 array whose columns are the orthonormal pair to use
-    (default: computational).  With |0>, |1> the chosen pair,
+def dfs_basis_4qubit() -> tuple[StateVector, StateVector]:
+    """The two j=0 states of four qubits, in the computational basis:
 
         |0_L> = (1/2) (|01> - |10>)(|01> - |10>)
         |1_L> = (1/sqrt3)(|0011> + |1100>)
                  - (1/(2 sqrt3))(|01> + |10>)(|01> + |10>)
-
-    Any basis choice spans the same two-dimensional sector; the expansion
-    merely changes the description.
     """
-    b = np.eye(2, dtype=complex) if basis is None else np.array(basis, dtype=complex)
-    if b.shape != (2, 2) or np.abs(b.conj().T @ b - np.eye(2)).max() > ATOL:
-        raise ValueError("basis must be a 2x2 matrix with orthonormal columns")
-    b0, b1 = b[:, 0], b[:, 1]
+    b0, b1 = np.eye(2, dtype=complex)
     antisym = np.kron(b0, b1) - np.kron(b1, b0)
     sym = np.kron(b0, b1) + np.kron(b1, b0)
     zero = 0.5 * np.kron(antisym, antisym)
@@ -183,9 +174,9 @@ class LogicalEncoding:
         return self.isometry.shape[1] // self.carrier_dim
 
 
-def dfs_encoding_4qubit(basis=None) -> LogicalEncoding:
+def dfs_encoding_4qubit() -> LogicalEncoding:
     """One logical qubit in the j=0 sector of four physical qubits."""
-    zero, one = dfs_basis_4qubit(basis)
+    zero, one = dfs_basis_4qubit()
     return LogicalEncoding(n=4, isometry=np.column_stack([zero.amplitudes, one.amplitudes]),
                            j=HalfInteger(0))
 
@@ -213,23 +204,16 @@ def noiseless_subsystem_plan(n: int) -> LogicalEncoding:
     return LogicalEncoding(n=n, isometry=decompose(n).sector(j_max), j=j_max)
 
 
-def dephasing_sector_encoding(n: int, m=None) -> LogicalEncoding:
-    """Computational basis states of one total-m sector (default: the largest).
+def dephasing_sector_encoding(n: int) -> LogicalEncoding:
+    """Computational basis states of the largest total-m sector: Hamming weight n // 2.
 
     Collective dephasing only kills coherence between different total-m
     sectors, so any single sector is a protected code.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    weights = np.bitwise_count(np.arange(2 ** n, dtype=np.uint64)).astype(int)
-    if m is None:
-        weight = int(np.argmax(np.bincount(weights, minlength=n + 1)))
-    else:
-        tm = HalfInteger.of(m).twice
-        if abs(tm) > n or (tm + n) % 2:
-            raise ValueError(f"m = {HalfInteger.of(m)} is not a total-m value for n = {n}")
-        weight = (n - tm) // 2
-    indices = np.flatnonzero(weights == weight)
+    weights = np.bitwise_count(np.arange(2 ** n, dtype=np.uint64))
+    indices = np.flatnonzero(weights == n // 2)
     iso = np.zeros((2 ** n, len(indices)), dtype=complex)
     iso[indices, np.arange(len(indices))] = 1.0
     return LogicalEncoding(n=n, isometry=iso)

@@ -224,8 +224,8 @@ def test_criterion_12_optical_protocol():
     invariance = 0.0
     for _ in range(50):
         g = haar_random_su2(rng)
-        rotated_psi = detect(beam_splitter(polarization_rotation(psi, g, (1, 2))))
-        rotated_phi = detect(beam_splitter(polarization_rotation(phi, g, (1, 2))))
+        rotated_psi = detect(beam_splitter(polarization_rotation(psi, g)))
+        rotated_phi = detect(beam_splitter(polarization_rotation(phi, g)))
         invariance = max(invariance,
                          abs(rotated_psi.p_coincidence - p_psi),
                          abs(rotated_phi.p_coincidence - p_phi))

@@ -2,6 +2,8 @@ import json
 import os
 import tracemalloc
 
+import pytest
+
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
 from framefree.irreps import decompose
 
@@ -33,6 +35,15 @@ class TestParseArgs:
 
     def test_bad_trials_exits_2(self, capsys):
         assert main(["bell", "--trials", "0"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["bell", "--trials", "2", "--seed", "-1"]) == 2
+        assert "--seed: value must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_nonpositive_tolerance_exits_2(self, capsys, tolerance):
+        assert main(["quantum", "--trials", "2", "--tolerance", tolerance]) == 2
+        assert "--tolerance: value must be positive and finite" in capsys.readouterr().err
 
     def test_singlet_first_flag(self):
         assert parse_args(["classical", "--n", "2", "--singlet-first"]).singlet_first

@@ -274,4 +274,3 @@ class TestWrapperValidation:
 
     def test_random_states_are_valid(self, rng):
         assert abs(np.linalg.norm(random_state_vector(rng, 8).amplitudes) - 1.0) < 1e-12
-        assert random_density(rng, 8, rank=2).dim == 8

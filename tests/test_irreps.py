@@ -224,10 +224,13 @@ class TestHalfInteger:
         with pytest.raises(ValueError):
             HalfInteger.of(0.3)
 
-    def test_arithmetic_and_order(self):
-        assert HalfInteger.of(0.5) + HalfInteger.of(1) == HalfInteger.of(1.5)
-        assert HalfInteger.of(2) - HalfInteger.of(0.5) == HalfInteger.of(1.5)
-        assert -HalfInteger.of(0.5) == HalfInteger(-1)
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                       np.float64("inf"), np.float64("nan")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            HalfInteger.of(value)
+
+    def test_order(self):
         assert HalfInteger.of(0.5) < HalfInteger.of(1)
 
     def test_str(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from framefree.core import GroupElement, StateVector, haar_random_su2, random_state_vector
+from framefree.core import (GroupElement, RandomSource, StateVector, haar_random_su2,
+                            random_state_vector)
 from framefree.optics import (DetectionDistribution, OpticalState, apply_mode_transform,
                               beam_splitter, detect, lift_two_qubit,
                               polarization_rotation, prepare_bell, run_optical_protocol)
@@ -29,8 +30,9 @@ class TestPreparation:
         assert abs(prepare_bell("psi_minus").overlap(prepare_bell("phi_minus"))) < 1e-12
 
     def test_phi_minus_from_rotation_route(self):
-        rotated = polarization_rotation(prepare_bell("psi_minus"),
-                                        QUARTER_WAVE_SWAP, modes=(2,))
+        port2_only = np.eye(4, dtype=complex)
+        port2_only[2:, 2:] = QUARTER_WAVE_SWAP.matrix
+        rotated = apply_mode_transform(prepare_bell("psi_minus"), port2_only)
         overlap = abs(rotated.overlap(prepare_bell("phi_minus")))
         assert abs(overlap - 1.0) < 1e-10
 
@@ -71,18 +73,14 @@ class TestPolarizationRotation:
     def test_common_rotation_fixes_psi_minus(self, rng):
         psi = prepare_bell("psi_minus")
         for _ in range(50):
-            rotated = polarization_rotation(psi, haar_random_su2(rng), (1, 2))
+            rotated = polarization_rotation(psi, haar_random_su2(rng))
             assert abs(abs(rotated.overlap(psi)) - 1.0) < 1e-10
 
     def test_symmetric_sector_never_reaches_psi_minus(self, rng):
         psi, phi = prepare_bell("psi_minus"), prepare_bell("phi_minus")
         for _ in range(50):
-            rotated = polarization_rotation(phi, haar_random_su2(rng), (1, 2))
+            rotated = polarization_rotation(phi, haar_random_su2(rng))
             assert abs(rotated.overlap(psi)) < 1e-10
-
-    def test_rejects_unknown_spatial_mode(self, rng):
-        with pytest.raises(ValueError):
-            polarization_rotation(prepare_bell("psi_minus"), haar_random_su2(rng), (3,))
 
 
 class TestBeamSplitter:
@@ -158,7 +156,7 @@ class TestFrameInvariance:
             state = prepare_bell(which)
             reference = detect(beam_splitter(state)).as_vector()
             for _ in range(50):
-                rotated = polarization_rotation(state, haar_random_su2(rng), (1, 2))
+                rotated = polarization_rotation(state, haar_random_su2(rng))
                 observed = detect(beam_splitter(rotated)).as_vector()
                 assert np.abs(observed - reference).max() < 1e-10
 
@@ -194,6 +192,27 @@ class TestProtocol:
         payload = result.to_json_dict()
         assert set(payload) == {"bit", "trials", "counts", "error_rate"}
         assert set(payload["counts"]) == {"coincidence", "bunch1", "bunch2"}
+
+    @pytest.mark.parametrize("trials", [1, 100, 70_000])  # 70 000 crosses one 2**16 draw
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_matches_a_per_trial_sampling_loop(self, bit, trials):
+        fiber = haar_random_su2(RandomSource(11))
+        batched, looped = RandomSource(3), RandomSource(3)
+        result = run_optical_protocol(bit, fiber, trials, batched)
+
+        state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
+        outcome_probs = detect(beam_splitter(polarization_rotation(state, fiber))).as_vector()
+        labels = ("coincidence", "bunch1", "bunch2")
+        counts = dict.fromkeys(labels, 0)
+        errors = 0
+        for _ in range(trials):
+            outcome = looped.sample_index(outcome_probs)
+            counts[labels[outcome]] += 1
+            guess = 0 if outcome == 0 else 1
+            errors += int(guess != bit)
+        assert result.counts == counts
+        assert result.error_rate == errors / trials
+        assert batched.normal() == looped.normal()
 
     def test_rejects_bad_bit(self, rng):
         with pytest.raises(ValueError):

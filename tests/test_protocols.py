@@ -229,12 +229,11 @@ class TestDfsBasis:
         assert abs(zero.overlap(one)) < 1e-12
 
     def test_any_basis_spans_the_same_sector(self, rng):
-        zero0, one0 = dfs_basis_4qubit()
-        reference = np.column_stack([zero0.amplitudes, one0.amplitudes])
+        # expanding the states in the basis (g|0>, g|1>) is the collective rotation by g
+        zero, one = dfs_basis_4qubit()
+        reference = np.column_stack([zero.amplitudes, one.amplitudes])
         for _ in range(10):
-            g = haar_random_su2(rng)
-            zero, one = dfs_basis_4qubit(g.matrix)
-            rotated = np.column_stack([zero.amplitudes, one.amplitudes])
+            rotated = collective_rotation(haar_random_su2(rng), 4) @ reference
             # principal angles via singular values of the cross-Gram matrix
             singular = np.linalg.svd(reference.conj().T @ rotated, compute_uv=False)
             assert np.abs(singular - 1.0).max() < 1e-9
@@ -244,10 +243,6 @@ class TestDfsBasis:
         for state in dfs_basis_4qubit():
             rho = state.to_density()
             assert trace_distance(channel.apply(rho), rho) < 1e-9
-
-    def test_rejects_non_orthonormal_basis(self):
-        with pytest.raises(ValueError):
-            dfs_basis_4qubit(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestEncodeDecode:

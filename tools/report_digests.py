@@ -43,6 +43,9 @@ MATRIX = (
     "optics --trials 2000",
     "bell --trials 20",
     "classical --n 11",
+    "optics --trials 70000 --seed 3",
+    "quantum --trials 5 --tolerance 1e-12",
+    "bell --trials 2 --seed -1",
 )
 
 _DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
