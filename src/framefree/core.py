@@ -19,8 +19,12 @@ import numpy as np
 ATOL = 1e-10
 
 # Size limits, in qubits.  Each follows from what the largest allowed call costs.
-MAX_QUBITS = 12  # dense 2^n x 2^n algebra: decompose(12) takes 0.14-0.21 s, traced peak 168 MB
-MAX_CODEBOOK_QUBITS = 10  # 2^n x 2^n real products per trial and message: n = 10 takes ~0.2 s per trial
+# The dense collective_rotation, and the coupling matrix that a sector view assembles
+# (128 MB at n = 12); decompose(n) itself stores about 2^(n+3) numbers.
+MAX_QUBITS = 12
+# O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every
+# message takes 0.16-0.18 s at n = 10.
+MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
 MAX_TWIRL_CHECK_QUBITS = 8  # twirl-check eigendecomposes 2^n x 2^n states: ~3 s per 20 states at n = 8
 

@@ -9,10 +9,15 @@ columns run over m = j, j-1, ..., -j.  Blocks are ordered j descending,
 then paths lexicographic by step sequence with an up-step sorting before a
 down-step.
 
-The whole structure is one real, column-major coupling matrix with the
-blocks side by side in that order.  ``block(j, r)`` is the view of one
-block's columns and ``sector(j)`` the view of every block with that j; no
-other form of the blocks is stored.
+The coupling matrix holds every block side by side in that order, but it is
+not what is stored: coupling qubit k to the first k - 1 multiplies the
+matrix of k - 1 qubits by a factor with at most two nonzeros per column (the
+sequential Schur transform of Bacon, Chuang and Harrow, quant-ph/0407082),
+and ``decompose`` keeps only those factors.  ``schur_transform`` applies the
+transpose to a vector and ``columns`` builds chosen columns, both from the
+factors.  The whole matrix is assembled on first use of ``coupling_matrix``,
+whose read-only column views are ``block(j, r)`` (one block) and
+``sector(j)`` (every block with that j).
 
 Multiplicities follow the two-row closed form
 c_j = binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1), evaluated in exact
@@ -30,6 +35,10 @@ from math import comb, factorial, inf, sqrt
 import numpy as np
 
 from .core import MAX_QUBITS, _readonly
+
+# Columns per gather in ``IrrepDecomposition.columns``: at n = 12 one gather of the
+# level below is 4 MB, where gathering every column at once would take 64 MB more.
+_GATHER_COLUMNS = 256
 
 
 @dataclass(frozen=True, order=True)
@@ -196,11 +205,71 @@ def enumerate_paths(n: int, j) -> list[CouplingPath]:
 
 @dataclass(frozen=True, eq=False)
 class IrrepDecomposition:
-    """Complete block structure of the collective SU(2) action on n qubits."""
+    """Complete block structure of the collective SU(2) action on n qubits.
+
+    The coupling matrix W_n has the states |j, m, r> as columns, in canonical
+    block order.  It factors as W_k = (W_{k-1} (x) I_2) C_k with W_1 = I_2, and
+    ``factors[k - 2]`` = (src0, coef0, src1, coef1) holds C_k, k = 2..n, as four
+    read-only arrays of length 2^k: on the rows where qubit k is |0>, column c
+    of W_k is coef0[c] times column src0[c] of W_{k-1}; where it is |1>,
+    coef1[c] times column src1[c].  An absent part has coefficient 0.0 and
+    source 0.
+    """
 
     n: int
     multiplicity_table: dict[HalfInteger, int]
-    coupling_matrix: np.ndarray  # real orthogonal; every block and sector is a view of its columns
+    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def coupling_matrix(self) -> np.ndarray:
+        """W_n: real orthogonal, column-major and read-only, assembled on first use.
+
+        Every ``block`` and ``sector`` is a view of it.
+        """
+        return _readonly(self.columns(slice(None)))
+
+    def columns(self, cols) -> np.ndarray:
+        """W_n[:, cols] as a new column-major array, without assembling W_n.
+
+        Walks the factors down from level n to the columns of each W_k that
+        the requested ones are made of, then builds those level by level.
+        Every entry is one coefficient times one entry of the level below, as
+        in a dense level-by-level build, so the bits equal
+        ``coupling_matrix[:, cols]``.
+        """
+        cols = np.arange(2 ** self.n)[cols]
+        plan = []
+        for src0, coef0, src1, coef1 in reversed(self.factors):
+            sources = np.stack([src0[cols], src1[cols]])
+            place = np.zeros(len(src0) // 2, dtype=np.intp)  # of each W_{k-1} column, if needed
+            place[sources] = 1
+            below = np.flatnonzero(place)
+            place[below] = np.arange(len(below))
+            plan.append((place[sources], coef0[cols], coef1[cols]))
+            cols = below
+        w = np.asfortranarray(np.eye(2)[:, cols])
+        for parts, coef0, coef1 in reversed(plan):
+            out = np.empty((2 * len(w), len(coef0)), order="F")
+            halves = out.reshape(2, len(w), len(coef0), order="F")  # (qubit k, row below, column)
+            for first in range(0, len(coef0), _GATHER_COLUMNS):
+                s = slice(first, first + _GATHER_COLUMNS)
+                np.multiply(w[:, parts[0, s]], coef0[s], out=halves[0, :, s])
+                np.multiply(w[:, parts[1, s]], coef1[s], out=halves[1, :, s])
+            w = out
+        w += 0.0  # -0.0 becomes +0.0, as when the dense build adds each product to a zero
+        return w
+
+    def schur_transform(self, a: np.ndarray) -> np.ndarray:
+        """W_n^T a for one vector a of length 2^n: its coefficients on the |j, m, r>.
+
+        One gather-multiply-add per level.  Level k applies C_k^T to the coupled
+        index of qubits 1..k-1 and to qubit k, with qubits k+1..n riding along.
+        """
+        x = np.array(a)
+        for src0, coef0, src1, coef1 in self.factors:
+            x = x.reshape(len(coef0) // 2, 2, -1)
+            x = coef0[:, None] * x[src0, 0] + coef1[:, None] * x[src1, 1]
+        return x.reshape(-1)
 
     def block(self, j, r: int) -> np.ndarray:
         """Columns |j, m, r>, m = j..-j, of one block: a read-only view of ``coupling_matrix``."""
@@ -259,24 +328,6 @@ def carrier_trace(v: np.ndarray, a: np.ndarray, width: int) -> np.ndarray:
     return np.trace(inside, axis1=1, axis2=3)
 
 
-def _couple_qubit(basis: np.ndarray, tj: int, new_tj: int, out: np.ndarray) -> None:
-    """Couple one more qubit to a spin-(tj/2) basis whose columns run m = j..-j.
-
-    Adds the spin-(new_tj/2) columns into ``out``.  The closed-form spin-1/2
-    coefficients equal ``clebsch_gordan`` bit for bit.
-    """
-    for col, tm in enumerate(range(new_tj, -new_tj - 1, -2)):
-        for tmu, offset in ((1, 0), (-1, 1)):  # |0> carries m = +1/2
-            tm1 = tm - tmu
-            if abs(tm1) > tj:
-                continue
-            if new_tj > tj:
-                coeff = sqrt((tj + tmu * tm + 1) / (2 * tj + 2))
-            else:
-                coeff = -tmu * sqrt((tj - tmu * tm + 1) / (2 * tj + 2))
-            out[offset::2, col] += coeff * basis[:, (tj - tm1) // 2]
-
-
 @lru_cache(maxsize=None)
 def _sector_starts(k: int) -> dict[int, int]:
     """First column of each 2j sector among k qubits: j descending, c_j blocks 2j + 1 wide."""
@@ -290,20 +341,18 @@ def decompose(n: int) -> IrrepDecomposition:
     """Build every invariant block of the collective SU(2) action on n qubits.
 
     Qubits are coupled left to right with Condon-Shortley coefficients, so
-    every sign is reproducible.  Intermediate bases are shared between
-    paths with a common prefix, which keeps the construction quadratic in
-    the total dimension.  The result is cached and immutable.
+    every sign is reproducible.  Only the sequential Clebsch-Gordan factors
+    C_2..C_n are stored, about 2^(n+3) numbers; the coupling matrix is
+    assembled from them on first use.  The result is cached and immutable.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    # Column-major: blocks are column slices, strided (and slower) in a row-major
-    # matrix, such as one stacked side by side from row-major per-block arrays.
-    w = np.eye(2, order="F")
+    factors = []
     level = [(1, 0)]  # (2j, first column) of each coupling path, in path order
     for k in range(2, n + 1):
         starts = _sector_starts(k)
         cursor = dict(starts)
-        nxt = np.zeros((2 ** k, 2 ** k), order="F")
+        src, coef = [[0] * 2 ** k, [0] * 2 ** k], [[0.0] * 2 ** k, [0.0] * 2 ** k]
         paths = []
         for tj, start in level:
             for new_tj in (tj + 1, tj - 1):  # up-step first keeps paths lexicographic
@@ -311,10 +360,22 @@ def decompose(n: int) -> IrrepDecomposition:
                     continue
                 col = cursor[new_tj]
                 cursor[new_tj] += new_tj + 1
-                _couple_qubit(w[:, start:start + tj + 1], tj, new_tj,
-                              nxt[:, col:col + new_tj + 1])
+                # the spin-1/2 coefficients, which equal clebsch_gordan bit for bit
+                for c, tm in enumerate(range(new_tj, -new_tj - 1, -2), start=col):
+                    for tmu, offset in ((1, 0), (-1, 1)):  # |0> carries m = +1/2
+                        tm1 = tm - tmu
+                        if abs(tm1) > tj:
+                            continue
+                        if new_tj > tj:
+                            coeff = sqrt((tj + tmu * tm + 1) / (2 * tj + 2))
+                        else:
+                            coeff = -tmu * sqrt((tj - tmu * tm + 1) / (2 * tj + 2))
+                        src[offset][c] = start + (tj - tm1) // 2
+                        coef[offset][c] = coeff
                 paths.append((new_tj, col))
         assert list(cursor.values()) == [*list(starts.values())[1:], 2 ** k]
-        level, w = paths, nxt
+        level = paths
+        factors.append(tuple(_readonly(np.array(values)) for part in zip(src, coef)
+                             for values in part))
     table = {HalfInteger(tj): multiplicity(n, HalfInteger(tj)) for tj in range(n, -1, -2)}
-    return IrrepDecomposition(n=n, multiplicity_table=table, coupling_matrix=_readonly(w))
+    return IrrepDecomposition(n=n, multiplicity_table=table, factors=tuple(factors))

@@ -82,12 +82,14 @@ def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook
         raise ValueError(f"codebook size must be in 1..{MAX_CODEBOOK_QUBITS}, got {n}")
     d = decompose(n)
     labels = [(j, r) for j, count in d.multiplicity_table.items() for r in range(1, count + 1)]
+    codewords = list(d.columns(d.column_starts).T)  # first column of every block
     if singlet_first:
         if n != 2:
             raise ValueError("singlet_first only applies to the two-qubit codebook")
         labels.reverse()
-    entries = tuple(CodeBookEntry(Message(i), StateVector(d.block(j, r)[:, 0]), j, r)
-                    for i, (j, r) in enumerate(labels))
+        codewords.reverse()
+    entries = tuple(CodeBookEntry(Message(i), StateVector(codeword), j, r)
+                    for i, ((j, r), codeword) in enumerate(zip(labels, codewords)))
     return CodeBook(n=n, entries=entries, decomposition=d)
 
 
@@ -95,15 +97,14 @@ def block_outcome_probabilities(state: StateVector,
                                 decomposition: IrrepDecomposition) -> np.ndarray:
     """Exact block-PVM outcome distribution, in canonical block order.
 
-    Two real vector-matrix products give the real and imaginary parts of
-    every coupled-basis coefficient; the squared moduli summed over each
-    block's columns are its probability.  The real coupling matrix is never
-    cast to complex, which would copy it, and two vector products beat one
-    two-column matrix product, which also grows BLAS's packing buffer.
+    ``schur_transform`` gives every coupled-basis coefficient in one
+    gather-multiply-add per qubit, O(n 2^n) work, without the 2^n x 2^n
+    coupling matrix; the squared moduli summed over each block's columns are
+    its probability.
     """
-    a, w = state.amplitudes, decomposition.coupling_matrix
-    coefficients = np.square(a.real @ w) + np.square(a.imag @ w)
-    return np.add.reduceat(coefficients, decomposition.column_starts)
+    coefficients = decomposition.schur_transform(state.amplitudes)
+    probabilities = np.square(coefficients.real) + np.square(coefficients.imag)
+    return np.add.reduceat(probabilities, decomposition.column_starts)
 
 
 def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,

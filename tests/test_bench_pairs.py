@@ -1,0 +1,36 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(pair, side, throughput, latency, failed=0):
+    return {"pair": pair, "side": side,
+            "result": {"failed": failed,
+                       "metrics": {"throughput_ops_s": {"value": throughput, "unit": "1/s"},
+                                   "latency_p50_ms": {"value": latency, "unit": "ms"}}}}
+
+
+def test_summary_of_three_fixed_pairs():
+    runs = [_run(1, "parent", 4.0, 200.0), _run(1, "change", 40.0, 20.0),
+            _run(2, "change", 50.0, 210.0), _run(2, "parent", 5.0, 210.0),
+            _run(3, "parent", 6.0, 190.0, failed=1), _run(3, "change", 3.0, 19.0)]
+    summary = bench_pairs.summarize(
+        runs, {"throughput_ops_s": "higher", "latency_p50_ms": "lower"})
+    assert summary["failed"] == {"parent": 1, "change": 0}
+
+    throughput = summary["metrics"]["throughput_ops_s"]
+    assert throughput["pairs"] == 3 and throughput["change_wins"] == 2  # pair 3 lost
+    assert throughput["parent"] == {"median": 5.0, "q1": 4.5, "q3": 5.5}
+    assert throughput["change"] == {"median": 40.0, "q1": 21.5, "q3": 45.0}
+    assert throughput["change_over_parent"] == pytest.approx(8.0)
+
+    latency = summary["metrics"]["latency_p50_ms"]
+    assert latency["better"] == "lower"
+    assert latency["change_wins"] == 2  # pair 2 is a tie, which is no win
+    assert latency["parent"]["median"] == 200.0 and latency["change"]["median"] == 20.0

@@ -81,6 +81,28 @@ class TestCommands:
         assert report["payload"]["messages"] == 252 and report["payload"]["errors"] == 0
         assert peak < 2 ** 24  # bytes in one 2^10 x 2^10 complex matrix
 
+    def test_cold_decompose_n12_stores_no_coupling_matrix(self, capsys):
+        decompose.cache_clear()
+        tracemalloc.start()
+        try:
+            code, report = run_json(capsys, ["decompose", "--n", "12"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["payload"]["total"] == 924
+        assert peak < 2 ** 22  # the 2^12 x 2^12 real matrix alone is 2^27 bytes
+
+    def test_cold_classical_n10_assembles_no_coupling_matrix(self, capsys):
+        decompose.cache_clear()
+        tracemalloc.start()
+        try:
+            code, report = run_json(capsys, ["classical", "--n", "10", "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["payload"]["errors"] == 0
+        assert peak < 2 ** 23  # bytes in one 2^10 x 2^10 real matrix
+
     def test_twirl_check(self, capsys):
         code, report = run_json(capsys, ["twirl-check", "--n", "2", "--trials", "10"])
         assert code == 0

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefree.core import MAX_QUBITS, collective_rotation, haar_random_su2
-from framefree.irreps import (CouplingPath, HalfInteger, _couple_qubit, clebsch_gordan,
-                              decompose, enumerate_paths, multiplicity, total_irrep_count)
+from framefree.irreps import (CouplingPath, HalfInteger, clebsch_gordan, decompose,
+                              enumerate_paths, multiplicity, total_irrep_count)
+from dense_coupling_oracle import couple_qubit, dense_coupling_matrix
 from racah_oracle import racah_blocks, racah_couple_qubit, racah_coupled_bases
 
 SQRT2 = np.sqrt(2.0)
@@ -75,7 +76,7 @@ class TestCouplingBuildOracle:
             if new_tj < 0:
                 continue
             out = np.zeros((2 * (tj + 1), new_tj + 1), order="F")
-            _couple_qubit(np.eye(tj + 1), tj, new_tj, out)
+            couple_qubit(np.eye(tj + 1), tj, new_tj, out)
             assert np.array_equal(out, racah_couple_qubit(np.eye(tj + 1), tj, new_tj))
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -107,6 +108,58 @@ class TestCouplingMatrixLayout:
         for j, r, v in views:
             assert v.flags.f_contiguous and not v.flags.writeable, (n, j, r)
             assert np.shares_memory(v, w), (n, j, r)
+
+
+class TestSchurFactors:
+    """The stored sequential Clebsch-Gordan factors against the dense level-by-level build."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_coupling_matrix_equals_dense_build_bit_for_bit(self, n):
+        w = decompose(n).coupling_matrix
+        reference = dense_coupling_matrix(n)
+        assert w.tobytes(order="F") == reference.tobytes(order="F")
+        assert np.array_equal(np.signbit(w), np.signbit(reference))  # no -0.0 either side
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_factors_are_read_only_and_small(self, n):
+        factors = decompose(n).factors
+        assert len(factors) == n - 1
+        for k, arrays in enumerate(factors, start=2):
+            assert len(arrays) == 4
+            for a in arrays:
+                assert a.shape == (2 ** k,) and not a.flags.writeable, (n, k)
+
+    def test_one_qubit_has_no_factor_levels(self):
+        d = decompose(1)
+        assert d.factors == ()
+        assert np.array_equal(d.coupling_matrix, np.eye(2))
+        assert d.coupling_matrix.flags.f_contiguous
+        assert np.array_equal(d.schur_transform(np.array([0.6, 0.8j])), [0.6, 0.8j])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_columns_equal_matrix_columns_bit_for_bit(self, n):
+        d = decompose(n)
+        w = d.coupling_matrix
+        gen = np.random.default_rng(n)
+        subsets = [d.column_starts,  # the codebook's first columns
+                   gen.choice(2 ** n, size=min(2 ** n, 40), replace=False),
+                   gen.integers(0, 2 ** n, size=25),  # unsorted, with repeats
+                   np.array([2 ** n - 1])]
+        for cols in subsets:
+            part = d.columns(cols)
+            assert part.flags.f_contiguous, (n, cols)
+            assert part.tobytes(order="F") == w[:, cols].tobytes(order="F"), (n, cols)
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_schur_transform_matches_dense_products(self, n):
+        d = decompose(n)
+        w = d.coupling_matrix
+        gen = np.random.default_rng(100 + n)
+        for _ in range(3):
+            a = gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n)
+            a /= np.linalg.norm(a)
+            expected = a.real @ w + 1j * (a.imag @ w)
+            assert np.abs(d.schur_transform(a) - expected).max() <= 1e-15, n
 
 
 class TestClebschGordanOracle:

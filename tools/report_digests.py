@@ -46,6 +46,8 @@ MATRIX = (
     "optics --trials 70000 --seed 3",
     "quantum --trials 5 --tolerance 1e-12",
     "bell --trials 2 --seed -1",
+    "decompose --n 1",
+    "twirl-check --n 1 --trials 3",
 )
 
 _DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
