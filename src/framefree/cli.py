@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 import uuid
@@ -108,7 +109,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# argparse reads a token as a value only if it matches its negative-number
+# pattern, which covers plain decimals alone; "--tolerance -1e-9" or "-inf" would
+# fail with "expected one argument" before the range check.  No option looks like
+# a number, so widening the pattern to every float spelling changes nothing else.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)(e[-+]?\d[\d_]*)?$|^-(inf|infinity|nan)$",
+    re.IGNORECASE)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("--trials", type=_positive_int, default=1000)
     parser.add_argument("--seed", type=_nonnegative_int, default=42)
     parser.add_argument("--tolerance", type=_positive_float, default=1e-9)

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,9 @@ MAX_QUBITS = 12
 # message takes 0.16-0.18 s at n = 10.
 MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
-MAX_TWIRL_CHECK_QUBITS = 8  # twirl-check eigendecomposes 2^n x 2^n states: ~3 s per 20 states at n = 8
+# ~1.5 s per 20 states at n = 8, about half of it random_density's own check: one
+# 2^n x 2^n eigvalsh per input, the only one left now that twirled states carry blocks.
+MAX_TWIRL_CHECK_QUBITS = 8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -190,9 +192,20 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A Hermitian, positive-semidefinite, unit-trace operator."""
+    """A Hermitian, positive-semidefinite, unit-trace operator.
+
+    An operator with known block structure can carry it: ``blocks`` holds
+    pairs (B_i, w_i) and ``frame`` is the object that fixes a unitary U with
+    ``matrix`` = U (sum_i B_i (x) I_{w_i}) U^dag, so the spectrum is that of
+    each B_i repeated w_i times.  The two come together or not at all.  The
+    Hermitian and trace checks always read ``matrix``; positivity is read
+    from the blocks when there are any, and from ``matrix`` otherwise.  The
+    contract between ``matrix`` and the blocks is the caller's to keep.
+    """
 
     matrix: np.ndarray
+    blocks: tuple[tuple[np.ndarray, int], ...] | None = field(default=None, kw_only=True)
+    frame: object = field(default=None, kw_only=True)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix, 2)
@@ -203,7 +216,22 @@ class DensityOperator:
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace {tr} is not 1")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
+        if (self.blocks is None) != (self.frame is None):
+            raise ValueError("blocks and frame must be given together")
+        if self.blocks is None:
+            lowest = np.linalg.eigvalsh(m).min()
+        else:
+            blocks = tuple((_readonly(np.array(b, dtype=complex)), int(w)) for b, w in self.blocks)
+            if any(w < 1 or b.ndim != 2 or not 0 < b.shape[0] == b.shape[1]
+                   for b, w in blocks) or sum(w * len(b) for b, w in blocks) != m.shape[0]:
+                raise ValueError(f"blocks do not span the {m.shape[0]}-dimensional space")
+            spectra = [(np.linalg.eigvalsh(b), w) for b, w in blocks]
+            block_trace = sum(w * float(e.sum()) for e, w in spectra)
+            if not abs(block_trace - tr) <= ATOL:  # NaN fails too
+                raise ValueError(f"blocks have trace {block_trace}, the matrix {tr}")
+            lowest = min(e.min() for e, _ in spectra)
+            object.__setattr__(self, "blocks", blocks)
+        if lowest < -ATOL:
             raise ValueError("matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -308,11 +336,20 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the sum of absolute eigenvalues of rho - sigma, in [0, 1]."""
+    """Half the sum of absolute eigenvalues of rho - sigma, in [0, 1].
+
+    When both carry blocks in the same frame (the same object), the
+    difference is block diagonal in that frame, so the distance is
+    1/2 sum_i w_i ||B_i - B'_i||_1 and no dim x dim matrix is decomposed.
+    """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return min(max(0.5 * float(np.abs(w).sum()), 0.0), 1.0)
+    if rho.frame is not None and rho.frame is sigma.frame:
+        total = sum(w * np.abs(np.linalg.eigvalsh(b - c)).sum()
+                    for (b, w), (c, _) in zip(rho.blocks, sigma.blocks, strict=True))
+    else:
+        total = np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
+    return min(max(0.5 * float(total), 0.0), 1.0)
 
 
 def random_state_vector(rng: RandomSource, dim: int) -> StateVector:

@@ -52,32 +52,52 @@ class TwirlChannel:
         return 2 ** self.n
 
     @cached_property
+    def _weights(self) -> np.ndarray:
+        """Hamming weight of each computational basis index: n/2 - m."""
+        return np.bitwise_count(np.arange(self.dim, dtype=np.uint64))
+
+    @cached_property
     def _sector_mask(self) -> np.ndarray:
         """Boolean mask keeping entries within a single total-m sector."""
-        weights = np.bitwise_count(np.arange(self.dim, dtype=np.uint64))
-        return weights[:, None] == weights[None, :]
+        return self._weights[:, None] == self._weights[None, :]
+
+    @cached_property
+    def _sector_indices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Row and column index arrays that gather each total-m sector, weight 0 first."""
+        return tuple((idx[:, None], idx) for idx in
+                     (np.flatnonzero(self._weights == k) for k in range(self.n + 1)))
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Average rho over the channel's frame rotations, in closed form.
 
-        Dephasing keeps every total-m sector of rho and erases the coherence
-        between sectors: sum_m P_m rho P_m.  For the full SU(2), each j sector
-        S_j (a view of the coupling matrix) keeps its multiplicity operator
-        M_j = ``carrier_trace(S_j, rho, 2j+1)`` and gets the maximally mixed
-        carrier: the output is sum_j S_j (M_j (x) I/(2j+1)) S_j^T, and all
-        coherence between different j values is gone.
+        Dephasing keeps every total-m sector rho_kk of rho and erases the
+        coherence between sectors: sum_m P_m rho P_m.  For the full SU(2), each
+        j sector S_j (a view of the coupling matrix) keeps its multiplicity
+        operator M_j = ``carrier_trace(S_j, rho, 2j+1)`` and gets the maximally
+        mixed carrier: the output is sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T,
+        and all coherence between different j values is gone.
+
+        The output carries those blocks with this channel as its frame: each
+        rho_kk once, or each M_j/(2j+1) with weight 2j+1.  They are always
+        extracted from ``rho.matrix``; the input's own blocks are never read.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
         d = self.decomposition
         if d is None:
-            return DensityOperator(np.where(self._sector_mask, rho.matrix, 0.0))
+            blocks = tuple((rho.matrix[rows, cols], 1) for rows, cols in self._sector_indices)
+            return DensityOperator(np.where(self._sector_mask, rho.matrix, 0.0),
+                                   blocks=blocks, frame=self)
         result = np.zeros_like(rho.matrix)
+        blocks = []
         for j in d.multiplicity_table:
             s, width = d.sector(j), j.twice + 1
-            mult = carrier_trace(s, rho.matrix, width)
-            result += s @ np.kron(mult / width, np.eye(width)) @ s.T
-        return DensityOperator(0.5 * (result + result.conj().T))
+            block = carrier_trace(s, rho.matrix, width) / width
+            # block (x) I_width, with the same products as np.kron
+            mixed = block[:, None, :, None] * np.eye(width)[None, :, None, :]
+            result += s @ mixed.reshape(s.shape[1], s.shape[1]) @ s.T
+            blocks.append((block, width))
+        return DensityOperator(0.5 * (result + result.conj().T), blocks=tuple(blocks), frame=self)
 
 
 def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,

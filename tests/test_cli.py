@@ -45,6 +45,19 @@ class TestParseArgs:
         assert main(["quantum", "--trials", "2", "--tolerance", tolerance]) == 2
         assert "--tolerance: value must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["-1e-9", "-1E-9", "-inf"])
+    def test_negative_float_spellings_reach_the_range_check(self, capsys, tolerance):
+        # argparse's own pattern takes these for option flags
+        for argv in (["--tolerance", tolerance], [f"--tolerance={tolerance}"]):
+            assert main(["quantum", "--trials", "2", *argv]) == 2
+            err = capsys.readouterr().err
+            assert f"--tolerance: value must be positive and finite, got {float(tolerance)}" in err
+
+    def test_valid_tolerances_parse_as_before(self):
+        for text in ("1e-9", "1E-12", "0.5", "3"):
+            assert parse_args(["quantum", "--tolerance", text]).tolerance == float(text)
+            assert parse_args(["quantum", f"--tolerance={text}"]).tolerance == float(text)
+
     def test_singlet_first_flag(self):
         assert parse_args(["classical", "--n", "2", "--singlet-first"]).singlet_first
 

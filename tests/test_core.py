@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
+from framefree.core import (ATOL, DensityOperator, GroupElement, RandomSource, StateVector,
                             apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, partial_trace,
                             random_density, random_state_vector, tensor, trace_distance)
@@ -274,3 +274,93 @@ class TestWrapperValidation:
 
     def test_random_states_are_valid(self, rng):
         assert abs(np.linalg.norm(random_state_vector(rng, 8).amplitudes) - 1.0) < 1e-12
+
+
+def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:
+    """The dense oracle: half the absolute eigenvalue sum of a - b, clipped as the code clips."""
+    return min(max(0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum()), 0.0), 1.0)
+
+
+def kron_block_state(block, frame) -> DensityOperator:
+    """block (x) I_2 in the computational basis, carrying that one block."""
+    block = np.asarray(block, dtype=complex)
+    return DensityOperator(np.kron(block, np.eye(2)), blocks=((block, 2),), frame=frame)
+
+
+class TestBlockForm:
+    """Operators that carry their blocks: validation and trace distance."""
+
+    B = np.array([[0.3, 0.05j], [-0.05j, 0.2]])
+    C = np.array([[0.1, 0.0], [0.0, 0.4]])
+
+    def test_blocks_are_stored_read_only(self):
+        rho = kron_block_state(self.B, object())
+        (block, width), = rho.blocks
+        assert width == 2 and np.array_equal(block, self.B)
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
+    def test_block_spectrum_is_the_dense_spectrum(self):
+        rho = kron_block_state(self.B, object())
+        spectrum = np.repeat(np.linalg.eigvalsh(self.B), 2)
+        assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(rho.matrix)).max() < 1e-15
+
+    def test_plain_operators_carry_no_blocks(self, rng):
+        rho = random_density(rng, 4)
+        assert rho.blocks is None and rho.frame is None
+
+    def test_rejects_a_negative_block_eigenvalue(self):
+        # the matrix is a valid state; only the blocks say otherwise
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator(np.eye(2) / 2, blocks=((np.diag([1.1, -0.1]), 1),), frame=object())
+
+    def test_accepts_a_block_eigenvalue_within_atol(self):
+        blocks = ((np.diag([1.0 + 0.5 * ATOL, -0.5 * ATOL]), 1),)
+        DensityOperator(np.eye(2) / 2, blocks=blocks, frame=object())
+
+    @pytest.mark.parametrize("blocks", [
+        ((np.eye(1), 1),),  # one dimension short
+        ((np.eye(2) / 4, 2),),  # one block too many copies
+        ((np.eye(2) / 2, 0),),  # no copy at all
+        ((np.ones((1, 2)), 2),),  # not square
+    ])
+    def test_rejects_blocks_that_do_not_span(self, blocks):
+        with pytest.raises(ValueError, match="do not span"):
+            DensityOperator(np.eye(2) / 2, blocks=blocks, frame=object())
+
+    def test_rejects_a_block_trace_off_by_more_than_atol(self):
+        blocks = ((np.diag([0.5, 0.5 + 2 * ATOL]), 1),)
+        with pytest.raises(ValueError, match="blocks have trace"):
+            DensityOperator(np.eye(2) / 2, blocks=blocks, frame=object())
+
+    def test_rejects_non_finite_blocks(self):
+        with pytest.raises(ValueError):
+            DensityOperator(np.eye(2) / 2, blocks=((np.diag([0.5, np.nan]), 1),), frame=object())
+
+    def test_rejects_blocks_without_a_frame_and_a_frame_without_blocks(self):
+        with pytest.raises(ValueError, match="together"):
+            DensityOperator(np.eye(2) / 2, blocks=((np.eye(2) / 2, 1),))
+        with pytest.raises(ValueError, match="together"):
+            DensityOperator(np.eye(2) / 2, frame=object())
+
+    def test_same_frame_distance_reads_the_blocks(self):
+        frame = object()
+        rho, sigma = kron_block_state(self.B, frame), kron_block_state(self.C, frame)
+        d = trace_distance(rho, sigma)
+        assert d > 0.1
+        assert abs(d - dense_trace_distance(rho, sigma)) < 1e-15
+
+    def test_same_frame_distance_trusts_the_blocks(self):
+        # a deliberately inconsistent pair shows which path was taken
+        frame = object()
+        rho = kron_block_state(self.B, frame)
+        liar = DensityOperator(rho.matrix, blocks=((self.C, 2),), frame=frame)
+        assert trace_distance(rho, liar) > 0.1
+        assert dense_trace_distance(rho, liar) == 0.0
+
+    def test_other_frames_take_the_dense_path_exactly(self, rng):
+        rho = kron_block_state(self.B, object())
+        for sigma in (kron_block_state(self.C, object()),
+                      DensityOperator(np.kron(self.C, np.eye(2))), random_density(rng, 4)):
+            assert trace_distance(rho, sigma) == dense_trace_distance(rho, sigma)
+            assert trace_distance(sigma, rho) == dense_trace_distance(sigma, rho)

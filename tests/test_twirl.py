@@ -217,3 +217,85 @@ class TestChannelProperties:
         a = twirl_su2_monte_carlo(rho, 5000, RandomSource(3))
         b = twirl_su2_monte_carlo(rho, 5000, RandomSource(3))
         assert np.array_equal(a.matrix, b.matrix)
+
+
+def channel_of(kind: str, n: int) -> TwirlChannel:
+    return TwirlChannel.full_su2(n) if kind == "full_su2" else TwirlChannel.u1_dephasing(n)
+
+
+def dense_distance(a: DensityOperator, b: DensityOperator) -> float:
+    """The dense oracle: half the absolute eigenvalue sum of a - b, unclipped."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+
+class TestBlockForm:
+    """Twirl outputs carry their blocks; each block fact is checked against the dense matrix."""
+
+    BOUND = 1e-14
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    def test_block_layout(self, kind):
+        n = 4
+        channel = channel_of(kind, n)
+        out = channel.apply(DensityOperator.maximally_mixed(2 ** n))
+        assert out.frame is channel
+        sizes = [(len(b), w) for b, w in out.blocks]
+        if kind == "full_su2":  # one M_j / (2j+1) per j, j descending
+            assert sizes == [(1, 5), (3, 3), (2, 1)]
+        else:  # one rho_kk per Hamming weight k
+            assert sizes == [(1, 1), (4, 1), (6, 1), (4, 1), (1, 1)]
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_block_spectrum_matches_dense(self, rng, kind, n):
+        once = channel_of(kind, n).apply(random_density(rng, 2 ** n))
+        spectrum = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), w)
+                                           for b, w in once.blocks]))
+        assert np.abs(spectrum - np.linalg.eigvalsh(once.matrix)).max() <= self.BOUND
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_block_distance_matches_dense(self, rng, kind, n):
+        channel = channel_of(kind, n)
+        a = channel.apply(random_density(rng, 2 ** n))
+        b = channel.apply(random_density(rng, 2 ** n))
+        dense = dense_distance(a, b)
+        if kind == "full_su2" and n == 1:
+            assert dense <= self.BOUND  # one qubit twirls to I/2 from any state
+        else:
+            assert dense > 1e-3  # distinct outputs, so a wrong block distance cannot hide
+        assert abs(trace_distance(a, b) - dense) <= self.BOUND
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_other_frames_take_the_dense_path_exactly(self, rng, n):
+        rho, sigma = random_density(rng, 2 ** n), random_density(rng, 2 ** n)
+        su2 = TwirlChannel.full_su2(n).apply(rho)
+        pairs = ((su2, TwirlChannel.u1_dephasing(n).apply(sigma)),
+                 (su2, TwirlChannel.full_su2(n).apply(sigma)))  # a second, separate channel
+        for a, b in pairs:
+            assert a.frame is not b.frame
+            assert trace_distance(a, b) == min(max(dense_distance(a, b), 0.0), 1.0)
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_idempotence_can_fail(self, rng, kind, n):
+        # the matrix of one twirled state with the blocks of another: apply must
+        # re-extract the blocks from the matrix, so the residual is the full distance
+        channel = channel_of(kind, n)
+        a = channel.apply(random_density(rng, 2 ** n))
+        b = channel.apply(random_density(rng, 2 ** n))
+        bad = DensityOperator(a.matrix, blocks=b.blocks, frame=channel)
+        assert trace_distance(channel.apply(bad), bad) >= dense_distance(a, b) - self.BOUND
+        assert dense_distance(a, b) > 1e-3
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_apply_ignores_the_input_blocks(self, rng, kind, n):
+        channel = channel_of(kind, n)
+        once = channel.apply(random_density(rng, 2 ** n))
+        twice = channel.apply(once)
+        plain = channel.apply(DensityOperator(once.matrix))
+        assert twice.matrix.tobytes() == plain.matrix.tobytes()
+        assert len(twice.blocks) == len(plain.blocks)
+        for (x, w), (y, v) in zip(twice.blocks, plain.blocks):
+            assert w == v and x.tobytes() == y.tobytes()
