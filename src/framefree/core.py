@@ -19,8 +19,9 @@ import numpy as np
 ATOL = 1e-10
 
 # Size limits, in qubits.  Each follows from what the largest allowed call costs.
-# The dense collective_rotation, and the coupling matrix that a sector view assembles
-# (128 MB at n = 12); decompose(n) itself stores about 2^(n+3) numbers.
+# The dense collective_rotation (256 MB complex at n = 12) and the sectors that an
+# SU(2) twirl channel keeps (128 MB in all at n = 12); decompose(n) itself stores
+# about 2^(n+3) numbers.
 MAX_QUBITS = 12
 # O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every
 # message takes 0.16-0.18 s at n = 10.

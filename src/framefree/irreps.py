@@ -9,15 +9,14 @@ columns run over m = j, j-1, ..., -j.  Blocks are ordered j descending,
 then paths lexicographic by step sequence with an up-step sorting before a
 down-step.
 
-The coupling matrix holds every block side by side in that order, but it is
-not what is stored: coupling qubit k to the first k - 1 multiplies the
-matrix of k - 1 qubits by a factor with at most two nonzeros per column (the
+The coupling matrix W holds every block side by side in that order, but it
+is never stored: coupling qubit k to the first k - 1 multiplies the matrix
+of k - 1 qubits by a factor with at most two nonzeros per column (the
 sequential Schur transform of Bacon, Chuang and Harrow, quant-ph/0407082),
-and ``decompose`` keeps only those factors.  ``schur_transform`` applies the
-transpose to a vector and ``columns`` builds chosen columns, both from the
-factors.  The whole matrix is assembled on first use of ``coupling_matrix``,
-whose read-only column views are ``block(j, r)`` (one block) and
-``sector(j)`` (every block with that j).
+and ``decompose`` keeps only those factors.  ``schur_transform`` applies W^T
+to a vector and ``columns`` builds chosen columns of W, both from the
+factors.  ``block(j, r)`` (one block) and ``sector(j)`` (every block with
+that j) are such columns, built on each call and kept by the caller.
 
 Multiplicities follow the two-row closed form
 c_j = binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1), evaluated in exact
@@ -38,6 +37,8 @@ from .core import MAX_QUBITS, _readonly
 
 # Columns per gather in ``IrrepDecomposition.columns``: at n = 12 one gather of the
 # level below is 4 MB, where gathering every column at once would take 64 MB more.
+# Unchunked, building every sector of n = 12 took 153-160 against 136-143 ms (best
+# of 5 on 2 cores) and a traced peak of 152 against 142.5 MB.
 _GATHER_COLUMNS = 256
 
 
@@ -207,35 +208,26 @@ def enumerate_paths(n: int, j) -> list[CouplingPath]:
 class IrrepDecomposition:
     """Complete block structure of the collective SU(2) action on n qubits.
 
-    The coupling matrix W_n has the states |j, m, r> as columns, in canonical
-    block order.  It factors as W_k = (W_{k-1} (x) I_2) C_k with W_1 = I_2, and
-    ``factors[k - 2]`` = (src0, coef0, src1, coef1) holds C_k, k = 2..n, as four
-    read-only arrays of length 2^k: on the rows where qubit k is |0>, column c
-    of W_k is coef0[c] times column src0[c] of W_{k-1}; where it is |1>,
-    coef1[c] times column src1[c].  An absent part has coefficient 0.0 and
-    source 0.
+    The real orthogonal coupling matrix W_n has the states |j, m, r> as
+    columns, in canonical block order.  It is stored only as its factors:
+    W_k = (W_{k-1} (x) I_2) C_k with W_1 = I_2, and ``factors[k - 2]`` =
+    (src0, coef0, src1, coef1) holds C_k, k = 2..n, as four read-only arrays of
+    length 2^k: on the rows where qubit k is |0>, column c of W_k is coef0[c]
+    times column src0[c] of W_{k-1}; where it is |1>, coef1[c] times column
+    src1[c].  An absent part has coefficient 0.0 and source 0.
     """
 
     n: int
     multiplicity_table: dict[HalfInteger, int]
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
-    @cached_property
-    def coupling_matrix(self) -> np.ndarray:
-        """W_n: real orthogonal, column-major and read-only, assembled on first use.
-
-        Every ``block`` and ``sector`` is a view of it.
-        """
-        return _readonly(self.columns(slice(None)))
-
     def columns(self, cols) -> np.ndarray:
-        """W_n[:, cols] as a new column-major array, without assembling W_n.
+        """W_n[:, cols] as a new column-major array, without building the rest of W_n.
 
         Walks the factors down from level n to the columns of each W_k that
         the requested ones are made of, then builds those level by level.
-        Every entry is one coefficient times one entry of the level below, as
-        in a dense level-by-level build, so the bits equal
-        ``coupling_matrix[:, cols]``.
+        Every entry is one coefficient times one entry of the level below, so
+        the bits equal those of a dense level-by-level build of W_n.
         """
         cols = np.arange(2 ** self.n)[cols]
         plan = []
@@ -272,11 +264,11 @@ class IrrepDecomposition:
         return x.reshape(-1)
 
     def block(self, j, r: int) -> np.ndarray:
-        """Columns |j, m, r>, m = j..-j, of one block: a read-only view of ``coupling_matrix``."""
+        """Columns |j, m, r>, m = j..-j, of one block: a new read-only column-major array."""
         j = HalfInteger.of(j)
         self.block_index(j, r)  # rejects an unknown label
         start = _sector_starts(self.n)[j.twice] + (r - 1) * (j.twice + 1)
-        return self.coupling_matrix[:, start:start + j.twice + 1]
+        return _readonly(self.columns(slice(start, start + j.twice + 1)))
 
     @cached_property
     def _first_index(self) -> dict[HalfInteger, int]:
@@ -286,22 +278,23 @@ class IrrepDecomposition:
 
     @cached_property
     def column_starts(self) -> np.ndarray:
-        """First ``coupling_matrix`` column of each block, in canonical block order."""
+        """First column of each block in W_n, in canonical block order."""
         dims = [j.twice + 1 for j, count in self.multiplicity_table.items() for _ in range(count)]
         return _readonly(np.cumsum([0, *dims[:-1]]))
 
     def sector(self, j) -> np.ndarray:
-        """The columns of every block with this j: one read-only view of ``coupling_matrix``."""
+        """The columns of every block with this j: one new read-only column-major array."""
         j = HalfInteger.of(j)
         count = self.multiplicity_table.get(j, 0)
         if not count:
             raise KeyError(f"no block with j = {j}")
         start = _sector_starts(self.n)[j.twice]
-        return self.coupling_matrix[:, start:start + count * (j.twice + 1)]
+        return _readonly(self.columns(slice(start, start + count * (j.twice + 1))))
 
     def block_index(self, j, r: int) -> int:
         j = HalfInteger.of(j)
-        if r not in range(1, self.multiplicity_table.get(j, 0) + 1):
+        if (not isinstance(r, (int, np.integer))
+                or r not in range(1, self.multiplicity_table.get(j, 0) + 1)):
             raise KeyError(f"no block with j = {j}, r = {r}")
         return self._first_index[j] + r - 1
 
@@ -342,8 +335,9 @@ def decompose(n: int) -> IrrepDecomposition:
 
     Qubits are coupled left to right with Condon-Shortley coefficients, so
     every sign is reproducible.  Only the sequential Clebsch-Gordan factors
-    C_2..C_n are stored, about 2^(n+3) numbers; the coupling matrix is
-    assembled from them on first use.  The result is cached and immutable.
+    C_2..C_n are stored, about 2^(n+3) numbers, and every column of the
+    coupling matrix is built from them on request.  The result is cached and
+    immutable.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")

@@ -8,9 +8,9 @@ Haar samples and exists as an independent check of that block structure.
 Collective dephasing (a shared axis but no full frame) only kills
 coherence between different total-m sectors.
 
-Channels are represented behaviorally: construction caches the block
-data, ``apply`` is a pure function, and no superoperator matrix is ever
-materialized.
+Channels are represented behaviorally: each channel caches the block data
+it reads on first use, ``apply`` is a pure function, and no superoperator
+matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -52,27 +52,27 @@ class TwirlChannel:
         return 2 ** self.n
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        """Hamming weight of each computational basis index: n/2 - m."""
-        return np.bitwise_count(np.arange(self.dim, dtype=np.uint64))
-
-    @cached_property
-    def _sector_mask(self) -> np.ndarray:
-        """Boolean mask keeping entries within a single total-m sector."""
-        return self._weights[:, None] == self._weights[None, :]
+    def _sectors(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(2j+1, ``sector(j)``) for each j, built once for the life of the channel."""
+        d = self.decomposition
+        return tuple((j.twice + 1, d.sector(j)) for j in d.multiplicity_table)
 
     @cached_property
     def _sector_indices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Row and column index arrays that gather each total-m sector, weight 0 first."""
+        """Row and column index arrays that gather each total-m sector, weight 0 first.
+
+        The Hamming weight of a computational basis index is n/2 - m.
+        """
+        weights = np.bitwise_count(np.arange(self.dim, dtype=np.uint64))
         return tuple((idx[:, None], idx) for idx in
-                     (np.flatnonzero(self._weights == k) for k in range(self.n + 1)))
+                     (np.flatnonzero(weights == k) for k in range(self.n + 1)))
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Average rho over the channel's frame rotations, in closed form.
 
         Dephasing keeps every total-m sector rho_kk of rho and erases the
         coherence between sectors: sum_m P_m rho P_m.  For the full SU(2), each
-        j sector S_j (a view of the coupling matrix) keeps its multiplicity
+        j sector S_j (``sector(j)``, cached on the channel) keeps its multiplicity
         operator M_j = ``carrier_trace(S_j, rho, 2j+1)`` and gets the maximally
         mixed carrier: the output is sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T,
         and all coherence between different j values is gone.
@@ -83,15 +83,14 @@ class TwirlChannel:
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
-        d = self.decomposition
-        if d is None:
-            blocks = tuple((rho.matrix[rows, cols], 1) for rows, cols in self._sector_indices)
-            return DensityOperator(np.where(self._sector_mask, rho.matrix, 0.0),
-                                   blocks=blocks, frame=self)
         result = np.zeros_like(rho.matrix)
         blocks = []
-        for j in d.multiplicity_table:
-            s, width = d.sector(j), j.twice + 1
+        if self.decomposition is None:
+            for rows, cols in self._sector_indices:
+                block = result[rows, cols] = rho.matrix[rows, cols]
+                blocks.append((block, 1))
+            return DensityOperator(result, blocks=tuple(blocks), frame=self)
+        for width, s in self._sectors:
             block = carrier_trace(s, rho.matrix, width) / width
             # block (x) I_width, with the same products as np.kron
             mixed = block[:, None, :, None] * np.eye(width)[None, :, None, :]

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import tracemalloc
@@ -5,7 +6,10 @@ import tracemalloc
 import pytest
 
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
+from framefree.core import DensityOperator
 from framefree.irreps import decompose
+from framefree.protocols import noiseless_subsystem_plan
+from framefree.twirl import TwirlChannel
 
 
 def run_json(capsys, argv):
@@ -115,6 +119,21 @@ class TestCommands:
             tracemalloc.stop()
         assert code == 0 and report["payload"]["errors"] == 0
         assert peak < 2 ** 23  # bytes in one 2^10 x 2^10 real matrix
+
+    def test_decompose_cache_holds_only_factors(self):
+        rho = DensityOperator.maximally_mixed(2 ** 10)
+        decompose.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = noiseless_subsystem_plan(10)
+            channel = TwirlChannel.full_su2(10)
+            channel.apply(rho)
+            del plan, channel
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20  # the 2^10 x 2^10 real coupling matrix alone is 2^23 bytes
 
     def test_twirl_check(self, capsys):
         code, report = run_json(capsys, ["twirl-check", "--n", "2", "--trials", "10"])

@@ -82,7 +82,7 @@ class TestCouplingBuildOracle:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_coupling_matrix_equals_racah_build(self, n):
         reference = np.hstack([basis for *_, basis in racah_blocks(n)])
-        assert np.array_equal(decompose(n).coupling_matrix, reference)
+        assert np.array_equal(decompose(n).columns(slice(None)), reference)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_block_r_is_the_rth_coupling_path(self, n):
@@ -94,20 +94,19 @@ class TestCouplingBuildOracle:
                 assert np.array_equal(d.block(j, r), levels[key]), (n, str(j), r)
 
 
-class TestCouplingMatrixLayout:
-    """One real, column-major, read-only matrix; every block and sector is a view of it."""
+class TestBlockLayout:
+    """W is real and column-major; every block and sector is a read-only column-major array."""
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_blocks_are_read_only_column_major_views(self, n):
+    def test_blocks_are_read_only_and_column_major(self, n):
         d = decompose(n)
-        w = d.coupling_matrix
+        w = d.columns(slice(None))
         assert w.dtype == np.float64
-        assert w.flags.f_contiguous and not w.flags.writeable
-        views = [(str(j), r, d.block(j, r)) for j, r, _, _ in racah_blocks(n)]
-        views += [(str(j), None, d.sector(j)) for j in {j for j, *_ in racah_blocks(n)}]
-        for j, r, v in views:
+        assert w.flags.f_contiguous
+        arrays = [(str(j), r, d.block(j, r)) for j, r, _, _ in racah_blocks(n)]
+        arrays += [(str(j), None, d.sector(j)) for j in {j for j, *_ in racah_blocks(n)}]
+        for j, r, v in arrays:
             assert v.flags.f_contiguous and not v.flags.writeable, (n, j, r)
-            assert np.shares_memory(v, w), (n, j, r)
 
 
 class TestSchurFactors:
@@ -115,7 +114,7 @@ class TestSchurFactors:
 
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_coupling_matrix_equals_dense_build_bit_for_bit(self, n):
-        w = decompose(n).coupling_matrix
+        w = decompose(n).columns(slice(None))
         reference = dense_coupling_matrix(n)
         assert w.tobytes(order="F") == reference.tobytes(order="F")
         assert np.array_equal(np.signbit(w), np.signbit(reference))  # no -0.0 either side
@@ -132,14 +131,14 @@ class TestSchurFactors:
     def test_one_qubit_has_no_factor_levels(self):
         d = decompose(1)
         assert d.factors == ()
-        assert np.array_equal(d.coupling_matrix, np.eye(2))
-        assert d.coupling_matrix.flags.f_contiguous
+        assert np.array_equal(d.columns(slice(None)), np.eye(2))
+        assert d.columns(slice(None)).flags.f_contiguous
         assert np.array_equal(d.schur_transform(np.array([0.6, 0.8j])), [0.6, 0.8j])
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_columns_equal_matrix_columns_bit_for_bit(self, n):
         d = decompose(n)
-        w = d.coupling_matrix
+        w = d.columns(slice(None))
         gen = np.random.default_rng(n)
         subsets = [d.column_starts,  # the codebook's first columns
                    gen.choice(2 ** n, size=min(2 ** n, 40), replace=False),
@@ -153,7 +152,7 @@ class TestSchurFactors:
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_schur_transform_matches_dense_products(self, n):
         d = decompose(n)
-        w = d.coupling_matrix
+        w = dense_coupling_matrix(n)
         gen = np.random.default_rng(100 + n)
         for _ in range(3):
             a = gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n)
@@ -392,7 +391,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_coupling_matrix_is_unitary(self, n):
-        w = decompose(n).coupling_matrix  # real (TestCouplingMatrixLayout)
+        w = decompose(n).columns(slice(None))  # real (TestBlockLayout)
         gram = w.T @ w
         gram[np.diag_indices_from(gram)] -= 1.0  # in place: 128 MB per copy at n = 12
         assert np.abs(gram).max() < 1e-10
@@ -479,11 +478,12 @@ class TestBlockIndexOracle:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_block_index_matches_scan(self, n):
         d = decompose(n)
+        w = d.columns(slice(None))
         scan = racah_blocks(n)
         for i, (j, r, start, basis) in enumerate(scan):
             assert d.block_index(j, r) == i
             assert np.array_equal(d.block(j, r), basis), (n, str(j), r)
-            assert np.array_equal(d.block(j, r), d.coupling_matrix[:, start:start + j.twice + 1])
+            assert np.array_equal(d.block(j, r), w[:, start:start + j.twice + 1])
         assert d.column_starts.tolist() == [start for _, _, start, _ in scan]
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -502,11 +502,13 @@ class TestBlockIndexOracle:
     def test_unknown_labels_raise_key_error(self, n):
         d = decompose(n)
         for j, count in d.multiplicity_table.items():
-            for r in (0, count + 1):
+            for r in (0, count + 1, 1.0, float(count), 0.5, "1", None):
                 with pytest.raises(KeyError):
                     d.block_index(j, r)
                 with pytest.raises(KeyError):
                     d.block(j, r)
+            assert d.block_index(j, np.int64(count)) == d.block_index(j, count)
+            assert np.array_equal(d.block(j, np.int64(count)), d.block(j, count))
         for lookup in (d.block_index, d.block):
             with pytest.raises(KeyError):
                 lookup(HalfInteger((n + 1) % 2), 1)  # wrong parity for n

@@ -6,6 +6,7 @@ from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVe
                             random_state_vector, trace_distance)
 from framefree.irreps import decompose
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
+from dense_coupling_oracle import dense_coupling_matrix
 from racah_oracle import racah_blocks
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
@@ -16,7 +17,7 @@ SYMMETRIC_MIXED = DensityOperator((np.eye(4) - np.outer(SINGLET.amplitudes,
 def twirl_whole_matrix(rho: DensityOperator, n: int) -> np.ndarray:
     """The oracle twirl: conjugate into the coupled basis, mix each carrier, conjugate back."""
     d = decompose(n)
-    w = d.coupling_matrix
+    w = dense_coupling_matrix(n)
     coupled = w.T @ rho.matrix @ w
     out = np.zeros_like(coupled)
     offset = 0
