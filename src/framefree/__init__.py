@@ -9,10 +9,10 @@ Bell tests, and a two-photon optical realization of the two-qubit case.
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_QUBITS, RandomSource,
                    StateVector, apply_collective_rotation, collective_rotation, fidelity,
-                   haar_random_su2, haar_random_su2_batch, partial_trace, random_density,
-                   random_state_vector, tensor, trace_distance)
-from .irreps import (CouplingPath, HalfInteger, IrrepDecomposition, clebsch_gordan,
-                     decompose, enumerate_paths, multiplicity, total_irrep_count)
+                   haar_random_su2, haar_random_su2_batch, random_density,
+                   random_state_vector, trace_distance)
+from .irreps import (HalfInteger, IrrepDecomposition, decompose, multiplicity,
+                     total_irrep_count)
 from .twirl import TwirlChannel, twirl_su2_monte_carlo
 from .protocols import (CodeBook, CodeBookEntry, DecodingError, ExchangeAction,
                         LogicalEncoding, Message, RateRow, block_outcome_probabilities,

@@ -249,14 +249,6 @@ class DensityOperator:
         return DensityOperator(u @ self.matrix @ u.conj().T)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the composite row index is i_a * rows(b) + i_b."""
-    out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    if not np.all(np.isfinite(out)):
-        raise ValueError("tensor product has non-finite entries")
-    return out
-
-
 def collective_rotation(g: GroupElement, n: int) -> np.ndarray:
     """The n-fold tensor power g (x) g (x) ... (x) g applied to n qubits.
 
@@ -291,28 +283,6 @@ def apply_collective_rotation(g: GroupElement, state: StateVector) -> StateVecto
     for _ in range(_qubit_count(state.dim)):
         a = (g.matrix @ a.reshape(2, -1)).T.reshape(-1)
     return StateVector(a)
-
-
-def partial_trace(rho: DensityOperator, keep, dims) -> DensityOperator:
-    """Trace out every tensor factor not listed in ``keep``.
-
-    ``dims`` lists the dimension of each factor, leftmost first; ``keep``
-    holds 0-based factor indices.  Kept factors stay in their original
-    order, and the trace of the result equals the trace of the input.
-    """
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != rho.dim:
-        raise ValueError(f"factor dimensions {dims} do not multiply to {rho.dim}")
-    keep = sorted(set(int(k) for k in keep))
-    if keep and not (0 <= keep[0] and keep[-1] < len(dims)):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + n)
-        n -= 1
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityOperator(t.reshape(kept_dim, kept_dim))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ that j) are such columns, built on each call and kept by the caller.
 
 Multiplicities follow the two-row closed form
 c_j = binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1), evaluated in exact
-integer arithmetic; path enumeration provides an independent count.
+integer arithmetic; the path enumeration in tests/racah_oracle.py gives an
+independent count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb, factorial, inf, sqrt
+from math import comb, inf, sqrt
 
 import numpy as np
 
@@ -69,92 +70,6 @@ class HalfInteger:
         return f"{self.twice}/2"
 
 
-@dataclass(frozen=True)
-class CouplingPath:
-    """Intermediate total-j values from coupling qubits left to right."""
-
-    js: tuple[HalfInteger, ...]
-
-    def __post_init__(self):
-        js = tuple(HalfInteger.of(j) for j in self.js)
-        if not js or js[0].twice != 1:
-            raise ValueError("a coupling path starts at j = 1/2")
-        for a, b in zip(js, js[1:]):
-            if abs(b.twice - a.twice) != 1:
-                raise ValueError("each step must change j by exactly 1/2")
-            if b.twice < 0:
-                raise ValueError("intermediate j values must stay nonnegative")
-        object.__setattr__(self, "js", js)
-
-    @property
-    def n(self) -> int:
-        return len(self.js)
-
-    @property
-    def final(self) -> HalfInteger:
-        return self.js[-1]
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        """+1 for an up-step, -1 for a down-step, in units of 1/2."""
-        return tuple(b.twice - a.twice for a, b in zip(self.js, self.js[1:]))
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(j) for j in self.js) + "]"
-
-
-def _validated_jm(j, m) -> tuple[int, int]:
-    tj = HalfInteger.of(j).twice
-    tm = HalfInteger.of(m).twice
-    if tj < 0:
-        raise ValueError(f"angular momentum j={HalfInteger(tj)} must be nonnegative")
-    if abs(tm) > tj:
-        raise ValueError(f"|m| = {HalfInteger(abs(tm))} exceeds j = {HalfInteger(tj)}")
-    if (tj + tm) % 2:
-        raise ValueError(f"m = {HalfInteger(tm)} has the wrong parity for j = {HalfInteger(tj)}")
-    return tj, tm
-
-
-def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
-    """Condon-Shortley coefficient <j1 m1; j2 m2 | j m>.
-
-    Evaluated through the Racah closed-form sum in exact integer
-    arithmetic; the single square root at the end is the only floating
-    point step.  Returns 0 when m != m1 + m2.
-    """
-    tj1, tm1 = _validated_jm(j1, m1)
-    tj2, tm2 = _validated_jm(j2, m2)
-    tj, tm = _validated_jm(j, m)
-    if (tj1 + tj2 + tj) % 2:
-        raise ValueError("j1, j2, j cannot couple: total parity mismatch")
-    if tj > tj1 + tj2 or tj < abs(tj1 - tj2):
-        raise ValueError(f"triangle inequality violated for j1={HalfInteger(tj1)}, "
-                         f"j2={HalfInteger(tj2)}, j={HalfInteger(tj)}")
-    if tm1 + tm2 != tm:
-        return 0.0
-
-    f = factorial
-    a = (tj1 + tj2 - tj) // 2
-    b = (tj1 - tj2 + tj) // 2
-    c = (tj2 - tj1 + tj) // 2
-    prefactor = Fraction((tj + 1) * f(a) * f(b) * f(c), f((tj1 + tj2 + tj) // 2 + 1))
-    prefactor *= (f((tj1 + tm1) // 2) * f((tj1 - tm1) // 2)
-                  * f((tj2 + tm2) // 2) * f((tj2 - tm2) // 2)
-                  * f((tj + tm) // 2) * f((tj - tm) // 2))
-    k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
-    k_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        denominator = (f(k) * f(a - k)
-                       * f((tj1 - tm1) // 2 - k) * f((tj2 + tm2) // 2 - k)
-                       * f((tj - tj2 + tm1) // 2 + k) * f((tj - tj1 - tm2) // 2 + k))
-        total += Fraction(-1 if k % 2 else 1, denominator)
-    if total == 0:
-        return 0.0
-    magnitude = sqrt(float(prefactor * total * total))
-    return magnitude if total > 0 else -magnitude
-
-
 def multiplicity(n: int, j) -> int:
     """Number of blocks with total angular momentum j among n qubits."""
     j = HalfInteger.of(j)
@@ -175,33 +90,6 @@ def total_irrep_count(n: int) -> int:
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     return sum(multiplicity(n, HalfInteger(tj)) for tj in range(n % 2, n + 1, 2))
-
-
-def enumerate_paths(n: int, j) -> list[CouplingPath]:
-    """All coupling paths of length n ending at j, in lexicographic order.
-
-    Ordering compares step sequences with an up-step before a down-step.
-    The list length equals multiplicity(n, j); the count is exponential in
-    n, so keep n small.
-    """
-    target = HalfInteger.of(j).twice
-    multiplicity(n, j)  # reuse the precondition checks
-    out: list[CouplingPath] = []
-
-    def walk(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            if prefix[-1] == target:
-                out.append(CouplingPath(tuple(HalfInteger(t) for t in prefix)))
-            return
-        remaining = n - len(prefix)
-        for step in (1, -1):  # up-steps first keeps the output ordered
-            nxt = prefix[-1] + step
-            if nxt < 0 or abs(nxt - target) > remaining - 1:
-                continue
-            walk(prefix + (nxt,))
-
-    walk((1,))
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +242,7 @@ def decompose(n: int) -> IrrepDecomposition:
                     continue
                 col = cursor[new_tj]
                 cursor[new_tj] += new_tj + 1
-                # the spin-1/2 coefficients, which equal clebsch_gordan bit for bit
+                # the spin-1/2 coefficients, equal bit for bit to tests/racah_oracle.py's Racah sum
                 for c, tm in enumerate(range(new_tj, -new_tj - 1, -2), start=col):
                     for tmu, offset in ((1, 0), (-1, 1)):  # |0> carries m = +1/2
                         tm1 = tm - tmu

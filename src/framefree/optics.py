@@ -123,7 +123,7 @@ class DetectionDistribution:
         probs = (self.p_coincidence, self.p_bunch_port1, self.p_bunch_port2)
         if min(probs) < -ATOL:
             raise ValueError(f"negative probability in {probs}")
-        if abs(sum(probs) - 1.0) > ATOL:
+        if not abs(sum(probs) - 1.0) <= ATOL:  # NaN fails too
             raise ValueError(f"probabilities {probs} do not sum to 1")
 
     def as_vector(self) -> np.ndarray:

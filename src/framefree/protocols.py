@@ -158,13 +158,13 @@ class LogicalEncoding:
     j: HalfInteger | None = None  # SU(2) sector
 
     def __post_init__(self):
-        v = np.array(self.isometry, dtype=complex)
+        v = np.asarray(self.isometry)  # a real sector is checked in real arithmetic
         if v.ndim != 2 or v.shape[0] != 2 ** self.n or v.shape[1] % self.carrier_dim:
             raise ValueError(f"isometry shape {v.shape} is not (2^{self.n}, a multiple "
                              f"of {self.carrier_dim})")
-        if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > ATOL:
+        if not np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= ATOL:  # NaN fails too
             raise ValueError("isometry columns are not orthonormal")
-        object.__setattr__(self, "isometry", _readonly(v))
+        object.__setattr__(self, "isometry", _readonly(np.array(v, dtype=complex)))
 
     @property
     def carrier_dim(self) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 from framefree.core import (DensityOperator, RandomSource, StateVector,
                             collective_rotation, fidelity, haar_random_su2,
                             random_density, random_state_vector, trace_distance)
-from framefree.irreps import HalfInteger, enumerate_paths, multiplicity, total_irrep_count
+from framefree.irreps import HalfInteger, multiplicity, total_irrep_count
 from framefree.protocols import (block_outcome_probabilities, build_classical_codebook,
                                  classical_rate_asymptote, classical_round_trip,
                                  decode_logical, dephasing_sector_encoding,
@@ -25,6 +25,7 @@ from framefree.protocols import (block_outcome_probabilities, build_classical_co
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
 from framefree.optics import (beam_splitter, detect, polarization_rotation,
                               prepare_bell, run_optical_protocol)
+from racah_oracle import enumerate_paths
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 TSIRELSON = 2.0 * np.sqrt(2.0)

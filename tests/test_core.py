@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from framefree.core import (ATOL, DensityOperator, GroupElement, RandomSource, StateVector,
                             apply_collective_rotation, collective_rotation, fidelity,
-                            haar_random_su2, haar_random_su2_batch, partial_trace,
-                            random_density, random_state_vector, tensor, trace_distance)
+                            haar_random_su2, haar_random_su2_batch, random_density,
+                            random_state_vector, trace_distance)
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
@@ -131,64 +130,6 @@ class TestCollectiveRotationOracle:
     def test_matrix_free_rejects_non_qubit_dimensions(self, dim):
         with pytest.raises(ValueError, match="not a qubit count"):
             apply_collective_rotation(GroupElement.identity(), StateVector.basis(dim, 0))
-
-
-class TestTensor:
-    def test_scalar_identity(self):
-        m = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(tensor(np.eye(1), m), m)
-
-    def test_identity_product(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_double_bit_flip(self):
-        state = StateVector.from_bits("00")
-        flipped = state.evolve(tensor(SIGMA_X, SIGMA_X))
-        assert np.array_equal(flipped.amplitudes, StateVector.from_bits("11").amplitudes)
-
-    @given(st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_associativity_exact_on_integer_matrices(self, data):
-        def matrix(rows, cols):
-            entries = data.draw(st.lists(
-                st.complex_numbers(min_magnitude=0, max_magnitude=4,
-                                   allow_nan=False, allow_infinity=False).map(
-                                       lambda z: complex(round(z.real), round(z.imag))),
-                min_size=rows * cols, max_size=rows * cols))
-            return np.array(entries).reshape(rows, cols)
-
-        a = matrix(2, 2)
-        b = matrix(2, 3)
-        c = matrix(3, 1)
-        # integer entries make the float products exact, so equality is exact
-        assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
-class TestPartialTrace:
-    def test_singlet_reduces_to_maximally_mixed(self):
-        rho = SINGLET.to_density()
-        for keep in ([0], [1]):
-            reduced = partial_trace(rho, keep, [2, 2])
-            assert np.abs(reduced.matrix - np.eye(2) / 2).max() < 1e-12
-
-    def test_keep_everything_is_identity_operation(self, rng):
-        rho = random_density(rng, 8)
-        assert np.abs(partial_trace(rho, [0, 1, 2], [2, 2, 2]).matrix - rho.matrix).max() < 1e-14
-
-    def test_product_state(self):
-        rho = StateVector.from_bits("00").to_density()
-        reduced = partial_trace(rho, [0], [2, 2])
-        assert np.abs(reduced.matrix - np.diag([1.0, 0.0])).max() < 1e-14
-
-    def test_trace_preserved(self, rng):
-        for _ in range(20):
-            rho = random_density(rng, 8)
-            reduced = partial_trace(rho, [1], [2, 2, 2])
-            assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
-
-    def test_rejects_inconsistent_dims(self, rng):
-        with pytest.raises(ValueError):
-            partial_trace(random_density(rng, 8), [0], [2, 2])
 
 
 class TestMetrics:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefree.core import MAX_QUBITS, collective_rotation, haar_random_su2
-from framefree.irreps import (CouplingPath, HalfInteger, clebsch_gordan, decompose,
-                              enumerate_paths, multiplicity, total_irrep_count)
+from framefree.irreps import HalfInteger, decompose, multiplicity, total_irrep_count
 from dense_coupling_oracle import couple_qubit, dense_coupling_matrix
-from racah_oracle import racah_blocks, racah_couple_qubit, racah_coupled_bases
+from racah_oracle import (clebsch_gordan, enumerate_paths, racah_blocks, racah_couple_qubit,
+                          racah_coupled_bases)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -90,8 +90,39 @@ class TestCouplingBuildOracle:
         d = decompose(n)
         for j in d.multiplicity_table:
             for r, path in enumerate(enumerate_paths(n, j), start=1):
-                key = tuple(t.twice for t in path.js)
-                assert np.array_equal(d.block(j, r), levels[key]), (n, str(j), r)
+                assert np.array_equal(d.block(j, r), levels[path]), (n, str(j), r)
+
+
+class TestLadderOperators:
+    """Every block spans a spin-j irrep, so no collective rotation moves weight between blocks.
+
+    J_z W e_c = m W e_c, and J_- W e_c = sqrt(j(j+1) - m(m-1)) W e_{c+1}, 0 at m = -j,
+    for every column |j, m, r> of W.  J_+ follows as the adjoint, since W is real
+    orthogonal, so each block is invariant under su(2).  J_- is built from bit flips,
+    and neither the Racah sum nor the dense oracle is read.
+    """
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_jz_and_lowering_act_inside_each_block(self, n):
+        d = decompose(n)
+        size = 2 ** n
+        labels = [(j.twice, tm) for j, count in d.multiplicity_table.items()
+                  for _ in range(count) for tm in range(j.twice, -j.twice - 1, -2)]
+        tj, tm = np.array(labels).T
+        lowering = np.sqrt((tj * (tj + 2) - tm * (tm - 2)) / 4)
+        row_tm = n - 2 * np.array([i.bit_count() for i in range(size)])  # |0> carries m = +1/2
+        for start in range(0, size, 256):
+            stop = min(start + 256, size)
+            # and one column past it: the last column of W has m = -j, so its wrap to 0 goes unread
+            w = np.ascontiguousarray(d.columns(np.arange(start, stop + 1) % size))
+            v = w[:, :-1]
+            assert np.array_equal(row_tm[:, None] * v, tm[start:stop] * v), (n, start)
+            lowered = np.zeros(v.shape)
+            for q in range(n):  # sigma_- on qubit q + 1 moves |0> to |1>
+                bits = v.reshape(2 ** q, 2, -1, v.shape[1])
+                lowered.reshape(bits.shape)[:, 1] += bits[:, 0]
+            residual = lowered - lowering[start:stop] * w[:, 1:]
+            assert np.abs(residual).max() <= 1e-14, (n, start)
 
 
 class TestBlockLayout:
@@ -290,20 +321,6 @@ class TestHalfInteger:
         assert str(HalfInteger.of(2)) == "2"
 
 
-class TestCouplingPath:
-    def test_validation(self):
-        CouplingPath((HalfInteger.of(0.5), HalfInteger.of(1), HalfInteger.of(0.5)))
-        with pytest.raises(ValueError):
-            CouplingPath((HalfInteger.of(1),))  # must start at 1/2
-        with pytest.raises(ValueError):
-            CouplingPath((HalfInteger.of(0.5), HalfInteger.of(1.5)))  # step of 1
-
-    def test_steps(self):
-        path = CouplingPath((HalfInteger.of(0.5), HalfInteger.of(1), HalfInteger.of(0.5), HalfInteger.of(0)))
-        assert path.steps == (1, -1, -1)
-        assert path.final == HalfInteger.of(0)
-
-
 class TestMultiplicity:
     def test_known_values(self):
         assert multiplicity(4, 0) == 2
@@ -342,27 +359,38 @@ class TestTotalIrrepCount:
         assert total_irrep_count(n) == comb(n, n // 2)
 
 
+def _steps(path: tuple[int, ...]) -> tuple[int, ...]:
+    """+1 for an up-step, -1 for a down-step, in units of 1/2."""
+    return tuple(b - a for a, b in zip(path, path[1:]))
+
+
 class TestEnumeratePaths:
     def test_two_qubits(self):
         paths = enumerate_paths(2, 0)
         assert len(paths) == 1
-        assert paths[0].js == (HalfInteger.of(0.5), HalfInteger.of(0))
+        assert paths[0] == (1, 0)
 
     def test_four_qubits_j0(self):
         paths = enumerate_paths(4, 0)
-        tuples = [tuple(j.twice for j in p.js) for p in paths]
-        assert sorted(tuples) == [(1, 0, 1, 0), (1, 2, 1, 0)]
+        assert sorted(paths) == [(1, 0, 1, 0), (1, 2, 1, 0)]
 
     def test_all_steps_up(self):
         paths = enumerate_paths(3, 1.5)
         assert len(paths) == 1
-        assert paths[0].steps == (1, 1)
+        assert _steps(paths[0]) == (1, 1)
 
     def test_lexicographic_order_up_before_down(self):
         for n, tj in ((4, 0), (5, 1), (6, 2)):
             paths = enumerate_paths(n, HalfInteger(tj))
-            keys = [tuple(0 if s > 0 else 1 for s in p.steps) for p in paths]
+            keys = [tuple(0 if s > 0 else 1 for s in _steps(p)) for p in paths]
             assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_path_is_a_coupling_walk(self, n):
+        for tj in range(n % 2, n + 1, 2):
+            for path in enumerate_paths(n, HalfInteger(tj)):
+                assert len(path) == n and path[0] == 1 and path[-1] == tj, path
+                assert min(path) >= 0 and set(_steps(path)) <= {1, -1}, path
 
 
 class TestDecompose:

@@ -132,6 +132,10 @@ class TestDetect:
         with pytest.raises(ValueError):
             DetectionDistribution(0.5, 0.5, 0.5)
 
+    def test_nan_distribution_rejected(self):
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            DetectionDistribution(float("nan"), 0.0, 1.0)
+
 
 class TestDualRailEquivalence:
     def test_psi_minus_matches_two_qubit_singlet(self):

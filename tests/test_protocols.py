@@ -1,12 +1,13 @@
 import tracemalloc
+from math import log2
 
 import numpy as np
 import pytest
 
-from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
-                            collective_rotation, fidelity, haar_random_su2,
+from framefree.core import (MAX_RATE_QUBITS, DensityOperator, GroupElement, RandomSource,
+                            StateVector, collective_rotation, fidelity, haar_random_su2,
                             random_density, random_state_vector, trace_distance)
-from framefree.irreps import HalfInteger, decompose
+from framefree.irreps import HalfInteger, decompose, total_irrep_count
 from framefree.protocols import (DecodingError, LogicalEncoding, Message,
                                  block_outcome_probabilities,
                                  build_classical_codebook, classical_rate_asymptote,
@@ -463,6 +464,11 @@ class TestLogicalEncodingShape:
         with pytest.raises(ValueError):
             LogicalEncoding(n=4, isometry=sector, j=HalfInteger.of(0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_columns(self, bad):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            LogicalEncoding(n=1, isometry=np.array([[bad], [0.0]]))
+
 
 class TestNoiselessSubsystemPlan:
     def test_three_qubits(self):
@@ -515,6 +521,19 @@ class TestRates:
         even = [r.classical_rate for r in rows if r.n % 2 == 0]
         assert all(a <= b for a, b in zip(even, even[1:]))
         assert rows[63].classical_rate >= 0.90
+
+    def test_rates_approach_one(self):
+        # sum_j (2j+1) c_j = 2^n over at most n//2 + 1 values of j: the block count is at
+        # least 2^n/(n+1) and the largest multiplicity at least 2^n/((n+1)(n//2+1))
+        for n in range(1, MAX_RATE_QUBITS + 1):
+            classical = total_irrep_count(n) * (n + 1)
+            quantum = most_repeated_irrep(n)[1] * (n + 1) * (n // 2 + 1)
+            assert classical >= 2 ** n and quantum >= 2 ** n, n
+            assert (classical == 2 ** n) == (quantum == 2 ** n) == (n == 1), n
+        for row in rate_table(MAX_RATE_QUBITS):
+            n = row.n
+            assert row.classical_rate >= 1 - log2(n + 1) / n, n
+            assert row.quantum_rate >= 1 - log2((n + 1) * (n // 2 + 1)) / n, n
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
