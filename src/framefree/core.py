@@ -13,23 +13,28 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 ATOL = 1e-10
 
 # Size limits, in qubits.  Each follows from what the largest allowed call costs.
-# The dense collective_rotation (256 MB complex at n = 12) and the sectors that an
-# SU(2) twirl channel keeps (128 MB in all at n = 12); decompose(n) itself stores
-# about 2^(n+3) numbers.
+# The dense collective_rotation (256 MB complex at n = 12) and the W_k that an SU(2)
+# twirl channel keeps (21.6 MB in all at n = 12, built in 0.21-0.25 s with a 57.6 MB
+# traced peak); decompose(n) itself stores about 2^(n+3) numbers.
 MAX_QUBITS = 12
 # O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every
 # message takes 0.16-0.18 s at n = 10.
 MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
-# ~1.5 s per 20 states at n = 8, about half of it random_density's own check: one
-# 2^n x 2^n eigvalsh per input, the only one left now that twirled states carry blocks.
+# 1.07-1.17 s per 20 states at n = 8, about two thirds of it random_density's own
+# check: one 2^n x 2^n eigvalsh per input; twirled states are checked on weight blocks.
 MAX_TWIRL_CHECK_QUBITS = 8
+# Smallest dimension at which DensityOperator looks for Hamming-weight blocks.  Building
+# and checking a twirled state took 145-199 us from its blocks against 122-124 us dense
+# at dimension 32, and 250-313 against 472-532 us at 64 (best of 5, 2 cores).
+_BLOCK_MIN_DIM = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -191,50 +196,46 @@ class StateVector:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+@lru_cache(maxsize=None)
+def weight_indices(dim: int) -> tuple[np.ndarray, ...]:
+    """Basis indices of each Hamming weight k = 0..n of the n qubits with dim = 2^n.
+
+    Weight k holds the states with total m = n/2 - k, so an operator that
+    commutes with the collective J_z is block diagonal in these index sets.
+    """
+    weights = np.bitwise_count(np.arange(dim, dtype=np.uint64))
+    return tuple(_readonly(np.flatnonzero(weights == k)) for k in range(_qubit_count(dim) + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace operator.
 
-    An operator with known block structure can carry it: ``blocks`` holds
-    pairs (B_i, w_i) and ``frame`` is the object that fixes a unitary U with
-    ``matrix`` = U (sum_i B_i (x) I_{w_i}) U^dag, so the spectrum is that of
-    each B_i repeated w_i times.  The two come together or not at all.  The
-    Hermitian and trace checks always read ``matrix``; positivity is read
-    from the blocks when there are any, and from ``matrix`` otherwise.  The
-    contract between ``matrix`` and the blocks is the caller's to keep.
+    A matrix of dimension 2^n >= ``_BLOCK_MIN_DIM`` whose entries outside its
+    Hamming-weight blocks (``weight_indices``) are all exactly 0 keeps those
+    blocks, read-only and weight 0 first, as ``blocks`` (otherwise None).  The
+    Hermitian and positivity checks then read only the blocks, which have the
+    same largest |m - m^dag| entry and, together, the same spectrum.
     """
 
     matrix: np.ndarray
-    blocks: tuple[tuple[np.ndarray, int], ...] | None = field(default=None, kw_only=True)
-    frame: object = field(default=None, kw_only=True)
+    blocks: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > ATOL:
+        blocks = _weight_blocks(m)
+        parts = (m,) if blocks is None else blocks
+        if max(np.abs(p - p.conj().T).max() for p in parts) > ATOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace {tr} is not 1")
-        if (self.blocks is None) != (self.frame is None):
-            raise ValueError("blocks and frame must be given together")
-        if self.blocks is None:
-            lowest = np.linalg.eigvalsh(m).min()
-        else:
-            blocks = tuple((_readonly(np.array(b, dtype=complex)), int(w)) for b, w in self.blocks)
-            if any(w < 1 or b.ndim != 2 or not 0 < b.shape[0] == b.shape[1]
-                   for b, w in blocks) or sum(w * len(b) for b, w in blocks) != m.shape[0]:
-                raise ValueError(f"blocks do not span the {m.shape[0]}-dimensional space")
-            spectra = [(np.linalg.eigvalsh(b), w) for b, w in blocks]
-            block_trace = sum(w * float(e.sum()) for e, w in spectra)
-            if not abs(block_trace - tr) <= ATOL:  # NaN fails too
-                raise ValueError(f"blocks have trace {block_trace}, the matrix {tr}")
-            lowest = min(e.min() for e, _ in spectra)
-            object.__setattr__(self, "blocks", blocks)
-        if lowest < -ATOL:
+        if min(np.linalg.eigvalsh(p).min() for p in parts) < -ATOL:
             raise ValueError("matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def dim(self) -> int:
@@ -247,6 +248,15 @@ class DensityOperator:
     def evolve(self, unitary) -> "DensityOperator":
         u = np.asarray(unitary)
         return DensityOperator(u @ self.matrix @ u.conj().T)
+
+
+def _weight_blocks(m: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The diagonal Hamming-weight blocks of m, or None if it has other nonzero entries."""
+    dim = len(m)
+    if dim < _BLOCK_MIN_DIM or dim & (dim - 1) or m[0, -1]:  # weights 0 and n couple
+        return None
+    blocks = tuple(_readonly(m[rows[:, None], rows]) for rows in weight_indices(dim))
+    return blocks if np.count_nonzero(m) == sum(np.count_nonzero(b) for b in blocks) else None
 
 
 def collective_rotation(g: GroupElement, n: int) -> np.ndarray:
@@ -309,15 +319,15 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma, in [0, 1].
 
-    When both carry blocks in the same frame (the same object), the
-    difference is block diagonal in that frame, so the distance is
-    1/2 sum_i w_i ||B_i - B'_i||_1 and no dim x dim matrix is decomposed.
+    When both carry blocks, the difference is block diagonal in Hamming
+    weight, so the distance is 1/2 sum_k ||B_k - B'_k||_1 and no dim x dim
+    matrix is decomposed.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if rho.frame is not None and rho.frame is sigma.frame:
-        total = sum(w * np.abs(np.linalg.eigvalsh(b - c)).sum()
-                    for (b, w), (c, _) in zip(rho.blocks, sigma.blocks, strict=True))
+    if rho.blocks is not None and sigma.blocks is not None:
+        total = sum(np.abs(np.linalg.eigvalsh(b - c)).sum()
+                    for b, c in zip(rho.blocks, sigma.blocks, strict=True))
     else:
         total = np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
     return min(max(0.5 * float(total), 0.0), 1.0)

@@ -196,19 +196,6 @@ class IrrepDecomposition:
         }
 
 
-def carrier_trace(v: np.ndarray, a: np.ndarray, width: int) -> np.ndarray:
-    """Compress ``a`` onto the columns of ``v`` and trace out the carrier.
-
-    The columns of ``v`` run over (r, m) with m fastest, ``width`` values of m
-    per r, as in a ``sector``.  Entry (r, r') of the result is
-    sum_m <v_{r,m}| a |v_{r',m}>, the multiplicity-space operator that frame
-    averaging keeps.  With ``width`` 1 this is the plain compression v^dag a v.
-    """
-    count = v.shape[1] // width
-    inside = (v.conj().T @ a @ v).reshape(count, width, count, width)
-    return np.trace(inside, axis1=1, axis2=3)
-
-
 @lru_cache(maxsize=None)
 def _sector_starts(k: int) -> dict[int, int]:
     """First column of each 2j sector among k qubits: j descending, c_j blocks 2j + 1 wide."""

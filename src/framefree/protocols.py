@@ -22,9 +22,8 @@ import numpy as np
 from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_QUBITS,
                    MAX_RATE_QUBITS, RandomSource, StateVector, _readonly,
                    apply_collective_rotation, collective_rotation, haar_random_su2,
-                   trace_distance)
-from .irreps import (HalfInteger, IrrepDecomposition, carrier_trace, decompose, multiplicity,
-                     total_irrep_count)
+                   trace_distance, weight_indices)
+from .irreps import HalfInteger, IrrepDecomposition, decompose, multiplicity, total_irrep_count
 
 
 @dataclass(frozen=True)
@@ -213,11 +212,7 @@ def dephasing_sector_encoding(n: int) -> LogicalEncoding:
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    weights = np.bitwise_count(np.arange(2 ** n, dtype=np.uint64))
-    indices = np.flatnonzero(weights == n // 2)
-    iso = np.zeros((2 ** n, len(indices)), dtype=complex)
-    iso[indices, np.arange(len(indices))] = 1.0
-    return LogicalEncoding(n=n, isometry=iso)
+    return LogicalEncoding(n=n, isometry=np.eye(2 ** n)[:, weight_indices(2 ** n)[n // 2]])
 
 
 def encode_logical(psi: StateVector, encoding: LogicalEncoding) -> DensityOperator:
@@ -235,13 +230,16 @@ class DecodingError(ValueError):
 def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> DensityOperator:
     """Invert the encoding: compress onto the code and trace out its carrier.
 
-    One ``carrier_trace`` serves every code; for a subspace code the carrier
-    is trivial and this is the plain compression V^dag rho V.  The result is
-    renormalized by the in-code probability.
+    Entry (r, r') of the result is sum_m <v_{r,m}| rho |v_{r',m}>, the
+    multiplicity-space operator that frame averaging keeps; for a subspace
+    code the carrier is trivial and this is the plain compression V^dag rho V.
+    The result is renormalized by the in-code probability.
     """
     if rho_phys.dim != 2 ** encoding.n:
         raise ValueError(f"physical state dim {rho_phys.dim} does not match n = {encoding.n}")
-    reduced = carrier_trace(encoding.isometry, rho_phys.matrix, encoding.carrier_dim)
+    v, count, width = encoding.isometry, encoding.logical_dim, encoding.carrier_dim
+    inside = (v.conj().T @ rho_phys.matrix @ v).reshape(count, width, count, width)
+    reduced = np.trace(inside, axis1=1, axis2=3)
     probability = float(np.trace(reduced).real)
     if probability < 1e-12:
         raise DecodingError("state has no support on the code space")

@@ -1,12 +1,13 @@
 """Decohering channels induced by averaging over unknown frame rotations.
 
-The full-SU(2) twirl is evaluated algebraically from the irrep
-decomposition: each carrier space is replaced by its maximally mixed state
-while coherence between equal-j multiplicity labels survives, and all
-cross-j coherence vanishes.  The Monte Carlo variant averages explicit
-Haar samples and exists as an independent check of that block structure.
-Collective dephasing (a shared axis but no full frame) only kills
-coherence between different total-m sectors.
+Both channels commute with the collective J_z, so each keeps only the
+Hamming-weight blocks rho_kk of its input; collective dephasing (a shared
+axis but no full frame) stops there.  The full-SU(2) twirl also replaces
+each carrier space by its maximally mixed state, keeping the coherence
+between equal-j multiplicity labels, and reads it inside the weight blocks
+(the G-twirl of Bartlett, Rudolph and Spekkens, quant-ph/0610030).  The
+Monte Carlo variant averages explicit Haar samples and exists as an
+independent check of that structure.
 
 Channels are represented behaviorally: each channel caches the block data
 it reads on first use, ``apply`` is a pure function, and no superoperator
@@ -20,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityOperator, MAX_QUBITS, RandomSource, _qubit_count, haar_random_su2_batch
-from .irreps import IrrepDecomposition, carrier_trace, decompose
+from .core import (DensityOperator, MAX_QUBITS, RandomSource, _qubit_count, _readonly,
+                   haar_random_su2_batch, weight_indices)
+from .irreps import IrrepDecomposition, decompose
 
 _MC_ENTRY_BUDGET = 4_000_000  # max batched matrix entries per Monte Carlo chunk
 
@@ -37,14 +39,19 @@ class TwirlChannel:
     n: int
     decomposition: IrrepDecomposition | None = None
 
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        if self.decomposition is not None and self.decomposition.n != self.n:
+            raise ValueError(f"decomposition of {self.decomposition.n} qubits "
+                             f"for a channel on {self.n}")
+
     @staticmethod
     def full_su2(n: int) -> "TwirlChannel":
         return TwirlChannel(n=n, decomposition=decompose(n))
 
     @staticmethod
     def u1_dephasing(n: int) -> "TwirlChannel":
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
         return TwirlChannel(n=n)
 
     @property
@@ -52,51 +59,48 @@ class TwirlChannel:
         return 2 ** self.n
 
     @cached_property
-    def _sectors(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """(2j+1, ``sector(j)``) for each j, built once for the life of the channel."""
-        d = self.decomposition
-        return tuple((j.twice + 1, d.sector(j)) for j in d.multiplicity_table)
+    def _weight_maps(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """2j+1 of each block in canonical order, and W_k for each weight k.
 
-    @cached_property
-    def _sector_indices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Row and column index arrays that gather each total-m sector, weight 0 first.
-
-        The Hamming weight of a computational basis index is n/2 - m.
+        W_k is the coupling matrix on the weight-k rows and the columns
+        |j, m = n/2 - k, r>: real orthogonal and C(n, k) wide, its columns from
+        the blocks with 2j >= |2m|, a prefix of canonical order as j descends.
         """
-        weights = np.bitwise_count(np.arange(self.dim, dtype=np.uint64))
-        return tuple((idx[:, None], idx) for idx in
-                     (np.flatnonzero(weights == k) for k in range(self.n + 1)))
+        d = self.decomposition
+        twice_j = np.repeat([j.twice for j in d.multiplicity_table],
+                            list(d.multiplicity_table.values()))
+        maps = []
+        for k, rows in enumerate(weight_indices(self.dim)):
+            cols = d.column_starts[:len(rows)] + (twice_j[:len(rows)] - self.n + 2 * k) // 2
+            maps.append(_readonly(d.columns(cols)[rows]))
+        return twice_j + 1, tuple(maps)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Average rho over the channel's frame rotations, in closed form.
 
-        Dephasing keeps every total-m sector rho_kk of rho and erases the
-        coherence between sectors: sum_m P_m rho P_m.  For the full SU(2), each
-        j sector S_j (``sector(j)``, cached on the channel) keeps its multiplicity
-        operator M_j = ``carrier_trace(S_j, rho, 2j+1)`` and gets the maximally
-        mixed carrier: the output is sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T,
-        and all coherence between different j values is gone.
-
-        The output carries those blocks with this channel as its frame: each
-        rho_kk once, or each M_j/(2j+1) with weight 2j+1.  They are always
-        extracted from ``rho.matrix``; the input's own blocks are never read.
+        Dephasing keeps each weight block rho_kk: sum_m P_m rho P_m.  For the
+        full SU(2), sum_k W_k^T rho_kk W_k holds every M_j on its equal-j
+        entries; those entries divided by 2j+1, mapped back by W_k (.) W_k^T,
+        give sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T, with the coherence
+        between different j gone.  The result's blocks are found again by
+        ``DensityOperator``.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
+        indices = weight_indices(self.dim)
+        blocks = [rho.matrix[rows[:, None], rows] for rows in indices]
+        if self.decomposition is not None:
+            widths, maps = self._weight_maps
+            mult = np.zeros((len(widths), len(widths)), dtype=complex)
+            for w, block in zip(maps, blocks):
+                mult[:len(w), :len(w)] += w.T @ block @ w
+            mult = np.where(widths[:, None] == widths, mult / widths, 0.0)
+            blocks = [w @ mult[:len(w), :len(w)] @ w.T for w in maps]
+            blocks = [0.5 * (b + b.conj().T) for b in blocks]
         result = np.zeros_like(rho.matrix)
-        blocks = []
-        if self.decomposition is None:
-            for rows, cols in self._sector_indices:
-                block = result[rows, cols] = rho.matrix[rows, cols]
-                blocks.append((block, 1))
-            return DensityOperator(result, blocks=tuple(blocks), frame=self)
-        for width, s in self._sectors:
-            block = carrier_trace(s, rho.matrix, width) / width
-            # block (x) I_width, with the same products as np.kron
-            mixed = block[:, None, :, None] * np.eye(width)[None, :, None, :]
-            result += s @ mixed.reshape(s.shape[1], s.shape[1]) @ s.T
-            blocks.append((block, width))
-        return DensityOperator(0.5 * (result + result.conj().T), blocks=tuple(blocks), frame=self)
+        for rows, block in zip(indices, blocks):
+            result[rows[:, None], rows] = block
+        return DensityOperator(result)
 
 
 def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,

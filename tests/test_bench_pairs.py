@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,41 @@ def test_summary_of_three_fixed_pairs():
     assert latency["better"] == "lower"
     assert latency["change_wins"] == 2  # pair 2 is a tie, which is no win
     assert latency["parent"]["median"] == 200.0 and latency["change"]["median"] == 20.0
+
+
+def _fake_checkout(root: Path, body: str) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(body, encoding="utf-8")
+    return root
+
+
+_GOOD_RUN = """import json
+print(json.dumps({"report": {"machine": {"cpus": 1}}}))
+names = ("throughput_ops_s", "latency_p50_ms", "setup_s", "peak_rss_mb")
+print(json.dumps({"failed": 0, "metrics": {n: {"value": 1.0} for n in names}}))
+"""
+_FAILING_RUN = """import sys
+sys.stderr.write("".join(f"line {i}\\n" for i in range(30)) + "boom\\n")
+sys.exit(1)
+"""
+
+
+def test_a_failed_run_is_recorded_and_the_rest_still_run(tmp_path, capsys):
+    parent = _fake_checkout(tmp_path / "parent", _GOOD_RUN)
+    change = _fake_checkout(tmp_path / "change", _FAILING_RUN)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "w", "--pairs", "2", "--seconds", "1",
+                             "--seed", "0", "--out", str(out)])
+    assert code == 1
+    written = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
+    runs = {(run["pair"], run["side"]): run for run in written["runs"]}
+    assert sorted(runs) == [(1, "change"), (1, "parent"), (2, "change"), (2, "parent")]
+    for pair in (1, 2):
+        assert runs[pair, "parent"]["result"]["failed"] == 0
+        failed = runs[pair, "change"]
+        assert failed["exit_code"] == 1
+        assert len(failed["stderr_tail"]) == bench_pairs.STDERR_LINES
+        assert failed["stderr_tail"][-1] == "boom"
+    assert written["summary"] == {"failed": {"parent": 0, "change": 0}, "metrics": {}}
+    assert "w pair 2 change: exit code 1" in capsys.readouterr().err

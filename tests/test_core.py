@@ -1,10 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from framefree.core import (ATOL, DensityOperator, GroupElement, RandomSource, StateVector,
                             apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, random_density,
-                            random_state_vector, trace_distance)
+                            random_state_vector, trace_distance, weight_indices)
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
@@ -222,86 +224,113 @@ def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     return min(max(0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum()), 0.0), 1.0)
 
 
-def kron_block_state(block, frame) -> DensityOperator:
-    """block (x) I_2 in the computational basis, carrying that one block."""
-    block = np.asarray(block, dtype=complex)
-    return DensityOperator(np.kron(block, np.eye(2)), blocks=((block, 2),), frame=frame)
+def weight_diagonal(rng, n: int = 6) -> np.ndarray:
+    """The Hamming-weight blocks of a random n-qubit state and zeros elsewhere: again a state."""
+    dense = random_density(rng, 2 ** n).matrix
+    m = np.zeros_like(dense)
+    for rows in weight_indices(2 ** n):
+        m[rows[:, None], rows] = dense[rows[:, None], rows]
+    return m
+
+
+def with_block_eigenvalue(lowest: float) -> np.ndarray:
+    """A weight-diagonal 64 x 64 matrix of trace 1 whose weight-3 block has the eigenvalue ``lowest``."""
+    spectrum = np.full(20, 1 / 64)
+    spectrum[0], spectrum[1] = lowest, 2 / 64 - lowest
+    q, _ = np.linalg.qr(RandomSource(3).normal((20, 20)))
+    m = np.eye(64, dtype=complex) / 64
+    rows = weight_indices(64)[3]
+    m[rows[:, None], rows] = (q * spectrum) @ q.T
+    return m
 
 
 class TestBlockForm:
-    """Operators that carry their blocks: validation and trace distance."""
+    """Operators that are block diagonal in Hamming weight find and keep their blocks."""
 
-    B = np.array([[0.3, 0.05j], [-0.05j, 0.2]])
-    C = np.array([[0.1, 0.0], [0.0, 0.4]])
+    SIZES = [comb(6, k) for k in range(7)]
 
-    def test_blocks_are_stored_read_only(self):
-        rho = kron_block_state(self.B, object())
-        (block, width), = rho.blocks
-        assert width == 2 and np.array_equal(block, self.B)
-        with pytest.raises(ValueError):
-            block[0, 0] = 0.0
+    def test_blocks_are_stored_read_only(self, rng):
+        m = weight_diagonal(rng)
+        rho = DensityOperator(m)
+        assert [len(b) for b in rho.blocks] == self.SIZES
+        for rows, block in zip(weight_indices(64), rho.blocks):
+            assert np.array_equal(block, m[rows[:, None], rows])
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
 
-    def test_block_spectrum_is_the_dense_spectrum(self):
-        rho = kron_block_state(self.B, object())
-        spectrum = np.repeat(np.linalg.eigvalsh(self.B), 2)
-        assert np.abs(np.sort(spectrum) - np.linalg.eigvalsh(rho.matrix)).max() < 1e-15
+    def test_block_spectrum_is_the_dense_spectrum(self, rng):
+        rho = DensityOperator(weight_diagonal(rng))
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]))
+        assert np.abs(spectrum - np.linalg.eigvalsh(rho.matrix)).max() < 1e-15
 
     def test_plain_operators_carry_no_blocks(self, rng):
-        rho = random_density(rng, 4)
-        assert rho.blocks is None and rho.frame is None
+        assert random_density(rng, 64).blocks is None
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (3, 4), (0, 63)])
+    def test_one_tiny_entry_outside_the_blocks_forces_the_dense_path(self, rng, i, j):
+        m = weight_diagonal(rng)
+        m[i, j] = m[j, i] = 1e-300
+        assert DensityOperator(m).blocks is None
+        assert DensityOperator(weight_diagonal(rng)).blocks is not None
+
+    @pytest.mark.parametrize("dim", [3, 6, 32, 96])  # 32 = 2^5 is below the block path's size
+    def test_other_dimensions_take_the_dense_path(self, dim):
+        assert DensityOperator(np.eye(dim) / dim).blocks is None
 
     def test_rejects_a_negative_block_eigenvalue(self):
-        # the matrix is a valid state; only the blocks say otherwise
+        m = with_block_eigenvalue(-2 * ATOL)
+        assert np.linalg.eigvalsh(m).min() < -ATOL  # the dense predicate says the same
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityOperator(np.eye(2) / 2, blocks=((np.diag([1.1, -0.1]), 1),), frame=object())
+            DensityOperator(m)
 
     def test_accepts_a_block_eigenvalue_within_atol(self):
-        blocks = ((np.diag([1.0 + 0.5 * ATOL, -0.5 * ATOL]), 1),)
-        DensityOperator(np.eye(2) / 2, blocks=blocks, frame=object())
+        m = with_block_eigenvalue(-0.5 * ATOL)
+        assert np.linalg.eigvalsh(m).min() >= -ATOL  # the dense predicate says the same
+        assert DensityOperator(m).blocks is not None
 
-    @pytest.mark.parametrize("blocks", [
-        ((np.eye(1), 1),),  # one dimension short
-        ((np.eye(2) / 4, 2),),  # one block too many copies
-        ((np.eye(2) / 2, 0),),  # no copy at all
-        ((np.ones((1, 2)), 2),),  # not square
-    ])
-    def test_rejects_blocks_that_do_not_span(self, blocks):
-        with pytest.raises(ValueError, match="do not span"):
-            DensityOperator(np.eye(2) / 2, blocks=blocks, frame=object())
+    def test_rejects_a_block_trace_off_by_more_than_atol(self, rng):
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(weight_diagonal(rng) * (1 + 2 * ATOL))
 
-    def test_rejects_a_block_trace_off_by_more_than_atol(self):
-        blocks = ((np.diag([0.5, 0.5 + 2 * ATOL]), 1),)
-        with pytest.raises(ValueError, match="blocks have trace"):
-            DensityOperator(np.eye(2) / 2, blocks=blocks, frame=object())
+    def test_rejects_non_hermitian_blocks(self, rng):
+        m = weight_diagonal(rng)
+        m[1, 2] += 2 * ATOL  # indices 1 and 2 both have weight 1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityOperator(m)
 
-    def test_rejects_non_finite_blocks(self):
+    def test_rejects_non_finite_blocks(self, rng):
+        m = weight_diagonal(rng)
+        m[1, 1] = np.nan
         with pytest.raises(ValueError):
-            DensityOperator(np.eye(2) / 2, blocks=((np.diag([0.5, np.nan]), 1),), frame=object())
+            DensityOperator(m)
 
-    def test_rejects_blocks_without_a_frame_and_a_frame_without_blocks(self):
-        with pytest.raises(ValueError, match="together"):
-            DensityOperator(np.eye(2) / 2, blocks=((np.eye(2) / 2, 1),))
-        with pytest.raises(ValueError, match="together"):
-            DensityOperator(np.eye(2) / 2, frame=object())
+    def test_rejects_blocks_without_a_frame_and_a_frame_without_blocks(self, rng):
+        # the matrix is the only argument: blocks are found, never given
+        m = weight_diagonal(rng)
+        with pytest.raises(TypeError):
+            DensityOperator(m, blocks=DensityOperator(m).blocks)
+        with pytest.raises(TypeError):
+            DensityOperator(m, frame=object())
 
-    def test_same_frame_distance_reads_the_blocks(self):
-        frame = object()
-        rho, sigma = kron_block_state(self.B, frame), kron_block_state(self.C, frame)
+    def test_same_frame_distance_reads_the_blocks(self, rng):
+        rho, sigma = DensityOperator(weight_diagonal(rng)), DensityOperator(weight_diagonal(rng))
         d = trace_distance(rho, sigma)
         assert d > 0.1
         assert abs(d - dense_trace_distance(rho, sigma)) < 1e-15
 
-    def test_same_frame_distance_trusts_the_blocks(self):
-        # a deliberately inconsistent pair shows which path was taken
-        frame = object()
-        rho = kron_block_state(self.B, frame)
-        liar = DensityOperator(rho.matrix, blocks=((self.C, 2),), frame=frame)
-        assert trace_distance(rho, liar) > 0.1
-        assert dense_trace_distance(rho, liar) == 0.0
+    def test_same_frame_distance_trusts_the_blocks(self, rng, monkeypatch):
+        # the sizes of the matrices decomposed show which path was taken
+        rho, sigma = DensityOperator(weight_diagonal(rng)), DensityOperator(weight_diagonal(rng))
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        trace_distance(rho, sigma)
+        assert sizes == self.SIZES
 
     def test_other_frames_take_the_dense_path_exactly(self, rng):
-        rho = kron_block_state(self.B, object())
-        for sigma in (kron_block_state(self.C, object()),
-                      DensityOperator(np.kron(self.C, np.eye(2))), random_density(rng, 4)):
+        rho = DensityOperator(weight_diagonal(rng))
+        coupled = weight_diagonal(rng)
+        coupled[0, 1] = coupled[1, 0] = 1e-300
+        for sigma in (random_density(rng, 64), DensityOperator(coupled)):
+            assert sigma.blocks is None
             assert trace_distance(rho, sigma) == dense_trace_distance(rho, sigma)
             assert trace_distance(sigma, rho) == dense_trace_distance(sigma, rho)

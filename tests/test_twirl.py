@@ -1,9 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from framefree.core import (DensityOperator, GroupElement, RandomSource, StateVector,
-                            collective_rotation, haar_random_su2, random_density,
-                            random_state_vector, trace_distance)
+from framefree.core import (_BLOCK_MIN_DIM, MAX_QUBITS, DensityOperator, GroupElement,
+                            RandomSource, StateVector, collective_rotation, haar_random_su2,
+                            random_density, random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
 from dense_coupling_oracle import dense_coupling_matrix
@@ -127,6 +129,20 @@ class TestMonteCarloTwirl:
             twirl_su2_monte_carlo(DensityOperator.maximally_mixed(dim), 4, RandomSource(0))
 
 
+class TestChannelArguments:
+    @pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1])
+    def test_rejects_a_qubit_count_out_of_range(self, n):
+        with pytest.raises(ValueError, match="qubit count"):
+            TwirlChannel(n=n)
+        with pytest.raises(ValueError, match="qubit count"):
+            TwirlChannel.u1_dephasing(n)
+
+    @pytest.mark.parametrize("n, other", [(3, 2), (2, 3), (1, 12)])
+    def test_rejects_a_decomposition_of_another_n(self, n, other):
+        with pytest.raises(ValueError, match=f"decomposition of {other} qubits"):
+            TwirlChannel(n=n, decomposition=decompose(other))
+
+
 class TestDephasing:
     def test_single_qubit_plus_state(self):
         channel = TwirlChannel.u1_dephasing(1)
@@ -230,28 +246,24 @@ def dense_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 
 class TestBlockForm:
-    """Twirl outputs carry their blocks; each block fact is checked against the dense matrix."""
+    """Twirl outputs are block diagonal in Hamming weight; each block fact is checked densely."""
 
     BOUND = 1e-14
 
     @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
     def test_block_layout(self, kind):
-        n = 4
-        channel = channel_of(kind, n)
-        out = channel.apply(DensityOperator.maximally_mixed(2 ** n))
-        assert out.frame is channel
-        sizes = [(len(b), w) for b, w in out.blocks]
-        if kind == "full_su2":  # one M_j / (2j+1) per j, j descending
-            assert sizes == [(1, 5), (3, 3), (2, 1)]
-        else:  # one rho_kk per Hamming weight k
-            assert sizes == [(1, 1), (4, 1), (6, 1), (4, 1), (1, 1)]
+        n = 6
+        out = channel_of(kind, n).apply(DensityOperator.maximally_mixed(2 ** n))
+        assert [len(b) for b in out.blocks] == [comb(n, k) for k in range(n + 1)]
 
     @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_block_spectrum_matches_dense(self, rng, kind, n):
         once = channel_of(kind, n).apply(random_density(rng, 2 ** n))
-        spectrum = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), w)
-                                           for b, w in once.blocks]))
+        if 2 ** n < _BLOCK_MIN_DIM:
+            assert once.blocks is None
+            return
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in once.blocks]))
         assert np.abs(spectrum - np.linalg.eigvalsh(once.matrix)).max() <= self.BOUND
 
     @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
@@ -267,36 +279,24 @@ class TestBlockForm:
             assert dense > 1e-3  # distinct outputs, so a wrong block distance cannot hide
         assert abs(trace_distance(a, b) - dense) <= self.BOUND
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_other_frames_take_the_dense_path_exactly(self, rng, n):
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_distance_across_channels_reads_the_blocks(self, rng, n):
         rho, sigma = random_density(rng, 2 ** n), random_density(rng, 2 ** n)
         su2 = TwirlChannel.full_su2(n).apply(rho)
         pairs = ((su2, TwirlChannel.u1_dephasing(n).apply(sigma)),
                  (su2, TwirlChannel.full_su2(n).apply(sigma)))  # a second, separate channel
         for a, b in pairs:
-            assert a.frame is not b.frame
-            assert trace_distance(a, b) == min(max(dense_distance(a, b), 0.0), 1.0)
+            assert (a.blocks is None) == (b.blocks is None) == (2 ** n < _BLOCK_MIN_DIM)
+            assert abs(trace_distance(a, b) - dense_distance(a, b)) <= self.BOUND
 
-    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_idempotence_can_fail(self, rng, kind, n):
-        # the matrix of one twirled state with the blocks of another: apply must
-        # re-extract the blocks from the matrix, so the residual is the full distance
-        channel = channel_of(kind, n)
-        a = channel.apply(random_density(rng, 2 ** n))
-        b = channel.apply(random_density(rng, 2 ** n))
-        bad = DensityOperator(a.matrix, blocks=b.blocks, frame=channel)
-        assert trace_distance(channel.apply(bad), bad) >= dense_distance(a, b) - self.BOUND
-        assert dense_distance(a, b) > 1e-3
-
-    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_apply_ignores_the_input_blocks(self, rng, kind, n):
-        channel = channel_of(kind, n)
-        once = channel.apply(random_density(rng, 2 ** n))
-        twice = channel.apply(once)
-        plain = channel.apply(DensityOperator(once.matrix))
-        assert twice.matrix.tobytes() == plain.matrix.tobytes()
-        assert len(twice.blocks) == len(plain.blocks)
-        for (x, w), (y, v) in zip(twice.blocks, plain.blocks):
-            assert w == v and x.tobytes() == y.tobytes()
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_weight_maps_are_orthogonal_and_rebuild_the_coupling_matrix(self, n):
+        _, maps = TwirlChannel.full_su2(n)._weight_maps
+        dense = dense_coupling_matrix(n)
+        placed = np.zeros_like(dense)
+        for rows, w in zip(weight_indices(2 ** n), maps):
+            assert np.abs(w.T @ w - np.eye(len(w))).max() <= self.BOUND
+            # the columns |j, m, r> supported on these rows, in canonical order
+            cols = np.flatnonzero(np.any(dense[rows] != 0, axis=0))
+            placed[rows[:, None], cols] = w
+        assert placed.tobytes() == dense.tobytes()
