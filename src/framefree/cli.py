@@ -19,7 +19,7 @@ import sys
 import time
 import uuid
 from dataclasses import asdict, dataclass
-from math import inf, sqrt
+from math import comb, inf, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .core import (DensityOperator, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QU
                    MAX_TWIRL_CHECK_QUBITS, RandomSource, apply_collective_rotation,
                    fidelity, haar_random_su2, random_density, random_state_vector,
                    trace_distance)
-from .irreps import decompose, total_irrep_count
+from .irreps import decompose
 from .optics import run_optical_protocol
 from .protocols import (block_outcome_probabilities, build_classical_codebook,
                         classical_rate_asymptote, decode_logical, dephasing_sector_encoding,
@@ -67,16 +67,6 @@ class Report:
     verdicts: tuple[Verdict, ...]
     passed: bool
     duration_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "payload": self.payload,
-            "verdicts": [asdict(v) for v in self.verdicts],
-            "passed": self.passed,
-            "duration_s": self.duration_s,
-        }
 
 
 def _bounded_int(lo: int, hi: int):
@@ -188,8 +178,9 @@ def _run_decompose(cfg: RunConfig, rng: RandomSource):
     verdicts = (
         Verdict("dimension_sum_matches", dimension_sum == 2 ** cfg.n,
                 float(abs(dimension_sum - 2 ** cfg.n)), 0.0),
-        Verdict("total_matches_closed_form", sum(mult) == total_irrep_count(cfg.n),
-                float(abs(sum(mult) - total_irrep_count(cfg.n))), 0.0),
+        # the ballot count C(n, floor(n/2)) equals the block total without reading the table
+        Verdict("total_matches_closed_form", sum(mult) == comb(cfg.n, cfg.n // 2),
+                float(abs(sum(mult) - comb(cfg.n, cfg.n // 2))), 0.0),
     )
     return payload, verdicts
 
@@ -304,7 +295,7 @@ def _run_optics(cfg: RunConfig, rng: RandomSource):
     fiber = haar_random_su2(rng)
     runs = [run_optical_protocol(bit, fiber, cfg.trials, rng) for bit in (0, 1)]
     payload = {"protocol": "optics", "trials": cfg.trials,
-               "runs": [r.to_json_dict() for r in runs]}
+               "runs": [asdict(r) for r in runs]}
     verdicts = tuple(
         Verdict(f"bit{r.bit}_error_rate_zero", r.error_rate == 0.0, r.error_rate, 0.0)
         for r in runs
@@ -364,7 +355,7 @@ def _csv_text(report: Report) -> str:
                              repr(row["asymptotic_gap"])])
     else:
         writer.writerow(["key", "value"])
-        flat = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        flat = json.loads(json.dumps(asdict(report), sort_keys=True))
         for key, value in sorted(_flatten(flat).items()):
             writer.writerow([key, repr(value) if isinstance(value, float) else value])
     return buffer.getvalue()
@@ -392,7 +383,7 @@ def emit_report(report: Report, cfg: RunConfig) -> str:
     if cfg.output_format == "csv":
         text = _csv_text(report)
     else:
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     if cfg.output_path:
         target = Path(cfg.output_path)
         temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")

@@ -42,6 +42,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_qubit_count(n: int, high: int | None = MAX_QUBITS, low: int = 1) -> None:
+    """The library's one ``ValueError`` for a qubit count outside low..high (None: no cap)."""
+    if n < low or (high is not None and n > high):
+        span = f"in {low}..{high}" if high is not None else f"at least {low}"
+        raise ValueError(f"qubit count must be {span}, got {n}")
+
+
 def _qubit_count(dim: int) -> int:
     """The n with dim = 2^n, n >= 1; anything else raises ``ValueError``."""
     n = dim.bit_length() - 1
@@ -268,8 +275,7 @@ def collective_rotation(g: GroupElement, n: int) -> np.ndarray:
     two elements at a time.  States are rotated by
     ``apply_collective_rotation``, which builds no matrix.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    _check_qubit_count(n)
     u = g.matrix
     out = np.array(u)
     for _ in range(n - 1):

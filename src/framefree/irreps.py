@@ -20,7 +20,8 @@ that j) are such columns, built on each call and kept by the caller.
 
 Multiplicities follow the two-row closed form
 c_j = binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1), evaluated in exact
-integer arithmetic; the path enumeration in tests/racah_oracle.py gives an
+integer arithmetic and kept in one cached, read-only table per n, which every
+count and layout reads; the path enumeration in tests/racah_oracle.py gives an
 independent count.
 """
 
@@ -31,15 +32,18 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, inf, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
-from .core import MAX_QUBITS, _readonly
+from .core import _check_qubit_count, _readonly
 
 # Columns per gather in ``IrrepDecomposition.columns``: at n = 12 one gather of the
-# level below is 4 MB, where gathering every column at once would take 64 MB more.
-# Unchunked, building every sector of n = 12 took 153-160 against 136-143 ms (best
-# of 5 on 2 cores) and a traced peak of 152 against 142.5 MB.
+# level below is 4 MB.  Only calls for more columns than this are split, so every
+# call at n <= 10 (at most C(10, 5) = 252 columns) is one gather either way.  The
+# largest call, the 924 columns of one W_k of TwirlChannel.full_su2(12), is split:
+# building all its W_k took 148-181 against 171-196 ms unchunked (best of 5, four
+# alternating processes, 2 cores) and a traced peak of 54.9 against 65.0 MB.
 _GATHER_COLUMNS = 256
 
 
@@ -74,8 +78,7 @@ def multiplicity(n: int, j) -> int:
     """Number of blocks with total angular momentum j among n qubits."""
     j = HalfInteger.of(j)
     tj = j.twice
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+    _check_qubit_count(n, high=None)
     if tj < 0 or tj > n:
         raise ValueError(f"j = {j} out of range 0..{n}/2 for n = {n}")
     if (n + tj) % 2:
@@ -85,11 +88,17 @@ def multiplicity(n: int, j) -> int:
     return int(count)
 
 
+@lru_cache(maxsize=None)
+def _multiplicity_table(n: int) -> MappingProxyType:
+    """Read-only {j: c_j} for n qubits, j descending: the one source of every count."""
+    _check_qubit_count(n, high=None)
+    return MappingProxyType({HalfInteger(tj): multiplicity(n, HalfInteger(tj))
+                             for tj in range(n, -1, -2)})
+
+
 def total_irrep_count(n: int) -> int:
     """Total number of blocks over all j; equals binom(n, n/2) for even n."""
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
-    return sum(multiplicity(n, HalfInteger(tj)) for tj in range(n % 2, n + 1, 2))
+    return sum(_multiplicity_table(n).values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +115,12 @@ class IrrepDecomposition:
     """
 
     n: int
-    multiplicity_table: dict[HalfInteger, int]
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @property
+    def multiplicity_table(self) -> MappingProxyType:
+        """Read-only {j: c_j}, j descending."""
+        return _multiplicity_table(self.n)
 
     def columns(self, cols) -> np.ndarray:
         """W_n[:, cols] as a new column-major array, without building the rest of W_n.
@@ -186,22 +199,13 @@ class IrrepDecomposition:
             raise KeyError(f"no block with j = {j}, r = {r}")
         return self._first_index[j] + r - 1
 
-    def summary(self) -> dict:
-        """JSON-friendly multiplicity table; j is reported as 2j."""
-        return {
-            "n": self.n,
-            "table": [{"j2": j.twice, "multiplicity": c}
-                      for j, c in self.multiplicity_table.items()],
-            "total": sum(self.multiplicity_table.values()),
-        }
-
 
 @lru_cache(maxsize=None)
 def _sector_starts(k: int) -> dict[int, int]:
     """First column of each 2j sector among k qubits: j descending, c_j blocks 2j + 1 wide."""
-    tjs = range(k, -1, -2)
-    widths = (multiplicity(k, HalfInteger(tj)) * (tj + 1) for tj in tjs)
-    return dict(zip(tjs, accumulate(widths, initial=0)))
+    table = _multiplicity_table(k)
+    widths = (count * (j.twice + 1) for j, count in table.items())
+    return dict(zip((j.twice for j in table), accumulate(widths, initial=0)))
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +218,7 @@ def decompose(n: int) -> IrrepDecomposition:
     coupling matrix is built from them on request.  The result is cached and
     immutable.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    _check_qubit_count(n)
     factors = []
     level = [(1, 0)]  # (2j, first column) of each coupling path, in path order
     for k in range(2, n + 1):
@@ -246,5 +249,4 @@ def decompose(n: int) -> IrrepDecomposition:
         level = paths
         factors.append(tuple(_readonly(np.array(values)) for part in zip(src, coef)
                              for values in part))
-    table = {HalfInteger(tj): multiplicity(n, HalfInteger(tj)) for tj in range(n, -1, -2)}
-    return IrrepDecomposition(n=n, multiplicity_table=table, factors=tuple(factors))
+    return IrrepDecomposition(n=n, factors=tuple(factors))

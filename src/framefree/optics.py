@@ -157,10 +157,6 @@ class OpticalProtocolResult:
     counts: dict[str, int]  # coincidence / bunch1 / bunch2
     error_rate: float
 
-    def to_json_dict(self) -> dict:
-        return {"bit": self.bit, "trials": self.trials,
-                "counts": dict(self.counts), "error_rate": self.error_rate}
-
 
 def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
                          rng: RandomSource) -> OpticalProtocolResult:

@@ -19,11 +19,12 @@ from math import comb, log2, sqrt
 
 import numpy as np
 
-from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_QUBITS,
-                   MAX_RATE_QUBITS, RandomSource, StateVector, _readonly,
+from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_RATE_QUBITS,
+                   RandomSource, StateVector, _check_qubit_count, _qubit_count, _readonly,
                    apply_collective_rotation, collective_rotation, haar_random_su2,
                    trace_distance, weight_indices)
-from .irreps import HalfInteger, IrrepDecomposition, decompose, multiplicity, total_irrep_count
+from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
+                     total_irrep_count)
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,12 @@ class CodeBookEntry:
 class CodeBook:
     """One codeword per irrep block, indexed by message."""
 
-    n: int
     entries: tuple[CodeBookEntry, ...]
     decomposition: IrrepDecomposition
+
+    @property
+    def n(self) -> int:
+        return self.decomposition.n
 
     def entry(self, message: Message) -> CodeBookEntry:
         if message.index >= len(self.entries):
@@ -77,8 +81,7 @@ def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook
     so message 0 rides on the singlet, the historical labeling for that
     example.
     """
-    if not 1 <= n <= MAX_CODEBOOK_QUBITS:
-        raise ValueError(f"codebook size must be in 1..{MAX_CODEBOOK_QUBITS}, got {n}")
+    _check_qubit_count(n, MAX_CODEBOOK_QUBITS)
     d = decompose(n)
     labels = [(j, r) for j, count in d.multiplicity_table.items() for r in range(1, count + 1)]
     codewords = list(d.columns(d.column_starts).T)  # first column of every block
@@ -89,7 +92,7 @@ def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook
         codewords.reverse()
     entries = tuple(CodeBookEntry(Message(i), StateVector(codeword), j, r)
                     for i, ((j, r), codeword) in enumerate(zip(labels, codewords)))
-    return CodeBook(n=n, entries=entries, decomposition=d)
+    return CodeBook(entries=entries, decomposition=d)
 
 
 def block_outcome_probabilities(state: StateVector,
@@ -146,24 +149,29 @@ def dfs_basis_4qubit() -> tuple[StateVector, StateVector]:
 class LogicalEncoding:
     """A logical space carried by n physical qubits, read through one carrier trace.
 
-    The isometry's columns run over (r, m) with m fastest, ``carrier_dim``
-    values of m per logical index r.  A code with a sector j (the noiseless
-    subsystem, or the 4-qubit j=0 code) has carrier 2j+1; a subspace code
-    (``j`` None) has carrier 1, so its columns are the logical basis.
+    The isometry has 2^n rows.  Its columns run over (r, m) with m fastest,
+    ``carrier_dim`` values of m per logical index r.  A code with a sector j
+    (the noiseless subsystem, or the 4-qubit j=0 code) has carrier 2j+1; a
+    subspace code (``j`` None) has carrier 1, so its columns are the logical
+    basis.
     """
 
-    n: int
     isometry: np.ndarray
     j: HalfInteger | None = None  # SU(2) sector
 
     def __post_init__(self):
         v = np.asarray(self.isometry)  # a real sector is checked in real arithmetic
-        if v.ndim != 2 or v.shape[0] != 2 ** self.n or v.shape[1] % self.carrier_dim:
-            raise ValueError(f"isometry shape {v.shape} is not (2^{self.n}, a multiple "
+        if v.ndim != 2 or v.shape[1] % self.carrier_dim:
+            raise ValueError(f"isometry shape {v.shape} is not (2^n, a multiple "
                              f"of {self.carrier_dim})")
+        _qubit_count(v.shape[0])  # rejects a row count that is not 2^n, n >= 1
         if not np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= ATOL:  # NaN fails too
             raise ValueError("isometry columns are not orthonormal")
         object.__setattr__(self, "isometry", _readonly(np.array(v, dtype=complex)))
+
+    @property
+    def n(self) -> int:
+        return _qubit_count(len(self.isometry))
 
     @property
     def carrier_dim(self) -> int:
@@ -177,18 +185,13 @@ class LogicalEncoding:
 def dfs_encoding_4qubit() -> LogicalEncoding:
     """One logical qubit in the j=0 sector of four physical qubits."""
     zero, one = dfs_basis_4qubit()
-    return LogicalEncoding(n=4, isometry=np.column_stack([zero.amplitudes, one.amplitudes]),
+    return LogicalEncoding(isometry=np.column_stack([zero.amplitudes, one.amplitudes]),
                            j=HalfInteger(0))
 
 
 def most_repeated_irrep(n: int) -> tuple[HalfInteger, int]:
     """(j, multiplicity) with the largest multiplicity; ties pick the smaller j."""
-    best: tuple[HalfInteger, int] | None = None
-    for tj in range(n % 2, n + 1, 2):
-        count = multiplicity(n, HalfInteger(tj))
-        if best is None or count > best[1]:
-            best = (HalfInteger(tj), count)
-    return best
+    return max(reversed(_multiplicity_table(n).items()), key=lambda item: item[1])
 
 
 def noiseless_subsystem_plan(n: int) -> LogicalEncoding:
@@ -198,10 +201,9 @@ def noiseless_subsystem_plan(n: int) -> LogicalEncoding:
     basis state r rides on |j_max, m=j_max, r>; frame averaging mixes only
     the carrier index, so the multiplicity index survives.
     """
-    if not 2 <= n <= MAX_CODEBOOK_QUBITS:
-        raise ValueError(f"qubit count must be in 2..{MAX_CODEBOOK_QUBITS}, got {n}")
+    _check_qubit_count(n, MAX_CODEBOOK_QUBITS, low=2)
     j_max, _ = most_repeated_irrep(n)
-    return LogicalEncoding(n=n, isometry=decompose(n).sector(j_max), j=j_max)
+    return LogicalEncoding(isometry=decompose(n).sector(j_max), j=j_max)
 
 
 def dephasing_sector_encoding(n: int) -> LogicalEncoding:
@@ -210,9 +212,11 @@ def dephasing_sector_encoding(n: int) -> LogicalEncoding:
     Collective dephasing only kills coherence between different total-m
     sectors, so any single sector is a protected code.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    return LogicalEncoding(n=n, isometry=np.eye(2 ** n)[:, weight_indices(2 ** n)[n // 2]])
+    _check_qubit_count(n)
+    rows = weight_indices(2 ** n)[n // 2]
+    isometry = np.zeros((2 ** n, len(rows)))
+    isometry[rows, np.arange(len(rows))] = 1.0
+    return LogicalEncoding(isometry=isometry)
 
 
 def encode_logical(psi: StateVector, encoding: LogicalEncoding) -> DensityOperator:
@@ -235,7 +239,7 @@ def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> Dens
     code the carrier is trivial and this is the plain compression V^dag rho V.
     The result is renormalized by the in-code probability.
     """
-    if rho_phys.dim != 2 ** encoding.n:
+    if rho_phys.dim != len(encoding.isometry):
         raise ValueError(f"physical state dim {rho_phys.dim} does not match n = {encoding.n}")
     v, count, width = encoding.isometry, encoding.logical_dim, encoding.carrier_dim
     inside = (v.conj().T @ rho_phys.matrix @ v).reshape(count, width, count, width)
@@ -315,8 +319,7 @@ def rate_table(n_max: int) -> tuple[RateRow, ...]:
     over n; dephasing quantum: log2(largest total-m sector) / n.  Pure
     integer combinatorics, so n up to 64 costs nothing.
     """
-    if not 1 <= n_max <= MAX_RATE_QUBITS:
-        raise ValueError(f"n_max must be in 1..{MAX_RATE_QUBITS}, got {n_max}")
+    _check_qubit_count(n_max, MAX_RATE_QUBITS)
     rows = []
     for n in range(1, n_max + 1):
         classical = log2(total_irrep_count(n)) / n

@@ -21,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DensityOperator, MAX_QUBITS, RandomSource, _qubit_count, _readonly,
-                   haar_random_su2_batch, weight_indices)
-from .irreps import IrrepDecomposition, decompose
+from .core import (DensityOperator, RandomSource, _check_qubit_count, _qubit_count,
+                   _readonly, haar_random_su2_batch, weight_indices)
+from .irreps import decompose
 
 _MC_ENTRY_BUDGET = 4_000_000  # max batched matrix entries per Monte Carlo chunk
 
@@ -32,23 +32,20 @@ _MC_ENTRY_BUDGET = 4_000_000  # max batched matrix entries per Monte Carlo chunk
 class TwirlChannel:
     """Trace-preserving, idempotent frame-averaging channel on n qubits.
 
-    A channel that holds the irrep decomposition averages over the full
-    SU(2); one without it averages over rotations about a shared axis only.
+    With ``su2`` the channel averages over the full SU(2), reading the block
+    structure ``decompose(n)`` on first use; without it, over rotations about
+    a shared axis only.
     """
 
     n: int
-    decomposition: IrrepDecomposition | None = None
+    su2: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        if self.decomposition is not None and self.decomposition.n != self.n:
-            raise ValueError(f"decomposition of {self.decomposition.n} qubits "
-                             f"for a channel on {self.n}")
+        _check_qubit_count(self.n)
 
     @staticmethod
     def full_su2(n: int) -> "TwirlChannel":
-        return TwirlChannel(n=n, decomposition=decompose(n))
+        return TwirlChannel(n=n, su2=True)
 
     @staticmethod
     def u1_dephasing(n: int) -> "TwirlChannel":
@@ -66,7 +63,7 @@ class TwirlChannel:
         |j, m = n/2 - k, r>: real orthogonal and C(n, k) wide, its columns from
         the blocks with 2j >= |2m|, a prefix of canonical order as j descends.
         """
-        d = self.decomposition
+        d = decompose(self.n)
         twice_j = np.repeat([j.twice for j in d.multiplicity_table],
                             list(d.multiplicity_table.values()))
         maps = []
@@ -89,7 +86,7 @@ class TwirlChannel:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
         indices = weight_indices(self.dim)
         blocks = [rho.matrix[rows[:, None], rows] for rows in indices]
-        if self.decomposition is not None:
+        if self.su2:
             widths, maps = self._weight_maps
             mult = np.zeros((len(widths), len(widths)), dtype=complex)
             for w, block in zip(maps, blocks):

@@ -8,11 +8,10 @@ coefficients.  The tests check the factored form against it bit for bit.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import sqrt
 
 import numpy as np
-
-from framefree.irreps import _sector_starts
 
 
 def couple_qubit(basis: np.ndarray, tj: int, new_tj: int, out: np.ndarray) -> None:
@@ -34,23 +33,26 @@ def couple_qubit(basis: np.ndarray, tj: int, new_tj: int, out: np.ndarray) -> No
 
 
 def dense_coupling_matrix(n: int) -> np.ndarray:
-    """The real, column-major 2^n x 2^n coupling matrix, built densely."""
+    """The real, column-major 2^n x 2^n coupling matrix, built densely.
+
+    Each level's columns are placed from the coupling paths it generates:
+    blocks in order of 2j descending, then in path order, 2j + 1 columns each.
+    """
     w = np.eye(2, order="F")
     level = [(1, 0)]  # (2j, first column) of each coupling path, in path order
     for k in range(2, n + 1):
-        starts = _sector_starts(k)
-        cursor = dict(starts)
+        # up-step first keeps the new paths lexicographic
+        paths = [(new_tj, tj, start) for tj, start in level
+                 for new_tj in (tj + 1, tj - 1) if new_tj >= 0]
+        # 2j descending; the sort is stable, so path order holds within each 2j
+        canonical = sorted(range(len(paths)), key=lambda i: -paths[i][0])
+        widths = (paths[i][0] + 1 for i in canonical)
+        first = dict(zip(canonical, accumulate(widths, initial=0)))
+        assert sum(new_tj + 1 for new_tj, _, _ in paths) == 2 ** k
         nxt = np.zeros((2 ** k, 2 ** k), order="F")
-        paths = []
-        for tj, start in level:
-            for new_tj in (tj + 1, tj - 1):  # up-step first keeps paths lexicographic
-                if new_tj < 0:
-                    continue
-                col = cursor[new_tj]
-                cursor[new_tj] += new_tj + 1
-                couple_qubit(w[:, start:start + tj + 1], tj, new_tj,
-                             nxt[:, col:col + new_tj + 1])
-                paths.append((new_tj, col))
-        assert list(cursor.values()) == [*list(starts.values())[1:], 2 ** k]
-        level, w = paths, nxt
+        for i, (new_tj, tj, start) in enumerate(paths):
+            couple_qubit(w[:, start:start + tj + 1], tj, new_tj,
+                         nxt[:, first[i]:first[i] + new_tj + 1])
+        level = [(new_tj, first[i]) for i, (new_tj, _, _) in enumerate(paths)]
+        w = nxt
     return w

@@ -7,7 +7,8 @@ import pytest
 
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
 from framefree.core import DensityOperator
-from framefree.irreps import decompose
+from framefree import irreps
+from framefree.irreps import HalfInteger, decompose
 from framefree.protocols import noiseless_subsystem_plan
 from framefree.twirl import TwirlChannel
 
@@ -74,6 +75,19 @@ class TestCommands:
         assert report["payload"]["multiplicity"] == [1, 3, 2]
         assert report["payload"]["total"] == 6
         assert report["passed"] is True
+
+    def test_total_verdict_fails_on_a_wrong_table(self, monkeypatch):
+        decompose(4)  # the factors are built and cached from the true table
+        wrong = {4: 1, 2: 2, 0: 5}  # 2j: c, 16 dimensions in 8 blocks, against C(4, 2) = 6
+        monkeypatch.setattr(irreps, "multiplicity", lambda n, j: wrong[HalfInteger.of(j).twice])
+        irreps._multiplicity_table.cache_clear()
+        try:
+            verdicts = {v.name: v for v in run_command(RunConfig("decompose", n=4)).verdicts}
+        finally:
+            irreps._multiplicity_table.cache_clear()
+        assert verdicts["dimension_sum_matches"].passed
+        assert not verdicts["total_matches_closed_form"].passed
+        assert verdicts["total_matches_closed_form"].value == 2.0
 
     def test_classical_runs_clean(self, capsys):
         code, report = run_json(capsys, ["classical", "--n", "2", "--trials", "100"])

@@ -1,16 +1,49 @@
+import re
 from math import comb
 
 import numpy as np
 import pytest
 
-from framefree.core import (ATOL, DensityOperator, GroupElement, RandomSource, StateVector,
+from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
+                            DensityOperator, GroupElement, RandomSource, StateVector,
                             apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, random_density,
                             random_state_vector, trace_distance, weight_indices)
+from framefree.irreps import decompose, multiplicity, total_irrep_count
+from framefree.protocols import (build_classical_codebook, dephasing_sector_encoding,
+                                 most_repeated_irrep, noiseless_subsystem_plan, rate_table)
+from framefree.twirl import TwirlChannel
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+# every library function that takes a qubit count: (name, call, low, high or None)
+QUBIT_COUNT_GUARDS = (
+    ("collective_rotation", lambda n: collective_rotation(GroupElement.identity(), n),
+     1, MAX_QUBITS),
+    ("decompose", decompose, 1, MAX_QUBITS),
+    ("multiplicity", lambda n: multiplicity(n, 0), 1, None),
+    ("total_irrep_count", total_irrep_count, 1, None),
+    ("most_repeated_irrep", most_repeated_irrep, 1, None),
+    ("TwirlChannel", TwirlChannel, 1, MAX_QUBITS),
+    ("build_classical_codebook", build_classical_codebook, 1, MAX_CODEBOOK_QUBITS),
+    ("noiseless_subsystem_plan", noiseless_subsystem_plan, 2, MAX_CODEBOOK_QUBITS),
+    ("dephasing_sector_encoding", dephasing_sector_encoding, 1, MAX_QUBITS),
+    ("rate_table", rate_table, 1, MAX_RATE_QUBITS),
+)
+
+
+@pytest.mark.parametrize("call, n, message", [
+    pytest.param(call, n, (f"qubit count must be in {low}..{high}, got {n}" if high
+                           else f"qubit count must be at least {low}, got {n}"),
+                 id=f"{name}-{n}")
+    for name, call, low, high in QUBIT_COUNT_GUARDS
+    for n in dict.fromkeys([low - 1, -1] + ([high + 1] if high else []))])
+def test_qubit_count_out_of_range_raises_the_one_message(call, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(n)
 
 
 class TestRandomSource:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +409,8 @@ class TestDecompose:
         d = decompose(4)
         assert {j.twice: c for j, c in d.multiplicity_table.items()} == {4: 1, 2: 3, 0: 2}
         assert len(d.column_starts) == 6
+        with pytest.raises(TypeError):
+            d.multiplicity_table[HalfInteger(0)] = 3
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -456,17 +457,6 @@ class TestDecompose:
                 stacked = np.vstack(rows)
                 nullity = int(np.sum(np.linalg.svd(stacked, compute_uv=False) < 1e-8))
                 assert nullity == 1, (n, str(j), r)
-
-    def test_summary_serialization(self):
-        summary = decompose(4).summary()
-        assert summary == {
-            "n": 4,
-            "table": [{"j2": 4, "multiplicity": 1},
-                      {"j2": 2, "multiplicity": 3},
-                      {"j2": 0, "multiplicity": 2}],
-            "total": 6,
-        }
-        json.dumps(summary)  # JSON-representable
 
 
 class TestBlockProjector:

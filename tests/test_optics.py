@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -193,7 +195,7 @@ class TestProtocol:
 
     def test_json_payload_schema(self, rng):
         result = run_optical_protocol(1, haar_random_su2(rng), 10, rng)
-        payload = result.to_json_dict()
+        payload = asdict(result)
         assert set(payload) == {"bit", "trials", "counts", "error_rate"}
         assert set(payload["counts"]) == {"coincidence", "bunch1", "bunch2"}
 

@@ -4,9 +4,10 @@ from math import log2
 import numpy as np
 import pytest
 
-from framefree.core import (MAX_RATE_QUBITS, DensityOperator, GroupElement, RandomSource,
-                            StateVector, collective_rotation, fidelity, haar_random_su2,
-                            random_density, random_state_vector, trace_distance)
+from framefree.core import (MAX_QUBITS, MAX_RATE_QUBITS, DensityOperator, GroupElement,
+                            RandomSource, StateVector, collective_rotation, fidelity,
+                            haar_random_su2, random_density, random_state_vector,
+                            trace_distance, weight_indices)
 from framefree.irreps import HalfInteger, decompose, total_irrep_count
 from framefree.protocols import (DecodingError, LogicalEncoding, Message,
                                  block_outcome_probabilities,
@@ -453,21 +454,38 @@ class TestSingleDecodePath:
             assert np.abs(decode_logical(rho, enc).matrix - expected).max() < 1e-15
 
 
+class TestDephasingSectorEncoding:
+    def test_largest_n_fills_its_columns_directly(self):
+        n = MAX_QUBITS
+        tracemalloc.start()
+        try:
+            enc = dephasing_sector_encoding(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = weight_indices(2 ** n)[n // 2]
+        assert enc.isometry.shape == (2 ** n, len(rows))
+        assert np.count_nonzero(enc.isometry) == len(rows)
+        assert np.all(enc.isometry[rows, np.arange(len(rows))] == 1.0)
+        # the stored complex isometry is 58 MB; selecting the columns of np.eye(4096)
+        # peaked at 157 MB
+        assert peak < 100 * 2 ** 20, peak / 2 ** 20
+
+
 class TestLogicalEncodingShape:
     def test_rejects_column_count_off_the_carrier(self):
         sector = decompose(3).sector(HalfInteger.of(0.5))  # 2 blocks of width 2
         with pytest.raises(ValueError):
-            LogicalEncoding(n=3, isometry=sector[:, :3], j=HalfInteger.of(0.5))
+            LogicalEncoding(isometry=sector[:, :3], j=HalfInteger.of(0.5))
 
     def test_rejects_row_count_off_two_to_the_n(self):
-        sector = decompose(3).sector(HalfInteger.of(0.5))
-        with pytest.raises(ValueError):
-            LogicalEncoding(n=4, isometry=sector, j=HalfInteger.of(0.5))
+        with pytest.raises(ValueError, match="not a qubit count"):
+            LogicalEncoding(isometry=np.eye(6)[:, :2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_columns(self, bad):
         with pytest.raises(ValueError, match="not orthonormal"):
-            LogicalEncoding(n=1, isometry=np.array([[bad], [0.0]]))
+            LogicalEncoding(isometry=np.array([[bad], [0.0]]))
 
 
 class TestNoiselessSubsystemPlan:

@@ -137,11 +137,6 @@ class TestChannelArguments:
         with pytest.raises(ValueError, match="qubit count"):
             TwirlChannel.u1_dephasing(n)
 
-    @pytest.mark.parametrize("n, other", [(3, 2), (2, 3), (1, 12)])
-    def test_rejects_a_decomposition_of_another_n(self, n, other):
-        with pytest.raises(ValueError, match=f"decomposition of {other} qubits"):
-            TwirlChannel(n=n, decomposition=decompose(other))
-
 
 class TestDephasing:
     def test_single_qubit_plus_state(self):
@@ -223,7 +218,7 @@ class TestChannelProperties:
         rho = random_density(rng, 2 ** n)
         out = channel.apply(rho)
         for j, r, _, _ in racah_blocks(n):
-            v = channel.decomposition.block(j, r)
+            v = decompose(n).block(j, r)
             p = v @ v.T
             before = np.trace(p @ rho.matrix @ p).real
             after = np.trace(p @ out.matrix @ p).real
