@@ -21,6 +21,7 @@ import uuid
 from dataclasses import asdict, dataclass
 from math import comb, inf, sqrt
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ TSIRELSON = 2.0 * sqrt(2.0)
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    n: int
+    n: int = 0  # qubit count; the largest one for rates, unused by quantum, optics and bell
     trials: int = 1000
     seed: int = 42
     tolerance: float = 1e-9
@@ -69,34 +70,21 @@ class Report:
     duration_s: float
 
 
-def _bounded_int(lo: int, hi: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"value must be in {lo}..{hi}, got {value}")
+def _checked(name: str, cast, accept, requirement: str):
+    """An argparse type: cast the text, then reject a value that ``accept`` refuses."""
+    def check(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"value must be {requirement}, got {value}")
         return value
-    return parse
+    check.__name__ = name  # argparse shows it in "invalid <name> value: 'text'"
+    return check
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"value must be nonnegative, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {value}")
-    return value
+_positive_int = _checked("_positive_int", int, lambda v: v >= 1, "positive")
+_nonnegative_int = _checked("_nonnegative_int", int, lambda v: v >= 0, "nonnegative")
+# NaN fails the comparison too
+_positive_float = _checked("_positive_float", float, lambda v: 0 < v < inf, "positive and finite")
 
 
 # argparse reads a token as a value only if it matches its negative-number
@@ -108,58 +96,27 @@ _NEGATIVE_NUMBER = re.compile(
     re.IGNORECASE)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _NEGATIVE_NUMBER
-    parser.add_argument("--trials", type=_positive_int, default=1000)
-    parser.add_argument("--seed", type=_nonnegative_int, default=42)
-    parser.add_argument("--tolerance", type=_positive_float, default=1e-9)
-    parser.add_argument("--output", choices=("json", "csv"), default="json")
-    parser.add_argument("--out-file", default=None)
-
-
 def parse_args(argv) -> RunConfig:
+    """Read one command and its options; an option left out takes its RunConfig default."""
     parser = argparse.ArgumentParser(
         prog="framefree",
         description="Communication protocols over collective-rotation channels.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="block multiplicity table for n qubits")
-    p.add_argument("--n", type=_bounded_int(1, MAX_QUBITS), default=4)
-    _add_common(p)
-
-    p = sub.add_parser("rates", help="communication rates up to a qubit count")
-    p.add_argument("--max-n", dest="n", type=_bounded_int(1, MAX_RATE_QUBITS), default=16)
-    _add_common(p)
-
-    p = sub.add_parser("twirl-check", help="fixed-point and idempotence residuals")
-    p.add_argument("--n", type=_bounded_int(1, MAX_TWIRL_CHECK_QUBITS), default=2)
-    _add_common(p)
-
-    p = sub.add_parser("classical", help="classical round trips under random frames")
-    p.add_argument("--n", type=_bounded_int(1, MAX_CODEBOOK_QUBITS), default=2)
-    p.add_argument("--singlet-first", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("quantum", help="decode fidelities of the protected codes")
-    _add_common(p)
-
-    p = sub.add_parser("optics", help="two-photon protocol through a random fiber")
-    _add_common(p)
-
-    p = sub.add_parser("bell", help="logical CHSH value under random frames")
-    _add_common(p)
-
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        n=getattr(ns, "n", 0),
-        trials=ns.trials,
-        seed=ns.seed,
-        tolerance=ns.tolerance,
-        output_format=ns.output,
-        output_path=ns.out_file,
-        singlet_first=getattr(ns, "singlet_first", False),
-    )
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        if command.qubits:
+            flag, largest, default = command.qubits
+            p.add_argument(flag, dest="n", default=default, type=_checked(
+                "parse", int, range(1, largest + 1).__contains__, f"in 1..{largest}"))
+        for switch in command.switches:
+            p.add_argument(switch, action="store_true")
+        p.add_argument("--trials", type=_positive_int)
+        p.add_argument("--seed", type=_nonnegative_int)
+        p.add_argument("--tolerance", type=_positive_float)
+        p.add_argument("--output", dest="output_format", choices=("json", "csv"))
+        p.add_argument("--out-file", dest="output_path", metavar="OUT_FILE")
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def _run_decompose(cfg: RunConfig, rng: RandomSource):
@@ -186,16 +143,14 @@ def _run_decompose(cfg: RunConfig, rng: RandomSource):
 
 
 def _run_rates(cfg: RunConfig, rng: RandomSource):
-    rows = []
-    for row in rate_table(cfg.n):
-        rows.append({
-            "n": row.n,
-            "classical_rate": row.classical_rate,
-            "quantum_rate": row.quantum_rate,
-            "dephasing_rate": row.dephasing_quantum_rate,
-            "asymptotic_gap": classical_rate_asymptote(row.n) - row.classical_rate,
-            "j2_max": most_repeated_irrep(row.n)[0].twice,
-        })
+    rows = [{
+        "n": row.n,
+        "classical_rate": row.classical_rate,
+        "quantum_rate": row.quantum_rate,
+        "dephasing_rate": row.dephasing_quantum_rate,
+        "asymptotic_gap": classical_rate_asymptote(row.n) - row.classical_rate,
+        "j2_max": most_repeated_irrep(row.n)[0].twice,
+    } for row in rate_table(cfg.n)]
     payload = {"max_n": cfg.n, "rate_rows": rows}
     all_rates = [r[k] for r in rows for k in ("classical_rate", "quantum_rate", "dephasing_rate")]
     in_bounds = all(0.0 <= x <= 1.0 for x in all_rates)
@@ -250,7 +205,7 @@ def _run_classical(cfg: RunConfig, rng: RandomSource):
             errors += int(decoded != entry.message)
             min_correct = min(min_correct, float(probs[block_index]))
     payload = {
-        "protocol": "classical",
+        "protocol": cfg.command,
         "n": cfg.n,
         "messages": len(codebook.entries),
         "trials": cfg.trials,
@@ -271,7 +226,7 @@ def _run_quantum(cfg: RunConfig, rng: RandomSource):
         ("noiseless_subsystem_3qubit", noiseless_subsystem_plan(3), TwirlChannel.full_su2(3)),
         ("dephasing_2qubit", dephasing_sector_encoding(2), TwirlChannel.u1_dephasing(2)),
     )
-    payload = {"protocol": "quantum", "trials": cfg.trials, "codes": {}}
+    payload = {"protocol": cfg.command, "trials": cfg.trials, "codes": {}}
     verdicts = []
     for name, encoding, channel in codes:
         fidelities = []
@@ -294,7 +249,7 @@ def _run_quantum(cfg: RunConfig, rng: RandomSource):
 def _run_optics(cfg: RunConfig, rng: RandomSource):
     fiber = haar_random_su2(rng)
     runs = [run_optical_protocol(bit, fiber, cfg.trials, rng) for bit in (0, 1)]
-    payload = {"protocol": "optics", "trials": cfg.trials,
+    payload = {"protocol": cfg.command, "trials": cfg.trials,
                "runs": [asdict(r) for r in runs]}
     verdicts = tuple(
         Verdict(f"bit{r.bit}_error_rate_zero", r.error_rate == 0.0, r.error_rate, 0.0)
@@ -307,7 +262,7 @@ def _run_bell(cfg: RunConfig, rng: RandomSource):
     values = logical_bell_chsh_trials(rng, cfg.trials)
     mean = float(values.mean())
     worst = float(np.abs(values - TSIRELSON).max())
-    payload = {"protocol": "bell", "trials": cfg.trials, "chsh_value": mean,
+    payload = {"protocol": cfg.command, "trials": cfg.trials, "chsh_value": mean,
                "max_trial_deviation": worst, "tsirelson": TSIRELSON}
     verdicts = (
         Verdict("chsh_at_tsirelson", abs(mean - TSIRELSON) <= cfg.tolerance,
@@ -318,20 +273,31 @@ def _run_bell(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
-_HANDLERS = {
-    "decompose": _run_decompose,
-    "rates": _run_rates,
-    "twirl-check": _run_twirl_check,
-    "classical": _run_classical,
-    "quantum": _run_quantum,
-    "optics": _run_optics,
-    "bell": _run_bell,
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig, RandomSource], tuple[dict, tuple[Verdict, ...]]]
+    help: str
+    qubits: tuple[str, int, int] | None = None  # flag, largest value, default
+    switches: tuple[str, ...] = ()  # store_true flags
+
+
+_COMMANDS = {
+    "decompose": _Command(_run_decompose, "block multiplicity table for n qubits",
+                          ("--n", MAX_QUBITS, 4)),
+    "rates": _Command(_run_rates, "communication rates up to a qubit count",
+                      ("--max-n", MAX_RATE_QUBITS, 16)),
+    "twirl-check": _Command(_run_twirl_check, "fixed-point and idempotence residuals",
+                            ("--n", MAX_TWIRL_CHECK_QUBITS, 2)),
+    "classical": _Command(_run_classical, "classical round trips under random frames",
+                          ("--n", MAX_CODEBOOK_QUBITS, 2), ("--singlet-first",)),
+    "quantum": _Command(_run_quantum, "decode fidelities of the protected codes"),
+    "optics": _Command(_run_optics, "two-photon protocol through a random fiber"),
+    "bell": _Command(_run_bell, "logical CHSH value under random frames"),
 }
 
 
 def run_command(cfg: RunConfig) -> Report:
     start = time.perf_counter()
-    payload, verdicts = _HANDLERS[cfg.command](cfg, RandomSource(cfg.seed))
+    payload, verdicts = _COMMANDS[cfg.command].handler(cfg, RandomSource(cfg.seed))
     duration = time.perf_counter() - start
     return Report(
         command=cfg.command,
@@ -346,7 +312,7 @@ def run_command(cfg: RunConfig) -> Report:
 def _csv_text(report: Report) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if report.command == "rates":
+    if "rate_rows" in report.payload:  # the rate table itself, one row per n
         writer.writerow(["n", "classical_rate", "quantum_rate", "dephasing_rate",
                          "asymptotic_gap"])
         for row in report.payload["rate_rows"]:
@@ -362,15 +328,11 @@ def _csv_text(report: Report) -> str:
 
 
 def _flatten(tree, prefix=""):
+    if not isinstance(tree, (dict, list)):
+        return {prefix.rstrip("."): tree}
     out = {}
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            out.update(_flatten(value, f"{prefix}{key}."))
-    elif isinstance(tree, list):
-        for i, value in enumerate(tree):
-            out.update(_flatten(value, f"{prefix}{i}."))
-    else:
-        out[prefix.rstrip(".")] = tree
+    for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+        out.update(_flatten(value, f"{prefix}{key}."))
     return out
 
 

@@ -134,13 +134,8 @@ def haar_random_su2_batch(rng: RandomSource, size: int) -> np.ndarray:
     A uniformly random unit quaternion (w, x, y, z) is mapped to
     w*I + i*(x*sx + y*sy + z*sz), which is exactly Haar distributed.
     """
-    q = np.atleast_2d(rng.normal((size, 4)))
-    norms = np.linalg.norm(q, axis=1)
-    while np.any(norms < 1e-12):  # probability zero, but keep the map total
-        bad = norms < 1e-12
-        q[bad] = rng.normal((int(bad.sum()), 4))
-        norms = np.linalg.norm(q, axis=1)
-    w, x, y, z = (q / norms[:, None]).T
+    q = rng.normal((size, 4))
+    w, x, y, z = (q / np.linalg.norm(q, axis=1)[:, None]).T
     out = np.empty((size, 2, 2), dtype=complex)
     out[:, 0, 0] = w + 1j * z
     out[:, 0, 1] = y + 1j * x

@@ -167,8 +167,7 @@ class IrrepDecomposition:
     def block(self, j, r: int) -> np.ndarray:
         """Columns |j, m, r>, m = j..-j, of one block: a new read-only column-major array."""
         j = HalfInteger.of(j)
-        self.block_index(j, r)  # rejects an unknown label
-        start = _sector_starts(self.n)[j.twice] + (r - 1) * (j.twice + 1)
+        start = self.column_starts[self.block_index(j, r)]
         return _readonly(self.columns(slice(start, start + j.twice + 1)))
 
     @cached_property
@@ -189,7 +188,7 @@ class IrrepDecomposition:
         count = self.multiplicity_table.get(j, 0)
         if not count:
             raise KeyError(f"no block with j = {j}")
-        start = _sector_starts(self.n)[j.twice]
+        start = self.column_starts[self._first_index[j]]
         return _readonly(self.columns(slice(start, start + count * (j.twice + 1))))
 
     def block_index(self, j, r: int) -> int:

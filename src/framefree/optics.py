@@ -131,12 +131,15 @@ class DetectionDistribution:
 
 
 def detect(state: OpticalState) -> DetectionDistribution:
-    """Classify the two photons as coincident or bunched at either port."""
-    probs = {pair: abs(state.amplitude(*pair)) ** 2 for pair in _PAIRS}
-    coincidence = sum(p for (i, j), p in probs.items() if i < 2 <= j)
-    bunch1 = sum(p for (i, j), p in probs.items() if j < 2)
-    bunch2 = sum(p for (i, j), p in probs.items() if i >= 2)
-    return DetectionDistribution(float(coincidence), float(bunch1), float(bunch2))
+    """Classify the two photons as coincident or bunched at either port.
+
+    Each probability is the squared norm of port blocks of C: a port's own block
+    for bunching there, and both off-diagonal blocks, equal as C is symmetric,
+    for a coincidence.
+    """
+    p = np.abs(state.pair_coefficients) ** 2
+    return DetectionDistribution(float(2 * p[:2, 2:].sum()), float(p[:2, :2].sum()),
+                                 float(p[2:, 2:].sum()))
 
 
 def lift_two_qubit(state: StateVector) -> OpticalState:

@@ -31,24 +31,49 @@ class TestParseArgs:
         assert cfg.n == 64
         assert cfg.output_format == "csv"
 
+    @pytest.mark.parametrize("command, n", [
+        ("decompose", 4), ("rates", 16), ("twirl-check", 2), ("classical", 2),
+        ("quantum", 0), ("optics", 0), ("bell", 0)])
+    def test_a_bare_command_takes_every_default(self, command, n):
+        assert parse_args([command]) == RunConfig(
+            command=command, n=n, trials=1000, seed=42, tolerance=1e-9,
+            output_format="json", output_path=None, singlet_first=False)
+
     def test_out_of_range_n_exits_2(self, capsys):
-        assert main(["classical", "--n", "999"]) == 2
-        assert "usage" in capsys.readouterr().err
+        for value, message in (("999", "value must be in 1..10, got 999"),
+                               ("abc", "invalid parse value: 'abc'")):
+            assert main(["classical", "--n", value]) == 2
+            err = capsys.readouterr().err
+            assert "usage" in err and f"argument --n: {message}" in err
+
+    def test_out_of_range_max_n_exits_2(self, capsys):
+        for value, message in (("65", "value must be in 1..64, got 65"),
+                               ("0", "value must be in 1..64, got 0"),
+                               ("abc", "invalid parse value: 'abc'")):
+            assert main(["rates", "--max-n", value]) == 2
+            assert f"argument --max-n: {message}" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
     def test_bad_trials_exits_2(self, capsys):
-        assert main(["bell", "--trials", "0"]) == 2
+        for value, message in (("0", "value must be positive, got 0"),
+                               ("abc", "invalid _positive_int value: 'abc'")):
+            assert main(["bell", "--trials", value]) == 2
+            assert f"argument --trials: {message}" in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, capsys):
-        assert main(["bell", "--trials", "2", "--seed", "-1"]) == 2
-        assert "--seed: value must be nonnegative" in capsys.readouterr().err
+        for value, message in (("-1", "value must be nonnegative, got -1"),
+                               ("abc", "invalid _nonnegative_int value: 'abc'")):
+            assert main(["bell", "--trials", "2", "--seed", value]) == 2
+            assert f"argument --seed: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "abc"])
     def test_non_finite_or_nonpositive_tolerance_exits_2(self, capsys, tolerance):
         assert main(["quantum", "--trials", "2", "--tolerance", tolerance]) == 2
-        assert "--tolerance: value must be positive and finite" in capsys.readouterr().err
+        message = ("invalid _positive_float value: 'abc'" if tolerance == "abc"
+                   else "value must be positive and finite")
+        assert f"argument --tolerance: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["-1e-9", "-1E-9", "-inf"])
     def test_negative_float_spellings_reach_the_range_check(self, capsys, tolerance):

@@ -426,8 +426,23 @@ class TestNoiselessSubsystemSector:
     def test_isometry_is_the_sector(self, n):
         enc = noiseless_subsystem_plan(n)
         assert np.array_equal(enc.isometry, decompose(n).sector(enc.j))
+        assert enc.isometry.dtype == np.float64  # stored real, as the sector is
         assert enc.carrier_dim == enc.j.twice + 1
         assert enc.logical_dim == most_repeated_irrep(n)[1]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_real_isometry_gives_the_bits_of_the_complex_one(self, rng, n):
+        # reports keep the bits they had while every isometry was stored complex
+        enc = noiseless_subsystem_plan(n)
+        as_complex = LogicalEncoding(isometry=enc.isometry.astype(complex), j=enc.j)
+        for _ in range(3):
+            psi = random_state_vector(rng, enc.logical_dim)
+            encoded = encode_logical(psi, enc)
+            columns = as_complex.isometry[:, ::enc.carrier_dim]  # the product on complex columns
+            assert np.array_equal(encoded.matrix,
+                                  StateVector(columns @ psi.amplitudes).to_density().matrix)
+            assert np.array_equal(decode_logical(encoded, enc).matrix,
+                                  decode_logical(encoded, as_complex).matrix)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_encode_matches_stacked_columns(self, rng, n):
@@ -467,9 +482,11 @@ class TestDephasingSectorEncoding:
         assert enc.isometry.shape == (2 ** n, len(rows))
         assert np.count_nonzero(enc.isometry) == len(rows)
         assert np.all(enc.isometry[rows, np.arange(len(rows))] == 1.0)
-        # the stored complex isometry is 58 MB; selecting the columns of np.eye(4096)
-        # peaked at 157 MB
-        assert peak < 100 * 2 ** 20, peak / 2 ** 20
+        assert enc.isometry.dtype == np.float64
+        # the stored real isometry is 29 MB, and the build and the stored copy peak at
+        # 58 MB; stored complex it peaked at 87 MB, and selecting the columns of
+        # np.eye(4096) at 157 MB
+        assert peak < 64 * 2 ** 20, peak / 2 ** 20
 
 
 class TestLogicalEncodingShape:

@@ -48,6 +48,11 @@ MATRIX = (
     "bell --trials 2 --seed -1",
     "decompose --n 1",
     "twirl-check --n 1 --trials 3",
+    "--help",
+    "classical --help",
+    "rates --help",
+    "quantum --trials abc",
+    "rates --max-n 65",
 )
 
 _DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
