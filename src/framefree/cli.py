@@ -81,10 +81,10 @@ def _checked(name: str, cast, accept, requirement: str):
     return check
 
 
-_positive_int = _checked("_positive_int", int, lambda v: v >= 1, "positive")
-_nonnegative_int = _checked("_nonnegative_int", int, lambda v: v >= 0, "nonnegative")
+_positive_int = _checked("positive integer", int, lambda v: v >= 1, "positive")
+_nonnegative_int = _checked("nonnegative integer", int, lambda v: v >= 0, "nonnegative")
 # NaN fails the comparison too
-_positive_float = _checked("_positive_float", float, lambda v: 0 < v < inf, "positive and finite")
+_positive_float = _checked("positive number", float, lambda v: 0 < v < inf, "positive and finite")
 
 
 # argparse reads a token as a value only if it matches its negative-number
@@ -108,7 +108,7 @@ def parse_args(argv) -> RunConfig:
         if command.qubits:
             flag, largest, default = command.qubits
             p.add_argument(flag, dest="n", default=default, type=_checked(
-                "parse", int, range(1, largest + 1).__contains__, f"in 1..{largest}"))
+                "qubit count", int, range(1, largest + 1).__contains__, f"in 1..{largest}"))
         for switch in command.switches:
             p.add_argument(switch, action="store_true")
         p.add_argument("--trials", type=_positive_int)

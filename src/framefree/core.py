@@ -31,6 +31,10 @@ MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this ca
 # 1.07-1.17 s per 20 states at n = 8, about two thirds of it random_density's own
 # check: one 2^n x 2^n eigvalsh per input; twirled states are checked on weight blocks.
 MAX_TWIRL_CHECK_QUBITS = 8
+# Trials per batch of logical_bell_chsh_trials.  Over 2000 trials the median cost was
+# 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced
+# peak grows by about 37 KB per trial of a chunk, 2.5 MB at 64, whatever the trial count.
+_BELL_CHUNK_TRIALS = 64
 # Smallest dimension at which DensityOperator looks for Hamming-weight blocks.  Building
 # and checking a twirled state took 145-199 us from its blocks against 122-124 us dense
 # at dimension 32, and 250-313 against 472-532 us at 64 (best of 5, 2 cores).
@@ -107,6 +111,19 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
+def _check_su2(matrices: np.ndarray) -> None:
+    """The library's one SU(2) check, on a 2x2 matrix or a (k, 2, 2) stack of them.
+
+    Raises ``ValueError`` unless every matrix is unitary and has determinant 1,
+    each to ATOL; a NaN entry fails both.
+    """
+    gram = matrices @ matrices.conj().swapaxes(-1, -2)
+    if not np.abs(gram - np.eye(2)).max() <= ATOL:
+        raise ValueError("matrix is not unitary")
+    if not abs(np.linalg.det(matrices) - 1.0).max() <= ATOL:
+        raise ValueError("determinant is not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """A 2x2 special-unitary matrix."""
@@ -117,10 +134,7 @@ class GroupElement:
         m = _as_complex_array(self.matrix, 2)
         if m.shape != (2, 2):
             raise ValueError(f"group element must be 2x2, got {m.shape}")
-        if np.abs(m @ m.conj().T - np.eye(2)).max() > ATOL:
-            raise ValueError("matrix is not unitary")
-        if abs(np.linalg.det(m) - 1.0) > ATOL:
-            raise ValueError("determinant is not 1")
+        _check_su2(m)
         object.__setattr__(self, "matrix", _readonly(m))
 
     @staticmethod
@@ -261,26 +275,33 @@ def _weight_blocks(m: np.ndarray) -> tuple[np.ndarray, ...] | None:
     return blocks if np.count_nonzero(m) == sum(np.count_nonzero(b) for b in blocks) else None
 
 
+def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
+    """u (x) u (x) ... (x) u, n factors, for each u of a (k, 2, 2) stack: shape (k, 2^n, 2^n).
+
+    Each level writes the four products out * u[i, j] into the strided
+    quarters of the next level: the same products as ``np.kron``, so the same
+    bits, but each multiply runs over whole rows where kron's broadcast runs
+    two elements at a time.
+    """
+    out = np.array(matrices, dtype=complex)
+    factors = [(i, j, matrices[:, i, j, None, None]) for i in range(2) for j in range(2)]
+    for _ in range(n - 1):
+        k, d = out.shape[:2]
+        nxt = np.empty((k, d, 2, d, 2), dtype=complex)
+        for i, j, factor in factors:
+            np.multiply(out, factor, out=nxt[:, :, i, :, j])
+        out = nxt.reshape(k, 2 * d, 2 * d)
+    return out
+
+
 def collective_rotation(g: GroupElement, n: int) -> np.ndarray:
     """The n-fold tensor power g (x) g (x) ... (x) g applied to n qubits.
 
-    Each level writes the four products out * g[i, j] into the strided
-    quarters of the next level: the same products as ``np.kron``, so the same
-    bits, but each multiply runs over whole rows where kron's broadcast runs
-    two elements at a time.  States are rotated by
+    The k = 1 case of ``_tensor_powers``.  States are rotated by
     ``apply_collective_rotation``, which builds no matrix.
     """
     _check_qubit_count(n)
-    u = g.matrix
-    out = np.array(u)
-    for _ in range(n - 1):
-        k = out.shape[0]
-        nxt = np.empty((k, 2, k, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                np.multiply(out, u[i, j], out=nxt[:, i, :, j])
-        out = nxt.reshape(2 * k, 2 * k)
-    return out
+    return _tensor_powers(g.matrix[None], n)[0]
 
 
 def apply_collective_rotation(g: GroupElement, state: StateVector) -> StateVector:

@@ -15,14 +15,16 @@ without any shared frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, log2, sqrt
 
 import numpy as np
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_RATE_QUBITS,
-                   RandomSource, StateVector, _check_qubit_count, _qubit_count, _readonly,
-                   apply_collective_rotation, collective_rotation, haar_random_su2,
-                   trace_distance, weight_indices)
+                   RandomSource, StateVector, _BELL_CHUNK_TRIALS, _check_qubit_count,
+                   _check_su2, _qubit_count, _readonly, _tensor_powers,
+                   apply_collective_rotation, haar_random_su2_batch, trace_distance,
+                   weight_indices)
 from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
                      total_irrep_count)
 
@@ -338,16 +340,10 @@ def classical_rate_asymptote(n: int) -> float:
     return 1.0 - log2(n) / (2 * n)
 
 
-def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndarray:
-    """Per-trial CHSH values for a logical Bell pair split across two parties.
-
-    The shared state is (|0_L 0_L> + |1_L 1_L>)/sqrt2 on eight qubits, one
-    4-qubit code per party.  Each trial draws independent Haar rotations
-    for the two quadruplets; logical observables commute with collective
-    rotations, so every trial individually sits at the Tsirelson point.
-    """
-    if rotation_trials < 1:
-        raise ValueError(f"trial count must be positive, got {rotation_trials}")
+@lru_cache(maxsize=None)
+def _bell_operators() -> tuple[np.ndarray, ...]:
+    """Read-only Z_L, X_L, (Z_L + X_L)/sqrt2 and (Z_L - X_L)/sqrt2 on one 4-qubit code,
+    and the logical Bell pair (|0_L 0_L> + |1_L 1_L>)/sqrt2 as a 16x16 coefficient matrix."""
     enc = dfs_encoding_4qubit()
     v = enc.isometry
     z, x = dfs_logical_paulis(enc)
@@ -355,17 +351,39 @@ def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndar
     xp = v @ x @ v.conj().T
     b0 = (zp + xp) / sqrt(2.0)
     b1 = (zp - xp) / sqrt(2.0)
-    # the 256-dim pair state, stored as a 16x16 coefficient matrix
     pair = (np.outer(v[:, 0], v[:, 0]) + np.outer(v[:, 1], v[:, 1])) / sqrt(2.0)
+    return tuple(_readonly(a) for a in (zp, xp, b0, b1, pair))
 
-    def correlation(state: np.ndarray, a_op: np.ndarray, b_op: np.ndarray) -> float:
-        return float(np.trace(state.conj().T @ a_op @ state @ b_op.T).real)
 
+def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndarray:
+    """Per-trial CHSH values for a logical Bell pair split across two parties.
+
+    The shared state is (|0_L 0_L> + |1_L 1_L>)/sqrt2 on eight qubits, one
+    4-qubit code per party.  Each trial draws independent Haar rotations
+    for the two quadruplets; logical observables commute with collective
+    rotations, so every trial individually sits at the Tsirelson point.
+
+    Trials run in chunks of ``_BELL_CHUNK_TRIALS``, so memory does not grow
+    with the trial count.  A chunk draws the two parties' elements alternately
+    (ua_1, ub_1, ua_2, ...) in one batch, which consumes the stream as single
+    draws do, and each value is the same matmul chain, bit for bit, as a
+    trial run alone.
+    """
+    if rotation_trials < 1:
+        raise ValueError(f"trial count must be positive, got {rotation_trials}")
+    zp, xp, b0, b1, pair = _bell_operators()
     values = np.empty(rotation_trials)
-    for t in range(rotation_trials):
-        ua = collective_rotation(haar_random_su2(rng), 4)
-        ub = collective_rotation(haar_random_su2(rng), 4)
-        rotated = ua @ pair @ ub.T
-        values[t] = (correlation(rotated, zp, b0) + correlation(rotated, zp, b1)
-                     + correlation(rotated, xp, b0) - correlation(rotated, xp, b1))
+    for start in range(0, rotation_trials, _BELL_CHUNK_TRIALS):
+        trials = min(_BELL_CHUNK_TRIALS, rotation_trials - start)
+        gs = haar_random_su2_batch(rng, 2 * trials)
+        _check_su2(gs)
+        us = _tensor_powers(gs, 4)
+        ua, ub = us[0::2], us[1::2]
+        rotated = ua @ pair @ ub.transpose(0, 2, 1)
+        adjoint = rotated.conj().transpose(0, 2, 1)
+        # <A (x) B> = tr(rotated^dag A rotated B^T); each A side is shared by both B
+        z_side, x_side = (adjoint @ a_op @ rotated for a_op in (zp, xp))
+        zb0, zb1, xb0, xb1 = (np.trace(side @ b_op.T, axis1=1, axis2=2).real
+                              for side in (z_side, x_side) for b_op in (b0, b1))
+        values[start:start + trials] = zb0 + zb1 + xb0 - xb1
     return values

@@ -7,7 +7,9 @@ each carrier space by its maximally mixed state, keeping the coherence
 between equal-j multiplicity labels, and reads it inside the weight blocks
 (the G-twirl of Bartlett, Rudolph and Spekkens, quant-ph/0610030).  The
 Monte Carlo variant averages explicit Haar samples and exists as an
-independent check of that structure.
+independent check of that structure; it builds each chunk's rotations with
+the tensor-power kernel behind ``collective_rotation``, so every sampled
+u^(x)n equals that dense rotation bit for bit.
 
 Channels are represented behaviorally: each channel caches the block data
 it reads on first use, ``apply`` is a pure function, and no superoperator
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DensityOperator, RandomSource, _check_qubit_count, _qubit_count,
-                   _readonly, haar_random_su2_batch, weight_indices)
+                   _readonly, _tensor_powers, haar_random_su2_batch, weight_indices)
 from .irreps import decompose
 
 _MC_ENTRY_BUDGET = 4_000_000  # max batched matrix entries per Monte Carlo chunk
@@ -114,11 +116,7 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
     chunk_cap = max(1, _MC_ENTRY_BUDGET // (rho.dim * rho.dim))
     while remaining:
         k = min(remaining, chunk_cap)
-        gs = haar_random_su2_batch(rng, k)
-        us = gs
-        for _ in range(n - 1):
-            rows = us.shape[1]
-            us = np.einsum("kab,kcd->kacbd", us, gs).reshape(k, rows * 2, rows * 2)
+        us = _tensor_powers(haar_random_su2_batch(rng, k), n)
         acc += np.einsum("kab,bc,kdc->ad", us, rho.matrix, us.conj(), optimize=True)
         remaining -= k
     out = acc / samples

@@ -41,7 +41,7 @@ class TestParseArgs:
 
     def test_out_of_range_n_exits_2(self, capsys):
         for value, message in (("999", "value must be in 1..10, got 999"),
-                               ("abc", "invalid parse value: 'abc'")):
+                               ("abc", "invalid qubit count value: 'abc'")):
             assert main(["classical", "--n", value]) == 2
             err = capsys.readouterr().err
             assert "usage" in err and f"argument --n: {message}" in err
@@ -49,7 +49,7 @@ class TestParseArgs:
     def test_out_of_range_max_n_exits_2(self, capsys):
         for value, message in (("65", "value must be in 1..64, got 65"),
                                ("0", "value must be in 1..64, got 0"),
-                               ("abc", "invalid parse value: 'abc'")):
+                               ("abc", "invalid qubit count value: 'abc'")):
             assert main(["rates", "--max-n", value]) == 2
             assert f"argument --max-n: {message}" in capsys.readouterr().err
 
@@ -58,20 +58,20 @@ class TestParseArgs:
 
     def test_bad_trials_exits_2(self, capsys):
         for value, message in (("0", "value must be positive, got 0"),
-                               ("abc", "invalid _positive_int value: 'abc'")):
+                               ("abc", "invalid positive integer value: 'abc'")):
             assert main(["bell", "--trials", value]) == 2
             assert f"argument --trials: {message}" in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, capsys):
         for value, message in (("-1", "value must be nonnegative, got -1"),
-                               ("abc", "invalid _nonnegative_int value: 'abc'")):
+                               ("abc", "invalid nonnegative integer value: 'abc'")):
             assert main(["bell", "--trials", "2", "--seed", value]) == 2
             assert f"argument --seed: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "abc"])
     def test_non_finite_or_nonpositive_tolerance_exits_2(self, capsys, tolerance):
         assert main(["quantum", "--trials", "2", "--tolerance", tolerance]) == 2
-        message = ("invalid _positive_float value: 'abc'" if tolerance == "abc"
+        message = ("invalid positive number value: 'abc'" if tolerance == "abc"
                    else "value must be positive and finite")
         assert f"argument --tolerance: {message}" in capsys.readouterr().err
 

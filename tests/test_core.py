@@ -6,7 +6,7 @@ import pytest
 
 from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
-                            apply_collective_rotation, collective_rotation, fidelity,
+                            _check_su2, _tensor_powers, apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, random_density,
                             random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose, multiplicity, total_irrep_count
@@ -113,6 +113,31 @@ class TestGroupElement:
             GroupElement(np.eye(3))
 
 
+class TestSu2Check:
+    """The one SU(2) check, on a whole stack: one bad element rejects it."""
+
+    def test_accepts_haar_stacks(self, rng):
+        _check_su2(haar_random_su2_batch(rng, 50))
+
+    def test_rejects_one_non_unitary_element(self, rng):
+        stack = haar_random_su2_batch(rng, 20)
+        stack[13] = [[1.0, 1.0], [0.0, 1.0]]  # det 1, not unitary
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_su2(stack)
+
+    def test_rejects_one_element_with_det_minus_one(self, rng):
+        stack = haar_random_su2_batch(rng, 20)
+        stack[6] = SIGMA_X
+        with pytest.raises(ValueError, match="determinant is not 1"):
+            _check_su2(stack)
+
+    def test_rejects_a_nan_entry(self, rng):
+        stack = haar_random_su2_batch(rng, 5)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            _check_su2(stack)
+
+
 class TestCollectiveRotation:
     def test_identity(self):
         assert np.array_equal(collective_rotation(GroupElement.identity(), 3), np.eye(8))
@@ -152,6 +177,14 @@ class TestCollectiveRotationOracle:
         for _ in range(3):
             g = haar_random_su2(rng)
             assert np.array_equal(collective_rotation(g, n), kron_chain(g, n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_batched_kernel_equals_kron_chain_bit_for_bit(self, rng, n):
+        stack = haar_random_su2_batch(rng, 3)
+        powers = _tensor_powers(stack, n)
+        assert powers.shape == (3, 2 ** n, 2 ** n)
+        for u, power in zip(stack, powers):
+            assert np.array_equal(power, kron_chain(GroupElement(u), n))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matrix_free_matches_dense(self, rng, n):

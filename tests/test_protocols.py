@@ -4,10 +4,11 @@ from math import log2
 import numpy as np
 import pytest
 
+from framefree import protocols
 from framefree.core import (MAX_QUBITS, MAX_RATE_QUBITS, DensityOperator, GroupElement,
-                            RandomSource, StateVector, collective_rotation, fidelity,
-                            haar_random_su2, random_density, random_state_vector,
-                            trace_distance, weight_indices)
+                            RandomSource, StateVector, _BELL_CHUNK_TRIALS,
+                            collective_rotation, fidelity, haar_random_su2, random_density,
+                            random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import HalfInteger, decompose, total_irrep_count
 from framefree.protocols import (DecodingError, LogicalEncoding, Message,
                                  block_outcome_probabilities,
@@ -36,6 +37,31 @@ def swap_by_axis_transpose(n: int, a: int, b: int, amplitudes: np.ndarray) -> np
     axes = list(range(n))
     axes[a - 1], axes[b - 1] = axes[b - 1], axes[a - 1]
     return amplitudes.reshape((2,) * n).transpose(axes).reshape(-1)
+
+
+def per_trial_chsh(rng: RandomSource, rotation_trials: int) -> np.ndarray:
+    """The one-trial-at-a-time CHSH loop: fresh operators, two dense rotations per trial."""
+    enc = dfs_encoding_4qubit()
+    v = enc.isometry
+    z, x = dfs_logical_paulis(enc)
+    zp = v @ z @ v.conj().T
+    xp = v @ x @ v.conj().T
+    b0 = (zp + xp) / SQRT2
+    b1 = (zp - xp) / SQRT2
+    # the 256-dim pair state, stored as a 16x16 coefficient matrix
+    pair = (np.outer(v[:, 0], v[:, 0]) + np.outer(v[:, 1], v[:, 1])) / SQRT2
+
+    def correlation(state: np.ndarray, a_op: np.ndarray, b_op: np.ndarray) -> float:
+        return float(np.trace(state.conj().T @ a_op @ state @ b_op.T).real)
+
+    values = np.empty(rotation_trials)
+    for t in range(rotation_trials):
+        ua = collective_rotation(haar_random_su2(rng), 4)
+        ub = collective_rotation(haar_random_su2(rng), 4)
+        rotated = ua @ pair @ ub.T
+        values[t] = (correlation(rotated, zp, b0) + correlation(rotated, zp, b1)
+                     + correlation(rotated, xp, b0) - correlation(rotated, xp, b1))
+    return values
 
 
 def bloch_projector(theta: float, phi: float) -> np.ndarray:
@@ -603,3 +629,38 @@ class TestLogicalBellChsh:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             logical_bell_chsh_trials(RandomSource(7), 0)
+
+
+class TestLogicalBellChshOracle:
+    """The chunked batch against the per-trial loop: same values, same stream position."""
+
+    @staticmethod
+    def assert_matches_per_trial(seed: int, trials: int):
+        batched_rng, oracle_rng = RandomSource(seed), RandomSource(seed)
+        assert np.array_equal(logical_bell_chsh_trials(batched_rng, trials),
+                              per_trial_chsh(oracle_rng, trials))
+        assert np.array_equal(batched_rng.normal(4), oracle_rng.normal(4))
+
+    @pytest.mark.parametrize("trials", [1, 2, 10, _BELL_CHUNK_TRIALS + 1])
+    def test_bit_for_bit_at_the_shipped_chunk(self, trials):
+        for seed in (0, 7, 41):
+            self.assert_matches_per_trial(seed, trials)
+
+    @pytest.mark.parametrize("trials", [1, 3, 4, 5, 8, 9, 14])
+    def test_bit_for_bit_across_chunk_boundaries(self, monkeypatch, trials):
+        monkeypatch.setattr(protocols, "_BELL_CHUNK_TRIALS", 4)
+        for seed in (0, 7, 41):
+            self.assert_matches_per_trial(seed, trials)
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        trials = 10 * _BELL_CHUNK_TRIALS
+        logical_bell_chsh_trials(RandomSource(3), 1)  # cached operators, as in any later call
+        tracemalloc.start()
+        try:
+            values = logical_bell_chsh_trials(RandomSource(3), trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(values - 2 * SQRT2).max() < 1e-9
+        # one 64-trial chunk peaks near 2.5 MB; all 640 trials at once would need about 24 MB
+        assert peak < 5 * 2 ** 20

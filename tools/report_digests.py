@@ -53,6 +53,8 @@ MATRIX = (
     "rates --help",
     "quantum --trials abc",
     "rates --max-n 65",
+    "quantum --trials 3",
+    "bell --trials 150 --seed 11",
 )
 
 _DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
