@@ -18,7 +18,7 @@ from .protocols import (CodeBook, CodeBookEntry, DecodingError, ExchangeAction,
                         LogicalEncoding, Message, RateRow, block_outcome_probabilities,
                         build_classical_codebook, classical_rate_asymptote,
                         classical_round_trip, decode_logical, dephasing_sector_encoding,
-                        dfs_basis_4qubit, dfs_encoding_4qubit, dfs_logical_paulis,
+                        dfs_encoding_4qubit, dfs_logical_paulis,
                         encode_logical, exchange_logical_action,
                         helstrom_success_probability, logical_bell_chsh_trials,
                         most_repeated_irrep, noiseless_subsystem_plan, rate_table,

@@ -116,7 +116,10 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--tolerance", type=_positive_float)
         p.add_argument("--output", dest="output_format", choices=("json", "csv"))
         p.add_argument("--out-file", dest="output_path", metavar="OUT_FILE")
-    return RunConfig(**vars(parser.parse_args(argv)))
+    args = vars(parser.parse_args(argv))
+    if args.get("singlet_first") and args["n"] != 2:
+        sub.choices[args["command"]].error("argument --singlet-first: only applies to --n 2")
+    return RunConfig(**args)
 
 
 def _run_decompose(cfg: RunConfig, rng: RandomSource):

@@ -130,33 +130,18 @@ def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -
     return 0.5 + 0.5 * trace_distance(rho0, rho1)
 
 
-def dfs_basis_4qubit() -> tuple[StateVector, StateVector]:
-    """The two j=0 states of four qubits, in the computational basis:
-
-        |0_L> = (1/2) (|01> - |10>)(|01> - |10>)
-        |1_L> = (1/sqrt3)(|0011> + |1100>)
-                 - (1/(2 sqrt3))(|01> + |10>)(|01> + |10>)
-    """
-    b0, b1 = np.eye(2, dtype=complex)
-    antisym = np.kron(b0, b1) - np.kron(b1, b0)
-    sym = np.kron(b0, b1) + np.kron(b1, b0)
-    zero = 0.5 * np.kron(antisym, antisym)
-    one = ((np.kron(np.kron(b0, b0), np.kron(b1, b1))
-            + np.kron(np.kron(b1, b1), np.kron(b0, b0))) / sqrt(3.0)
-           - np.kron(sym, sym) / (2.0 * sqrt(3.0)))
-    return StateVector(zero), StateVector(one)
-
-
 @dataclass(frozen=True, eq=False)
 class LogicalEncoding:
     """A logical space carried by n physical qubits, read through one carrier trace.
 
     The isometry has 2^n rows.  Its columns run over (r, m) with m fastest,
     ``carrier_dim`` values of m per logical index r.  A code with a sector j
-    (the noiseless subsystem, or the 4-qubit j=0 code) has carrier 2j+1; a
-    subspace code (``j`` None) has carrier 1, so its columns are the logical
-    basis.  A read-only copy is stored in the dtype it was given: a real
-    isometry stays real, at half the memory of a complex one.
+    has carrier 2j+1, and its isometry is that sector of ``decompose(n)``:
+    the whole j_max sector for the noiseless subsystem, the j=0 sector with
+    its two columns reversed for the 4-qubit code.  A subspace code (``j``
+    None) has carrier 1, so its columns are the logical basis.  A read-only
+    copy is stored in the dtype it was given: a real isometry stays real, at
+    half the memory of a complex one.
     """
 
     isometry: np.ndarray
@@ -187,9 +172,8 @@ class LogicalEncoding:
 
 def dfs_encoding_4qubit() -> LogicalEncoding:
     """One logical qubit in the j=0 sector of four physical qubits."""
-    zero, one = dfs_basis_4qubit()
-    return LogicalEncoding(isometry=np.column_stack([zero.amplitudes, one.amplitudes]),
-                           j=HalfInteger(0))
+    # reversed so |0_L> = singlet x singlet and SWAP_12 = -Z_L; path order puts the triplet first
+    return LogicalEncoding(isometry=decompose(4).sector(0)[:, ::-1], j=HalfInteger(0))
 
 
 def most_repeated_irrep(n: int) -> tuple[HalfInteger, int]:

@@ -91,6 +91,15 @@ class TestParseArgs:
     def test_singlet_first_flag(self):
         assert parse_args(["classical", "--n", "2", "--singlet-first"]).singlet_first
 
+    def test_singlet_first_with_another_n_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        for n in ("1", "3", "10"):
+            assert main(["classical", "--n", n, "--singlet-first", "--out-file", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "usage: framefree classical" in captured.err
+            assert "argument --singlet-first: only applies to --n 2" in captured.err
+
 
 class TestCommands:
     def test_decompose_payload(self, capsys):

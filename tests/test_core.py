@@ -85,6 +85,16 @@ class TestHaarSampling:
             assert np.abs(g.matrix @ g.matrix.conj().T - np.eye(2)).max() < 1e-10
             assert abs(np.linalg.det(g.matrix) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 7, 2027])
+    def test_fixed_seed_draw_is_the_quaternion_map(self, seed):
+        # w*1 + i(x sx + y sy + z sz) from the normalised draws the sampler consumes
+        q = RandomSource(seed).normal((16, 4))
+        w, x, y, z = (q / np.linalg.norm(q, axis=1)[:, None]).T[:, :, None, None]
+        sy = np.array([[0.0, -1j], [1j, 0.0]])
+        sz = np.diag([1.0, -1.0])
+        expected = w * np.eye(2) + 1j * (x * SIGMA_X + y * sy + z * sz)
+        assert np.array_equal(haar_random_su2_batch(RandomSource(seed), 16), expected)
+
     def test_mean_entry_vanishes(self, rng):
         batch = haar_random_su2_batch(rng, 100_000)
         assert np.abs(batch.mean(axis=0)).max() < 0.02

@@ -1,5 +1,6 @@
 import tracemalloc
-from math import log2
+from math import log2, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from framefree.protocols import (DecodingError, LogicalEncoding, Message,
                                  block_outcome_probabilities,
                                  build_classical_codebook, classical_rate_asymptote,
                                  classical_round_trip, decode_logical,
-                                 dephasing_sector_encoding, dfs_basis_4qubit,
+                                 dephasing_sector_encoding,
                                  dfs_encoding_4qubit, dfs_logical_paulis,
                                  encode_logical, exchange_logical_action,
                                  helstrom_success_probability,
@@ -37,6 +38,23 @@ def swap_by_axis_transpose(n: int, a: int, b: int, amplitudes: np.ndarray) -> np
     axes = list(range(n))
     axes[a - 1], axes[b - 1] = axes[b - 1], axes[a - 1]
     return amplitudes.reshape((2,) * n).transpose(axes).reshape(-1)
+
+
+def dfs_basis_4qubit() -> tuple[StateVector, StateVector]:
+    """The two j=0 states of four qubits, in the computational basis:
+
+        |0_L> = (1/2) (|01> - |10>)(|01> - |10>)
+        |1_L> = (1/sqrt3)(|0011> + |1100>)
+                 - (1/(2 sqrt3))(|01> + |10>)(|01> + |10>)
+    """
+    b0, b1 = np.eye(2, dtype=complex)
+    antisym = np.kron(b0, b1) - np.kron(b1, b0)
+    sym = np.kron(b0, b1) + np.kron(b1, b0)
+    zero = 0.5 * np.kron(antisym, antisym)
+    one = ((np.kron(np.kron(b0, b0), np.kron(b1, b1))
+            + np.kron(np.kron(b1, b1), np.kron(b0, b0))) / sqrt(3.0)
+           - np.kron(sym, sym) / (2.0 * sqrt(3.0)))
+    return StateVector(zero), StateVector(one)
 
 
 def per_trial_chsh(rng: RandomSource, rotation_trials: int) -> np.ndarray:
@@ -252,6 +270,16 @@ class TestHelstrom:
 
 
 class TestDfsBasis:
+    def test_encoding_is_the_closed_form_with_the_same_signs(self):
+        isometry = dfs_encoding_4qubit().isometry
+        assert isometry.dtype == np.float64
+        for column, state in zip(isometry.T, dfs_basis_4qubit(), strict=True):
+            assert np.abs(column - state.amplitudes).max() <= 1e-15
+
+    def test_src_builds_no_closed_form(self):
+        src = Path(protocols.__file__).parent
+        assert not [f for f in src.glob("*.py") if "dfs_basis_4qubit" in f.read_text()]
+
     def test_orthonormal_pair(self):
         zero, one = dfs_basis_4qubit()
         assert abs(zero.overlap(one)) < 1e-12

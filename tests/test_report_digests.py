@@ -54,3 +54,14 @@ def _change_seed(report):
 def test_any_other_change_moves_the_digest(report, change):
     for before, after in zip(_emitted(report), _emitted(change(report))):
         assert report_digests.digest(before) != report_digests.digest(after)
+
+
+_EXPECTED = Path(__file__).resolve().parent / "report_digests.txt"
+
+
+def test_every_report_matches_its_pinned_digest():
+    recorded, *expected = _EXPECTED.read_text().splitlines()
+    assert recorded.startswith("# ") and len(expected) == len(report_digests.MATRIX)
+    environments = f"recorded with {recorded[2:]}; now {report_digests.environment()}"
+    for command, line in zip(report_digests.MATRIX, expected):
+        assert report_digests.digest_line(command) == line, environments

@@ -195,6 +195,13 @@ class TestChannelProperties:
             assert np.linalg.eigvalsh(once.matrix).min() > -1e-10
             assert trace_distance(channel.apply(once), once) < 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_su2_output_is_exactly_hermitian(self, rng, n):
+        channel = TwirlChannel.full_su2(n)
+        for _ in range(3):
+            m = channel.apply(random_density(rng, 2 ** n)).matrix
+            assert np.array_equal(m, m.conj().T)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_covariance_collapse(self, rng, n):
         channel = TwirlChannel.full_su2(n)

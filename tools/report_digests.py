@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/report_digests.py > digests.txt
+    python3 tools/report_digests.py > tests/report_digests.txt
 
 Each command of the matrix runs in-process through ``framefree.cli.main``
 from the ``src/`` tree next to this script.  One line per command gives the
@@ -10,19 +10,26 @@ exit code and the sha256 of what it wrote to stdout and to stderr, after
 dropping the JSON ``"duration_s"`` line or the CSV ``duration_s`` row (the
 only field that varies between runs).  Running the script on two checkouts
 and diffing the outputs checks that a change left every report
-byte-identical.
+byte-identical.  A leading ``#`` line records the environment (Python,
+numpy, BLAS and its thread count), since last bits can differ on another
+BLAS build.  ``tests/report_digests.txt`` holds the expected output, and a
+test compares it with a fresh in-process run.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import io
+import platform
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from framefree import cli  # noqa: E402
 
@@ -55,6 +62,7 @@ MATRIX = (
     "rates --max-n 65",
     "quantum --trials 3",
     "bell --trials 150 --seed 11",
+    "classical --n 3 --singlet-first",
 )
 
 _DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
@@ -71,10 +79,29 @@ def run(command: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _blas_threads() -> str:
+    """The thread count of numpy's bundled 64-bit OpenBLAS, or ``unknown`` for another BLAS."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_*.so"):
+        return str(ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_())
+    return "unknown"
+
+
+def environment() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"python={platform.python_version()} numpy={np.__version__} "
+            f"blas={blas['name']} {blas['version']} blas_threads={_blas_threads()}")
+
+
+def digest_line(command: str) -> str:
+    code, out, err = run(command)
+    return f"exit={code} stdout={digest(out)} stderr={digest(err)}  {command}"
+
+
 def main() -> None:
+    print(f"# {environment()}")
     for command in MATRIX:
-        code, out, err = run(command)
-        print(f"exit={code} stdout={digest(out)} stderr={digest(err)}  {command}")
+        print(digest_line(command))
 
 
 if __name__ == "__main__":
