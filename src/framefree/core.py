@@ -20,9 +20,11 @@ import numpy as np
 ATOL = 1e-10
 
 # Size limits, in qubits.  Each follows from what the largest allowed call costs.
-# The dense collective_rotation (256 MB complex at n = 12) and the W_k that an SU(2)
-# twirl channel keeps (21.6 MB in all at n = 12, built in 0.21-0.25 s with a 57.6 MB
-# traced peak); decompose(n) itself stores about 2^(n+3) numbers.
+# At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
+# takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at
+# n = 13).  Next come the W_k that an SU(2) twirl channel keeps: 21.6 MB in all,
+# built in 0.13-0.20 s with a 57.8 MB traced peak.  decompose(12) is not a bound:
+# a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.
 MAX_QUBITS = 12
 # O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every
 # message takes 0.16-0.18 s at n = 10.

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framefree import irreps
 from framefree.core import MAX_QUBITS, collective_rotation, haar_random_su2
 from framefree.irreps import HalfInteger, decompose, multiplicity, total_irrep_count
-from dense_coupling_oracle import couple_qubit, dense_coupling_matrix
+from dense_coupling_oracle import couple_qubit, dense_coupling_matrix, scalar_factors
 from racah_oracle import (clebsch_gordan, enumerate_paths, racah_blocks, racah_couple_qubit,
                           racah_coupled_bases)
 
@@ -157,6 +158,26 @@ class TestSchurFactors:
             assert len(arrays) == 4
             for a in arrays:
                 assert a.shape == (2 ** k,) and not a.flags.writeable, (n, k)
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_factors_equal_the_per_column_loop_bit_for_bit(self, n):
+        factors, expected = decompose(n).factors, scalar_factors(n)
+        assert len(factors) == len(expected) == n - 1
+        for k, (arrays, oracle) in enumerate(zip(factors, expected), start=2):
+            for name, a, b in zip(("src0", "coef0", "src1", "coef1"), arrays, oracle):
+                assert a.dtype == b.dtype and a.shape == b.shape, (n, k, name)
+                assert np.array_equal(a, b), (n, k, name)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (n, k, name)  # no -0.0
+                assert not a.flags.writeable, (n, k, name)
+
+    def test_a_cleared_cache_rebuilds_every_factor(self):
+        # a cold build after cache_clear shares no array with the build before it
+        before = decompose(12).factors
+        decompose.cache_clear()
+        after = decompose(12).factors
+        for k, (old, new) in enumerate(zip(before, after), start=2):
+            for a, b in zip(old, new):
+                assert not np.shares_memory(a, b), k
 
     def test_one_qubit_has_no_factor_levels(self):
         d = decompose(1)
@@ -417,6 +438,19 @@ class TestDecompose:
             decompose(0)
         with pytest.raises(ValueError):
             decompose(13)
+
+    def test_a_level_that_disagrees_with_the_table_raises(self, monkeypatch):
+        true_table = irreps._multiplicity_table
+        wrong = {HalfInteger(3): 1, HalfInteger(1): 3}  # 10 columns where 3 qubits have 8
+        monkeypatch.setattr(irreps, "_multiplicity_table",
+                            lambda k: wrong if k == 3 else true_table(k))
+        with pytest.raises(RuntimeError, match="level-3 blocks"):
+            decompose.__wrapped__(4)  # uncached, so the cache never holds a failed build
+
+    def test_a_fractional_multiplicity_raises(self, monkeypatch):
+        monkeypatch.setattr(irreps, "comb", lambda n, k: 5)  # c_1 = 5 * 3 / 4 for n = 4
+        with pytest.raises(RuntimeError, match="fraction"):
+            multiplicity(4, 1)
 
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_coupling_matrix_is_unitary(self, n):
