@@ -2,14 +2,13 @@
 
 import ast
 import importlib.util
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 _SPEC = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-mutants = sys.modules["mutants"] = importlib.util.module_from_spec(_SPEC)  # for its dataclass
+mutants = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutants)
 
 

@@ -2,9 +2,7 @@
 
 Usage::
 
-    python3 tools/mutants.py              # run every mutant
-    python3 tools/mutants.py --only NAME  # run one (may be repeated)
-    python3 tools/mutants.py --list       # print the table without running it
+    python3 tools/mutants.py
 
 Each entry of ``MUTANTS`` names a file under ``src/``, a text that occurs in
 it exactly once, the text that replaces it, and the test that must fail once
@@ -13,10 +11,10 @@ it is replaced.  For each mutant the script copies the repository (without
 there, and runs ``python -m pytest -x -q`` on that one test in the copy; the
 working tree is never written.  A mutant is caught when pytest exits 1 (a
 test failed).  It survives when pytest exits 0, and any other exit code
-(collection or usage error) is reported as an error.  The chosen tests
+(collection or usage error) is reported as an error.  The listed tests
 first run once on an unmutated copy, and the script exits 2 if they fail
 there.  It prints one line per mutant and exits 1 unless every mutant was
-caught.  A mutant costs a copy of the repository plus its test: under a
+caught.  A mutant costs a copy of the repository plus its test: about a
 second for each seed entry (2 cores).
 
 ``tests/test_source.py`` checks in tier-1 that every old text still occurs
@@ -25,23 +23,21 @@ exactly once, so the table cannot go stale when ``src/`` changes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench-*")
 
 
-@dataclass(frozen=True)
-class Mutant:
+class Mutant(NamedTuple):
     name: str
     file: str  # relative to the repository root, under src/
     old: str
@@ -91,29 +87,19 @@ def pytest_in_copy(tests: list[str], mutant: Mutant | None = None) -> tuple[int,
         return done.returncode, time.perf_counter() - t0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--only", action="append", choices=[m.name for m in MUTANTS])
-    parser.add_argument("--list", action="store_true")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}\t{m.file}\t{m.old.strip()!r} -> {m.new.strip()!r}\t{m.test}")
-        return 0
+def main() -> int:
     # the tests must pass on an unmutated copy, or every mutant would look caught
-    code, _ = pytest_in_copy(sorted({m.test for m in chosen}))
+    code, _ = pytest_in_copy(sorted({m.test for m in MUTANTS}))
     if code:
         print(f"the tests fail on an unmutated copy (pytest exit {code})", file=sys.stderr)
         return 2
     caught = 0
-    for m in chosen:
+    for m in MUTANTS:
         code, seconds = pytest_in_copy([m.test], m)
         outcome = {0: "survived", 1: "caught"}.get(code, f"error (pytest exit {code})")
         caught += code == 1
         print(f"{m.name}: {outcome} in {seconds:.1f} s by {m.test}", flush=True)
-    return int(caught != len(chosen))
-
+    return int(caught != len(MUTANTS))
 
 if __name__ == "__main__":
     sys.exit(main())
