@@ -26,15 +26,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (DensityOperator, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
-                   MAX_TWIRL_CHECK_QUBITS, RandomSource, apply_collective_rotation,
-                   fidelity, haar_random_su2, random_density, random_state_vector,
-                   trace_distance)
+                   MAX_TWIRL_CHECK_QUBITS, RandomSource, fidelity, haar_random_su2,
+                   random_density, random_state_vector, trace_distance)
 from .irreps import decompose
 from .optics import run_optical_protocol
-from .protocols import (block_outcome_probabilities, build_classical_codebook,
-                        classical_rate_asymptote, decode_logical, dephasing_sector_encoding,
-                        dfs_encoding_4qubit, encode_logical, logical_bell_chsh_trials,
-                        most_repeated_irrep, noiseless_subsystem_plan, rate_table)
+from .protocols import (build_classical_codebook, classical_rate_asymptote, classical_trial,
+                        decode_logical, dephasing_sector_encoding, dfs_encoding_4qubit,
+                        encode_logical, logical_bell_chsh_trials, most_repeated_irrep,
+                        noiseless_subsystem_plan, rate_table)
 from .twirl import TwirlChannel
 
 TSIRELSON = 2.0 * sqrt(2.0)
@@ -44,6 +43,7 @@ TSIRELSON = 2.0 * sqrt(2.0)
 class RunConfig:
     command: str
     n: int = 0  # qubit count; the largest one for rates, unused by quantum, optics and bell
+    # decompose and rates are exact, so only the sampled commands set these three
     trials: int = 1000
     seed: int = 42
     tolerance: float = 1e-9
@@ -105,24 +105,15 @@ def parse_args(argv) -> RunConfig:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        if command.qubits:
-            flag, largest, default = command.qubits
-            p.add_argument(flag, dest="n", default=default, type=_checked(
-                "qubit count", int, range(1, largest + 1).__contains__, f"in 1..{largest}"))
-        for switch in command.switches:
-            p.add_argument(switch, action="store_true")
-        p.add_argument("--trials", type=_positive_int)
-        p.add_argument("--seed", type=_nonnegative_int)
-        p.add_argument("--tolerance", type=_positive_float)
-        p.add_argument("--output", dest="output_format", choices=("json", "csv"))
-        p.add_argument("--out-file", dest="output_path", metavar="OUT_FILE")
+        for flag, spec in command.options + _OUTPUT:
+            p.add_argument(flag, **spec)
     args = vars(parser.parse_args(argv))
     if args.get("singlet_first") and args["n"] != 2:
         sub.choices[args["command"]].error("argument --singlet-first: only applies to --n 2")
     return RunConfig(**args)
 
 
-def _run_decompose(cfg: RunConfig, rng: RandomSource):
+def _run_decompose(cfg: RunConfig):
     d = decompose(cfg.n)
     j2 = [j.twice for j in d.multiplicity_table]
     mult = [d.multiplicity_table[j] for j in d.multiplicity_table]
@@ -145,7 +136,7 @@ def _run_decompose(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
-def _run_rates(cfg: RunConfig, rng: RandomSource):
+def _run_rates(cfg: RunConfig):
     rows = [{
         "n": row.n,
         "classical_rate": row.classical_rate,
@@ -168,7 +159,8 @@ def _run_rates(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
-def _run_twirl_check(cfg: RunConfig, rng: RandomSource):
+def _run_twirl_check(cfg: RunConfig):
+    rng = RandomSource(cfg.seed)
     full = TwirlChannel.full_su2(cfg.n)
     dephasing = TwirlChannel.u1_dephasing(cfg.n)
     residuals = {}
@@ -193,18 +185,15 @@ def _run_twirl_check(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
-def _run_classical(cfg: RunConfig, rng: RandomSource):
+def _run_classical(cfg: RunConfig):
+    rng = RandomSource(cfg.seed)
     codebook = build_classical_codebook(cfg.n, singlet_first=cfg.singlet_first)
-    d = codebook.decomposition
     errors = 0
     min_correct = 1.0
     for entry in codebook.entries:
-        block_index = d.block_index(entry.j, entry.r)
+        block_index = codebook.decomposition.block_index(entry.j, entry.r)
         for _ in range(cfg.trials):
-            # classical_round_trip, keeping the distribution it samples from
-            g = haar_random_su2(rng)
-            probs = block_outcome_probabilities(apply_collective_rotation(g, entry.codeword), d)
-            decoded = codebook.message_for_block(rng.sample_index(probs))
+            decoded, probs = classical_trial(entry.message, codebook, haar_random_su2(rng), rng)
             errors += int(decoded != entry.message)
             min_correct = min(min_correct, float(probs[block_index]))
     payload = {
@@ -223,7 +212,8 @@ def _run_classical(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
-def _run_quantum(cfg: RunConfig, rng: RandomSource):
+def _run_quantum(cfg: RunConfig):
+    rng = RandomSource(cfg.seed)
     codes = (
         ("dfs_4qubit", dfs_encoding_4qubit(), TwirlChannel.full_su2(4)),
         ("noiseless_subsystem_3qubit", noiseless_subsystem_plan(3), TwirlChannel.full_su2(3)),
@@ -249,7 +239,8 @@ def _run_quantum(cfg: RunConfig, rng: RandomSource):
     return payload, tuple(verdicts)
 
 
-def _run_optics(cfg: RunConfig, rng: RandomSource):
+def _run_optics(cfg: RunConfig):
+    rng = RandomSource(cfg.seed)
     fiber = haar_random_su2(rng)
     runs = [run_optical_protocol(bit, fiber, cfg.trials, rng) for bit in (0, 1)]
     payload = {"protocol": cfg.command, "trials": cfg.trials,
@@ -261,8 +252,8 @@ def _run_optics(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
-def _run_bell(cfg: RunConfig, rng: RandomSource):
-    values = logical_bell_chsh_trials(rng, cfg.trials)
+def _run_bell(cfg: RunConfig):
+    values = logical_bell_chsh_trials(RandomSource(cfg.seed), cfg.trials)
     mean = float(values.mean())
     worst = float(np.abs(values - TSIRELSON).max())
     payload = {"protocol": cfg.command, "trials": cfg.trials, "chsh_value": mean,
@@ -276,31 +267,49 @@ def _run_bell(cfg: RunConfig, rng: RandomSource):
     return payload, verdicts
 
 
+_Option = tuple[str, dict]  # a flag and its add_argument keywords
+
+
+def _qubits(flag: str, largest: int, default: int) -> tuple[_Option]:
+    return ((flag, {"dest": "n", "default": default, "type": _checked(
+        "qubit count", int, range(1, largest + 1).__contains__, f"in 1..{largest}")}),)
+
+
+# only the sampled commands read these; optics's verdicts ask for zero errors, no tolerance
+_SAMPLING = (("--trials", {"type": _positive_int}), ("--seed", {"type": _nonnegative_int}))
+_TOLERANCE = (("--tolerance", {"type": _positive_float}),)
+_OUTPUT = (("--output", {"dest": "output_format", "choices": ("json", "csv")}),
+           ("--out-file", {"dest": "output_path", "metavar": "OUT_FILE"}))
+
+
 class _Command(NamedTuple):
-    handler: Callable[[RunConfig, RandomSource], tuple[dict, tuple[Verdict, ...]]]
+    handler: Callable[[RunConfig], tuple[dict, tuple[Verdict, ...]]]
     help: str
-    qubits: tuple[str, int, int] | None = None  # flag, largest value, default
-    switches: tuple[str, ...] = ()  # store_true flags
+    options: tuple[_Option, ...]  # the options the handler reads, in help order
 
 
 _COMMANDS = {
     "decompose": _Command(_run_decompose, "block multiplicity table for n qubits",
-                          ("--n", MAX_QUBITS, 4)),
+                          _qubits("--n", MAX_QUBITS, 4)),
     "rates": _Command(_run_rates, "communication rates up to a qubit count",
-                      ("--max-n", MAX_RATE_QUBITS, 16)),
+                      _qubits("--max-n", MAX_RATE_QUBITS, 16)),
     "twirl-check": _Command(_run_twirl_check, "fixed-point and idempotence residuals",
-                            ("--n", MAX_TWIRL_CHECK_QUBITS, 2)),
+                            _qubits("--n", MAX_TWIRL_CHECK_QUBITS, 2) + _SAMPLING + _TOLERANCE),
     "classical": _Command(_run_classical, "classical round trips under random frames",
-                          ("--n", MAX_CODEBOOK_QUBITS, 2), ("--singlet-first",)),
-    "quantum": _Command(_run_quantum, "decode fidelities of the protected codes"),
-    "optics": _Command(_run_optics, "two-photon protocol through a random fiber"),
-    "bell": _Command(_run_bell, "logical CHSH value under random frames"),
+                          _qubits("--n", MAX_CODEBOOK_QUBITS, 2)
+                          + (("--singlet-first", {"action": "store_true"}),)
+                          + _SAMPLING + _TOLERANCE),
+    "quantum": _Command(_run_quantum, "decode fidelities of the protected codes",
+                        _SAMPLING + _TOLERANCE),
+    "optics": _Command(_run_optics, "two-photon protocol through a random fiber", _SAMPLING),
+    "bell": _Command(_run_bell, "logical CHSH value under random frames",
+                     _SAMPLING + _TOLERANCE),
 }
 
 
 def run_command(cfg: RunConfig) -> Report:
     start = time.perf_counter()
-    payload, verdicts = _COMMANDS[cfg.command].handler(cfg, RandomSource(cfg.seed))
+    payload, verdicts = _COMMANDS[cfg.command].handler(cfg)
     duration = time.perf_counter() - start
     return Report(
         command=cfg.command,

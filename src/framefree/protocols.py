@@ -113,7 +113,13 @@ def block_outcome_probabilities(state: StateVector,
 
 def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,
                          rng: RandomSource) -> Message:
-    """Send one codeword through an unknown frame rotation and decode it.
+    """Send one codeword through an unknown frame rotation and decode it."""
+    return classical_trial(msg, codebook, g, rng)[0]
+
+
+def classical_trial(msg: Message, codebook: CodeBook, g: GroupElement,
+                    rng: RandomSource) -> tuple[Message, np.ndarray]:
+    """One round trip: the decoded message and the block probabilities it was drawn from.
 
     PVM outcome probabilities are computed exactly and then sampled, so
     the measurement pathway is exercised even though the distribution is a
@@ -122,7 +128,7 @@ def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,
     """
     rotated = apply_collective_rotation(g, codebook.entry(msg).codeword)
     probabilities = block_outcome_probabilities(rotated, codebook.decomposition)
-    return codebook.message_for_block(rng.sample_index(probabilities))
+    return codebook.message_for_block(rng.sample_index(probabilities)), probabilities
 
 
 def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -> float:

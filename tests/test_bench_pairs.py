@@ -1,13 +1,9 @@
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+import bench_pairs
 
 
 def _run(pair, side, throughput, latency, failed=0):

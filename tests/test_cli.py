@@ -7,7 +7,7 @@ import pytest
 
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
 from framefree.core import DensityOperator
-from framefree import irreps
+from framefree import cli, irreps
 from framefree.irreps import HalfInteger, decompose
 from framefree.protocols import noiseless_subsystem_plan
 from framefree.twirl import TwirlChannel
@@ -99,6 +99,46 @@ class TestParseArgs:
             assert captured.out == "" and not out.exists()
             assert "usage: framefree classical" in captured.err
             assert "argument --singlet-first: only applies to --n 2" in captured.err
+
+
+_SAMPLED = ("twirl-check", "classical", "quantum", "optics", "bell")
+# (a valid value, the RunConfig field and value it sets, a rejected value, its message)
+_SHARED = {
+    "--trials": ("7", "trials", 7, "0", "value must be positive, got 0"),
+    "--seed": ("7", "seed", 7, "-1", "value must be nonnegative, got -1"),
+    "--tolerance": ("0.5", "tolerance", 0.5, "0", "value must be positive and finite, got 0.0"),
+}
+_KEPT = [(c, f) for f in _SHARED for c in _SAMPLED if (c, f) != ("optics", "--tolerance")]
+_REMOVED = [(c, f) for c in ("decompose", "rates") for f in _SHARED] + [("optics", "--tolerance")]
+
+
+class TestOptionTable:
+    """Each command takes only the options its handler reads."""
+
+    @pytest.mark.parametrize("command, flag", _REMOVED)
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        assert main([command, flag, _SHARED[flag][0]]) == 2
+        err = capsys.readouterr().err
+        assert f"framefree: error: unrecognized arguments: {flag} {_SHARED[flag][0]}" in err
+
+    @pytest.mark.parametrize("command, flag", _KEPT)
+    def test_a_kept_option_parses_and_checks_its_value(self, capsys, command, flag):
+        good, field, value, bad, message = _SHARED[flag]
+        assert getattr(parse_args([command, flag, good]), field) == value
+        assert main([command, flag, bad]) == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    def test_thirty_three_settable_values(self):
+        # every command also takes --output and --out-file
+        assert sum(len(c.options) + 2 for c in cli._COMMANDS.values()) == 33
+
+    @pytest.mark.parametrize("command", ["decompose", "rates"])
+    def test_an_exact_command_builds_no_random_source(self, capsys, monkeypatch, command):
+        def refuse(seed):
+            raise AssertionError("no draw, so no RandomSource")
+
+        monkeypatch.setattr(cli, "RandomSource", refuse)
+        assert main([command]) == 0
 
 
 class TestCommands:

@@ -14,7 +14,7 @@ from framefree.irreps import HalfInteger, decompose, total_irrep_count
 from framefree.protocols import (DecodingError, LogicalEncoding, Message,
                                  block_outcome_probabilities,
                                  build_classical_codebook, classical_rate_asymptote,
-                                 classical_round_trip, decode_logical,
+                                 classical_round_trip, classical_trial, decode_logical,
                                  dephasing_sector_encoding,
                                  dfs_encoding_4qubit, dfs_logical_paulis,
                                  encode_logical, exchange_logical_action,
@@ -134,6 +134,17 @@ class TestClassicalRoundTrip:
             for _ in range(100):
                 g = haar_random_su2(rng)
                 assert classical_round_trip(entry.message, book, g, rng) == entry.message
+
+    def test_trial_returns_the_round_trip_and_its_distribution(self):
+        book = build_classical_codebook(4)
+        g = haar_random_su2(RandomSource(5))
+        for entry in book.entries:
+            a, b = RandomSource(8), RandomSource(8)
+            decoded, probs = classical_trial(entry.message, book, g, a)
+            assert decoded == classical_round_trip(entry.message, book, g, b) == entry.message
+            rotated = entry.codeword.evolve(collective_rotation(g, 4))
+            assert np.allclose(probs, block_outcome_probabilities(rotated, book.decomposition))
+            assert a.generator.random() == b.generator.random()  # one draw each
 
     def test_outcome_distribution_is_point_mass(self, rng):
         book = build_classical_codebook(4)

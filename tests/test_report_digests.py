@@ -1,17 +1,12 @@
 import copy
 import dataclasses
-import importlib.util
 from math import nextafter
 from pathlib import Path
 
 import pytest
 
+import report_digests
 from framefree.cli import emit_report, parse_args, run_command
-
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
-_SPEC = importlib.util.spec_from_file_location("report_digests", _PATH)
-report_digests = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(report_digests)
 
 _CFG = parse_args(["twirl-check", "--n", "1", "--trials", "3"])
 

@@ -13,9 +13,9 @@ working tree is never written.  A mutant is caught when pytest exits 1 (a
 test failed).  It survives when pytest exits 0, and any other exit code
 (collection or usage error) is reported as an error.  The listed tests
 first run once on an unmutated copy, and the script exits 2 if they fail
-there.  It prints one line per mutant and exits 1 unless every mutant was
-caught.  A mutant costs a copy of the repository plus its test: about a
-second for each seed entry (2 cores).
+there.  It prints one line per mutant and a count of those caught, and
+exits 1 unless every mutant was caught.  A mutant costs a copy of the
+repository plus its test: 1.0 to 1.3 s for each entry (2 cores).
 
 ``tests/test_source.py`` checks in tier-1 that every old text still occurs
 exactly once, so the table cannot go stale when ``src/`` changes.
@@ -57,6 +57,22 @@ MUTANTS = (
     Mutant("su2-twirl-no-hermitian-part", "src/framefree/twirl.py",
            "            blocks = [0.5 * (b + b.conj().T) for b in blocks]\n", "",
            "tests/test_twirl.py::TestChannelProperties::test_su2_output_is_exactly_hermitian"),
+    Mutant("fidelity-no-noise-floor", "src/framefree/core.py",
+           "    w[w < rho.dim * np.finfo(float).eps * max(w.max(), 0.0)] = 0.0\n", "",
+           "tests/test_cli.py::TestCommands::test_quantum"),
+    Mutant("sample-index-no-clip", "src/framefree/core.py",
+           "            p = np.clip(p, 0.0, None)\n", "",
+           "tests/test_core.py::TestRandomSource"
+           "::test_sample_index_accepts_rounding_within_atol"),
+    Mutant("block-trace-distance-max", "src/framefree/core.py",
+           "np.abs(np.linalg.eigvalsh(b - c)).sum()", "np.abs(np.linalg.eigvalsh(b - c)).max()",
+           "tests/test_core.py::TestBlockForm::test_same_frame_distance_reads_the_blocks"),
+    Mutant("encode-logical-matmul", "src/framefree/protocols.py",
+           "np.dot(encoding.isometry[:, ::encoding.carrier_dim],\n"
+           "                              psi.amplitudes)",
+           "encoding.isometry[:, ::encoding.carrier_dim] @ psi.amplitudes",
+           "tests/test_protocols.py::TestNoiselessSubsystemSector"
+           "::test_real_isometry_gives_the_bits_of_the_complex_one[3]"),
 )
 
 
@@ -99,6 +115,7 @@ def main() -> int:
         outcome = {0: "survived", 1: "caught"}.get(code, f"error (pytest exit {code})")
         caught += code == 1
         print(f"{m.name}: {outcome} in {seconds:.1f} s by {m.test}", flush=True)
+    print(f"{caught} of {len(MUTANTS)} caught")
     return int(caught != len(MUTANTS))
 
 if __name__ == "__main__":
