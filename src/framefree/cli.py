@@ -227,15 +227,15 @@ def _run_quantum(cfg: RunConfig):
             psi = random_state_vector(rng, encoding.logical_dim)
             decoded = decode_logical(channel.apply(encode_logical(psi, encoding)), encoding)
             fidelities.append(fidelity(decoded, psi.to_density()))
-        worst = float(min(fidelities))
         payload["codes"][name] = {
             "n": encoding.n,
             "logical_dim": encoding.logical_dim,
-            "min_fidelity": worst,
+            "min_fidelity": float(min(fidelities)),
             "mean_fidelity": float(np.mean(fidelities)),
         }
-        verdicts.append(Verdict(f"{name}_min_fidelity", 1.0 - worst <= cfg.tolerance,
-                                1.0 - worst, cfg.tolerance))
+        worst = float(np.abs(np.subtract(1.0, fidelities)).max())  # a raw F may pass 1
+        verdicts.append(Verdict(f"{name}_min_fidelity", worst <= cfg.tolerance,
+                                worst, cfg.tolerance))
     return payload, tuple(verdicts)
 
 
@@ -308,12 +308,15 @@ _COMMANDS = {
 
 
 def run_command(cfg: RunConfig) -> Report:
+    """Run one command; its report echoes only the settings that command reads."""
     start = time.perf_counter()
     payload, verdicts = _COMMANDS[cfg.command].handler(cfg)
     duration = time.perf_counter() - start
+    read = {"command"} | {spec.get("dest", flag[2:].replace("-", "_"))
+                          for flag, spec in _COMMANDS[cfg.command].options + _OUTPUT}
     return Report(
         command=cfg.command,
-        config=asdict(cfg),
+        config={key: value for key, value in asdict(cfg).items() if key in read},
         payload=payload,
         verdicts=verdicts,
         passed=all(v.passed for v in verdicts),

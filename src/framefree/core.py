@@ -72,6 +72,19 @@ def _as_complex_array(values, ndim: int) -> np.ndarray:
     return a
 
 
+def _checked_distribution(probabilities) -> np.ndarray:
+    """The library's one probability-vector check: ``ValueError`` unless every entry is
+    >= -ATOL and the sum is within ATOL of 1 (NaN fails).  Returns it clipped at 0, summing to 1."""
+    p = np.asarray(probabilities, dtype=float)
+    lowest, total = p.min(), p.sum()
+    if not (lowest >= -ATOL and abs(total - 1.0) <= ATOL):
+        raise ValueError(f"not a probability vector: min {lowest}, sum {total}")
+    if lowest < 0.0:  # clipping a nonnegative vector would change nothing
+        p = np.clip(p, 0.0, None)
+        total = p.sum()
+    return p / total
+
+
 class RandomSource:
     """Deterministic stream of randomness backed by a counter-based generator.
 
@@ -93,21 +106,14 @@ class RandomSource:
     def normal(self, size=None):
         return self.generator.standard_normal(size)
 
-    def sample_index(self, probabilities, size: int | None = None) -> int | np.ndarray:
-        """Sample an index from a probability vector; entries and sum are checked to ATOL.
+    def sample_index(self, probabilities) -> int:
+        """One index drawn from a vector that ``_checked_distribution`` accepts."""
+        p = _checked_distribution(probabilities)
+        return int(self.generator.choice(len(p), p=p))
 
-        With ``size``, return an array of ``size`` indices.  They consume the
-        stream exactly as ``size`` single draws do, so batching changes no sample.
-        """
-        p = np.asarray(probabilities, dtype=float)
-        lowest, total = p.min(), p.sum()
-        if not (lowest >= -ATOL and abs(total - 1.0) <= ATOL):  # NaN fails too
-            raise ValueError(f"not a probability vector: min {lowest}, sum {total}")
-        if lowest < 0.0:  # clipping a nonnegative vector would change nothing
-            p = np.clip(p, 0.0, None)
-            total = p.sum()
-        draws = self.generator.choice(len(p), size=size, p=p / total)
-        return int(draws) if size is None else draws
+    def sample_counts(self, probabilities, trials: int) -> np.ndarray:
+        """Each index's count over ``trials`` draws: one multinomial call at any trial count."""
+        return self.generator.multinomial(trials, _checked_distribution(probabilities))
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -325,7 +331,7 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, unclipped: it may round past 1.
 
     For a pure sigma = |psi><psi| this reduces to <psi|rho|psi>.
     """
@@ -336,12 +342,11 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     # eigenvalues below the solver's noise floor would be inflated by the
     # square root; they carry no information, so drop them
     w[w < rho.dim * np.finfo(float).eps * max(w.max(), 0.0)] = 0.0
-    value = float(np.sqrt(w).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
+    return float(np.sqrt(w).sum() ** 2)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the sum of absolute eigenvalues of rho - sigma, in [0, 1].
+    """Half the sum of absolute eigenvalues of rho - sigma, unclipped.
 
     When both carry blocks, the difference is block diagonal in Hamming
     weight, so the distance is 1/2 sum_k ||B_k - B'_k||_1 and no dim x dim
@@ -354,7 +359,7 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
                     for b, c in zip(rho.blocks, sigma.blocks, strict=True))
     else:
         total = np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
-    return min(max(0.5 * float(total), 0.0), 1.0)
+    return 0.5 * float(total)
 
 
 def random_state_vector(rng: RandomSource, dim: int) -> StateVector:

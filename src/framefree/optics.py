@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, GroupElement, RandomSource, StateVector, _readonly
+from .core import ATOL, GroupElement, RandomSource, StateVector, _checked_distribution, _readonly
 
 N_MODES = 4
 _PAIRS = tuple((i, j) for i in range(N_MODES) for j in range(i, N_MODES))
-
-_DRAW_CHUNK = 2 ** 16  # outcomes drawn per call, which bounds memory for any trial count
 
 _BEAM_SPLITTER = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
                          np.eye(2)).astype(complex)
@@ -120,11 +118,7 @@ class DetectionDistribution:
     p_bunch_port2: float
 
     def __post_init__(self):
-        probs = (self.p_coincidence, self.p_bunch_port1, self.p_bunch_port2)
-        if min(probs) < -ATOL:
-            raise ValueError(f"negative probability in {probs}")
-        if not abs(sum(probs) - 1.0) <= ATOL:  # NaN fails too
-            raise ValueError(f"probabilities {probs} do not sum to 1")
+        _checked_distribution(self.as_vector())
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.p_coincidence, self.p_bunch_port1, self.p_bunch_port2])
@@ -176,10 +170,7 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
     misaligned = polarization_rotation(state, g_fiber)
     outcome_probs = detect(beam_splitter(misaligned)).as_vector()
-    totals = np.zeros(3, dtype=np.int64)
-    for done in range(0, trials, _DRAW_CHUNK):
-        outcomes = rng.sample_index(outcome_probs, size=min(_DRAW_CHUNK, trials - done))
-        totals += np.bincount(outcomes, minlength=3)
+    totals = rng.sample_counts(outcome_probs, trials)
     counts = dict(zip(("coincidence", "bunch1", "bunch2"), map(int, totals)))
     errors = counts["coincidence"] if bit else trials - counts["coincidence"]
     return OpticalProtocolResult(bit=bit, trials=trials, counts=counts,

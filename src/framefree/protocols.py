@@ -224,7 +224,7 @@ def encode_logical(psi: StateVector, encoding: LogicalEncoding) -> DensityOperat
 
 
 class DecodingError(ValueError):
-    """The physical state has (numerically) no support on the code."""
+    """The physical state lies partly outside the code."""
 
 
 def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> DensityOperator:
@@ -233,7 +233,7 @@ def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> Dens
     Entry (r, r') of the result is sum_m <v_{r,m}| rho |v_{r',m}>, the
     multiplicity-space operator that frame averaging keeps; for a subspace
     code the carrier is trivial and this is the plain compression V^dag rho V.
-    The result is renormalized by the in-code probability.
+    Nothing is post-selected: an in-code probability off 1 by more than ATOL raises.
     """
     if rho_phys.dim != len(encoding.isometry):
         raise ValueError(f"physical state dim {rho_phys.dim} does not match n = {encoding.n}")
@@ -241,9 +241,8 @@ def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> Dens
     inside = (v.conj().T @ rho_phys.matrix @ v).reshape(count, width, count, width)
     reduced = np.trace(inside, axis1=1, axis2=3)
     probability = float(np.trace(reduced).real)
-    if probability < 1e-12:
-        raise DecodingError("state has no support on the code space")
-    reduced = reduced / probability
+    if abs(probability - 1.0) > ATOL:
+        raise DecodingError(f"in-code probability {probability} is not 1")
     return DensityOperator(0.5 * (reduced + reduced.conj().T))
 
 

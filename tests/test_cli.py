@@ -3,6 +3,7 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
@@ -141,6 +142,20 @@ class TestOptionTable:
         assert main([command]) == 0
 
 
+_READ = {"decompose": {"n"}, "rates": {"n"}, "twirl-check": {"n", "trials", "seed", "tolerance"},
+         "classical": {"n", "singlet_first", "trials", "seed", "tolerance"},
+         "quantum": {"trials", "seed", "tolerance"}, "optics": {"trials", "seed"},
+         "bell": {"trials", "seed", "tolerance"}}
+
+
+@pytest.mark.parametrize("command", _READ)
+def test_a_report_echoes_only_the_settings_its_command_reads(command, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        cli._COMMANDS[command]._replace(handler=lambda cfg: ({}, ())))
+    config = run_command(parse_args([command])).config
+    assert set(config) == _READ[command] | {"command", "output_format", "output_path"}
+
+
 class TestCommands:
     def test_decompose_payload(self, capsys):
         code, report = run_json(capsys, ["decompose", "--n", "4"])
@@ -235,6 +250,27 @@ class TestCommands:
         assert code == 0
         for entry in report["payload"]["codes"].values():
             assert entry["min_fidelity"] >= 1.0 - 1e-9
+
+    def test_quantum_verdicts_read_the_largest_deviation(self, capsys, monkeypatch):
+        real = cli.fidelity
+        monkeypatch.setattr(cli, "fidelity", lambda rho, sigma: 2.0 * real(rho, sigma))
+        code, report = run_json(capsys, ["quantum", "--trials", "2"])
+        assert code == 1  # min F is 2, but |1 - F| is 1 in every trial
+        for verdict in report["verdicts"]:
+            assert verdict["value"] > 0.99 and not verdict["passed"]
+
+    def test_quantum_fails_when_the_channel_leaks_out_of_the_code(self, capsys, monkeypatch):
+        twirl = TwirlChannel.apply
+
+        def leaky(channel, rho):  # half of every output replaced by |0...0><0...0|
+            out = twirl(channel, rho).matrix
+            return DensityOperator(0.5 * out + 0.5 * np.diag(np.eye(len(out))[0]))
+
+        monkeypatch.setattr(TwirlChannel, "apply", leaky)
+        assert main(["quantum", "--trials", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DecodingError"
 
     def test_optics(self, capsys):
         code, report = run_json(capsys, ["optics", "--trials", "200"])

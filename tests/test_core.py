@@ -10,9 +10,13 @@ from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBI
                             haar_random_su2, haar_random_su2_batch, random_density,
                             random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose, multiplicity, total_irrep_count
-from framefree.protocols import (build_classical_codebook, dephasing_sector_encoding,
-                                 most_repeated_irrep, noiseless_subsystem_plan, rate_table)
+from framefree.optics import DetectionDistribution
+from framefree.protocols import (build_classical_codebook, decode_logical,
+                                 dephasing_sector_encoding, dfs_encoding_4qubit,
+                                 encode_logical, most_repeated_irrep, noiseless_subsystem_plan,
+                                 rate_table)
 from framefree.twirl import TwirlChannel
+from test_twirl import dense_distance
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
@@ -74,8 +78,19 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="not a probability vector"):
             rng.sample_index(bad)
 
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0]])
+    @pytest.mark.parametrize("check", [lambda rng, p: rng.sample_counts(p, 10),
+                                       lambda rng, p: DetectionDistribution(*p, 0.0)],
+                             ids=["sample_counts", "DetectionDistribution"])
+    def test_counts_and_detection_share_the_check(self, rng, check, bad):
+        with pytest.raises(ValueError, match="^not a probability vector"):
+            check(rng, bad)
+
     def test_sample_index_accepts_rounding_within_atol(self, rng):
         assert all(rng.sample_index([-1e-12, 1.0 + 1e-12]) == 1 for _ in range(50))
+
+    def test_sample_counts_accepts_rounding_within_atol(self, rng):
+        assert rng.sample_counts([-1e-12, 1.0 + 1e-12], 50).tolist() == [0, 50]
 
 
 class TestHaarSampling:
@@ -231,6 +246,14 @@ class TestMetrics:
             direct = psi.expectation(rho.matrix).real
             assert abs(fidelity(rho, psi.to_density()) - direct) < 1e-10
 
+    def test_fidelity_is_returned_unclipped(self):
+        # README's quick-start decode: the raw value rounds past 1 (1.0000000000000018 with
+        # the pinned BLAS of tests/report_digests.txt) and is not clipped back
+        enc = dfs_encoding_4qubit()
+        psi = StateVector.normalized([0.6, 0.8j])
+        out = decode_logical(TwirlChannel.full_su2(4).apply(encode_logical(psi, enc)), enc)
+        assert fidelity(out, psi.to_density()) > 1.0
+
     def test_fidelity_rejects_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             fidelity(random_density(rng, 2), random_density(rng, 4))
@@ -243,6 +266,12 @@ class TestMetrics:
         assert abs(trace_distance(zero, one) - 1.0) < 1e-12
         with pytest.raises(ValueError):
             trace_distance(zero, random_density(rng, 4))
+
+    def test_trace_distance_is_the_unclipped_dense_value(self):
+        # |0> and |1> in a seeded random frame: the eigenvalue sum rounds past 1
+        g = haar_random_su2(RandomSource(28))
+        zero, one = (StateVector.basis(2, k).evolve(g.matrix).to_density() for k in (0, 1))
+        assert trace_distance(zero, one) == dense_distance(zero, one) > 1.0
 
     def test_fuchs_van_de_graaff_sandwich(self, rng):
         for _ in range(100):
@@ -293,11 +322,6 @@ class TestWrapperValidation:
 
     def test_random_states_are_valid(self, rng):
         assert abs(np.linalg.norm(random_state_vector(rng, 8).amplitudes) - 1.0) < 1e-12
-
-
-def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """The dense oracle: half the absolute eigenvalue sum of a - b, clipped as the code clips."""
-    return min(max(0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum()), 0.0), 1.0)
 
 
 def weight_diagonal(rng, n: int = 6) -> np.ndarray:
@@ -392,7 +416,7 @@ class TestBlockForm:
         rho, sigma = DensityOperator(weight_diagonal(rng)), DensityOperator(weight_diagonal(rng))
         d = trace_distance(rho, sigma)
         assert d > 0.1
-        assert abs(d - dense_trace_distance(rho, sigma)) < 1e-15
+        assert abs(d - dense_distance(rho, sigma)) < 1e-15
 
     def test_same_frame_distance_trusts_the_blocks(self, rng, monkeypatch):
         # the sizes of the matrices decomposed show which path was taken
@@ -408,5 +432,5 @@ class TestBlockForm:
         coupled[0, 1] = coupled[1, 0] = 1e-300
         for sigma in (random_density(rng, 64), DensityOperator(coupled)):
             assert sigma.blocks is None
-            assert trace_distance(rho, sigma) == dense_trace_distance(rho, sigma)
-            assert trace_distance(sigma, rho) == dense_trace_distance(sigma, rho)
+            assert trace_distance(rho, sigma) == dense_distance(rho, sigma)
+            assert trace_distance(sigma, rho) == dense_distance(sigma, rho)

@@ -135,7 +135,7 @@ class TestDetect:
             DetectionDistribution(0.5, 0.5, 0.5)
 
     def test_nan_distribution_rejected(self):
-        with pytest.raises(ValueError, match="do not sum to 1"):
+        with pytest.raises(ValueError, match="not a probability vector"):
             DetectionDistribution(float("nan"), 0.0, 1.0)
 
 
@@ -199,26 +199,26 @@ class TestProtocol:
         assert set(payload) == {"bit", "trials", "counts", "error_rate"}
         assert set(payload["counts"]) == {"coincidence", "bunch1", "bunch2"}
 
-    @pytest.mark.parametrize("trials", [1, 100, 70_000])  # 70 000 crosses one 2**16 draw
+    @pytest.mark.parametrize("trials", [1, 100, 70_000])
     @pytest.mark.parametrize("bit", [0, 1])
-    def test_matches_a_per_trial_sampling_loop(self, bit, trials):
+    def test_counts_are_one_multinomial_draw(self, bit, trials):
         fiber = haar_random_su2(RandomSource(11))
-        batched, looped = RandomSource(3), RandomSource(3)
-        result = run_optical_protocol(bit, fiber, trials, batched)
+        ours, oracle = RandomSource(3), RandomSource(3)
+        result = run_optical_protocol(bit, fiber, trials, ours)
 
         state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
         outcome_probs = detect(beam_splitter(polarization_rotation(state, fiber))).as_vector()
-        labels = ("coincidence", "bunch1", "bunch2")
-        counts = dict.fromkeys(labels, 0)
-        errors = 0
-        for _ in range(trials):
-            outcome = looped.sample_index(outcome_probs)
-            counts[labels[outcome]] += 1
-            guess = 0 if outcome == 0 else 1
-            errors += int(guess != bit)
-        assert result.counts == counts
-        assert result.error_rate == errors / trials
-        assert batched.normal() == looped.normal()
+        expected = oracle.generator.multinomial(trials, outcome_probs / outcome_probs.sum())
+        assert list(result.counts.values()) == expected.tolist()
+        errors = expected[0] if bit else trials - expected[0]
+        assert result.error_rate == errors / trials == 0.0
+        assert ours.normal() == oracle.normal()  # both streams end at the same position
+
+    def test_any_trial_count_costs_one_draw(self, rng):
+        trials = 10 ** 15
+        result = run_optical_protocol(1, haar_random_su2(rng), trials, rng)
+        assert sum(result.counts.values()) == trials
+        assert result.counts["coincidence"] == 0 and result.error_rate == 0.0
 
     def test_rejects_bad_bit(self, rng):
         with pytest.raises(ValueError):

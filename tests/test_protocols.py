@@ -356,6 +356,15 @@ class TestEncodeDecode:
         with pytest.raises(DecodingError):
             decode_logical(StateVector.from_bits("0000").to_density(), enc)
 
+    def test_decode_rejects_a_state_half_outside_the_code(self, rng):
+        # renormalizing the in-code half would decode it with fidelity 1: nothing is post-selected
+        enc = dfs_encoding_4qubit()
+        encoded = encode_logical(random_state_vector(rng, 2), enc).matrix
+        leaky = 0.5 * encoded + 0.5 * StateVector.from_bits("0000").to_density().matrix
+        with pytest.raises(DecodingError, match="^in-code probability .* is not 1$") as error:
+            decode_logical(DensityOperator(leaky), enc)
+        assert abs(float(str(error.value).split()[2]) - 0.5) < 1e-12
+
     def test_encode_rejects_wrong_dimension(self, rng):
         with pytest.raises(ValueError):
             encode_logical(random_state_vector(rng, 3), dfs_encoding_4qubit())
@@ -451,15 +460,19 @@ def decode_with_stacked_sector(rho: DensityOperator, encoding) -> np.ndarray:
     sector = np.hstack(bases)
     inside = (sector.conj().T @ rho.matrix @ sector).reshape(count, width, count, width)
     reduced = np.trace(inside, axis1=1, axis2=3)
-    reduced = reduced / np.trace(reduced).real
     return 0.5 * (reduced + reduced.conj().T)
 
 
 def decode_by_compression(rho: DensityOperator, isometry: np.ndarray) -> np.ndarray:
-    """The oracle decode of a subspace code: V^dag rho V, renormalized."""
+    """The oracle decode of a subspace code: V^dag rho V."""
     reduced = isometry.conj().T @ rho.matrix @ isometry
-    reduced = reduced / np.trace(reduced).real
     return 0.5 * (reduced + reduced.conj().T)
+
+
+def random_in_code_state(rng, encoding) -> DensityOperator:
+    """V sigma V^dag for a random mixed sigma as wide as the isometry: a state inside the code."""
+    v = encoding.isometry
+    return DensityOperator(v @ random_density(rng, v.shape[1]).matrix @ v.conj().T)
 
 
 def encode_by_stacked_columns(psi: StateVector, n: int, j) -> np.ndarray:
@@ -483,7 +496,7 @@ class TestNoiselessSubsystemSector:
     def test_decode_matches_stacked_sector(self, rng, n):
         enc = noiseless_subsystem_plan(n)
         for _ in range(3):
-            rho = random_density(rng, 2 ** n)
+            rho = random_in_code_state(rng, enc)
             decoded = decode_logical(rho, enc).matrix
             assert np.abs(decoded - decode_with_stacked_sector(rho, enc)).max() < 1e-15
 
@@ -529,7 +542,7 @@ class TestSingleDecodePath:
         enc = dfs_encoding_4qubit() if code == "dfs" else dephasing_sector_encoding(code)
         assert enc.carrier_dim == 1
         for _ in range(3):
-            rho = random_density(rng, 2 ** enc.n)
+            rho = random_in_code_state(rng, enc)
             expected = decode_by_compression(rho, enc.isometry)
             assert np.abs(decode_logical(rho, enc).matrix - expected).max() < 1e-15
 

@@ -15,7 +15,7 @@ test failed).  It survives when pytest exits 0, and any other exit code
 first run once on an unmutated copy, and the script exits 2 if they fail
 there.  It prints one line per mutant and a count of those caught, and
 exits 1 unless every mutant was caught.  A mutant costs a copy of the
-repository plus its test: 1.0 to 1.3 s for each entry (2 cores).
+repository plus its test: 0.9 to 1.5 s for each entry (2 cores).
 
 ``tests/test_source.py`` checks in tier-1 that every old text still occurs
 exactly once, so the table cannot go stale when ``src/`` changes.
@@ -61,7 +61,7 @@ MUTANTS = (
            "    w[w < rho.dim * np.finfo(float).eps * max(w.max(), 0.0)] = 0.0\n", "",
            "tests/test_cli.py::TestCommands::test_quantum"),
     Mutant("sample-index-no-clip", "src/framefree/core.py",
-           "            p = np.clip(p, 0.0, None)\n", "",
+           "        p = np.clip(p, 0.0, None)\n", "",
            "tests/test_core.py::TestRandomSource"
            "::test_sample_index_accepts_rounding_within_atol"),
     Mutant("block-trace-distance-max", "src/framefree/core.py",
@@ -73,6 +73,21 @@ MUTANTS = (
            "encoding.isometry[:, ::encoding.carrier_dim] @ psi.amplitudes",
            "tests/test_protocols.py::TestNoiselessSubsystemSector"
            "::test_real_isometry_gives_the_bits_of_the_complex_one[3]"),
+    Mutant("decode-post-selects", "src/framefree/protocols.py",
+           "    if abs(probability - 1.0) > ATOL:\n"
+           "        raise DecodingError(f\"in-code probability {probability} is not 1\")\n",
+           "    if probability < 1e-12:\n"
+           "        raise DecodingError(f\"in-code probability {probability} is not 1\")\n"
+           "    reduced = reduced / probability\n",
+           "tests/test_cli.py::TestCommands"
+           "::test_quantum_fails_when_the_channel_leaks_out_of_the_code"),
+    Mutant("fidelity-clamped", "src/framefree/core.py",
+           "    return float(np.sqrt(w).sum() ** 2)\n",
+           "    return min(max(float(np.sqrt(w).sum() ** 2), 0.0), 1.0)\n",
+           "tests/test_core.py::TestMetrics::test_fidelity_is_returned_unclipped"),
+    Mutant("optics-counts-short", "src/framefree/optics.py",
+           "rng.sample_counts(outcome_probs, trials)", "rng.sample_counts(outcome_probs, trials - 1)",
+           "tests/test_optics.py::TestProtocol::test_any_trial_count_costs_one_draw"),
 )
 
 
