@@ -64,34 +64,17 @@ class CodeBook:
             raise KeyError(f"message {message.index} not in codebook (size {len(self.entries)})")
         return self.entries[message.index]
 
-    def message_for_block(self, index: int) -> Message:
-        """The message riding on block ``index`` (canonical order) of the decomposition.
 
-        The message index is the block index, mirrored for a ``singlet_first``
-        book, whose entries list the blocks in reverse.
-        """
-        if self.entries[0].j != next(iter(self.decomposition.multiplicity_table)):
-            index = len(self.entries) - 1 - index
-        return self.entries[index].message
-
-
-def build_classical_codebook(n: int, *, singlet_first: bool = False) -> CodeBook:
+def build_classical_codebook(n: int) -> CodeBook:
     """Codebook with the highest-weight state |j, m=j, r> of every block.
 
-    Message indices follow the canonical block order (j descending, then
-    path order).  ``singlet_first`` flips the two labels of the n=2 book
-    so message 0 rides on the singlet, the historical labeling for that
-    example.
+    Message i rides on block i of the canonical order (j descending, then
+    path order): the block the receiver's measurement lands in is the message.
     """
     _check_qubit_count(n, MAX_CODEBOOK_QUBITS)
     d = decompose(n)
     labels = [(j, r) for j, count in d.multiplicity_table.items() for r in range(1, count + 1)]
-    codewords = list(d.columns(d.column_starts).T)  # first column of every block
-    if singlet_first:
-        if n != 2:
-            raise ValueError("singlet_first only applies to the two-qubit codebook")
-        labels.reverse()
-        codewords.reverse()
+    codewords = d.columns(d.column_starts).T  # first column of every block
     entries = tuple(CodeBookEntry(Message(i), StateVector(codeword), j, r)
                     for i, ((j, r), codeword) in enumerate(zip(labels, codewords)))
     return CodeBook(entries=entries, decomposition=d)
@@ -128,7 +111,7 @@ def classical_trial(msg: Message, codebook: CodeBook, g: GroupElement,
     """
     rotated = apply_collective_rotation(g, codebook.entry(msg).codeword)
     probabilities = block_outcome_probabilities(rotated, codebook.decomposition)
-    return codebook.message_for_block(rng.sample_index(probabilities)), probabilities
+    return Message(rng.sample_index(probabilities)), probabilities
 
 
 def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -> float:

@@ -27,9 +27,9 @@ from .core import (DensityOperator, RandomSource, _check_qubit_count, _qubit_cou
                    _readonly, _tensor_powers, haar_random_su2_batch, weight_indices)
 from .irreps import decompose
 
-# Max batched entries per Monte Carlo chunk.  At 1M/4M/16M, time per sample (best of 3, 2 cores)
-# and traced peak: n = 4: 8.6/12.2/11.0 us, 35/139/553 MB; n = 8: 4.9/5.5/5.4 ms, 77/307/1222 MB.
-_MC_ENTRY_BUDGET = 4_000_000
+# Max batched entries per Monte Carlo chunk.  At 1M/4M, time per sample (best of 3, 2 cores) and
+# traced peak: n = 4: 10.2/11.6 us, 37/145 MB; n = 8: 5.28/5.37 ms, 81/322 MB.
+_MC_ENTRY_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
-from framefree.core import DensityOperator
+from framefree.core import DensityOperator, StateVector
 from framefree import cli, irreps
 from framefree.irreps import HalfInteger, decompose
 from framefree.protocols import noiseless_subsystem_plan
 from framefree.twirl import TwirlChannel
+
+SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
 
 def run_json(capsys, argv):
@@ -189,6 +191,23 @@ class TestCommands:
         assert code == 0
         assert report["payload"]["errors"] == 0
 
+    @pytest.mark.parametrize("singlet_first", [False, True])
+    def test_singlet_first_runs_the_singlet_trials_first(self, capsys, monkeypatch,
+                                                          singlet_first):
+        sent, trial = [], cli.classical_trial
+
+        def recording_trial(msg, codebook, g, rng):
+            sent.append(codebook.entry(msg).codeword)
+            return trial(msg, codebook, g, rng)
+
+        monkeypatch.setattr(cli, "classical_trial", recording_trial)
+        flag = ["--singlet-first"] if singlet_first else []
+        code, _ = run_json(capsys, ["classical", "--n", "2", "--trials", "5"] + flag)
+        assert code == 0 and len(sent) == 10
+        singlet = [abs(abs(c.overlap(SINGLET)) - 1.0) < 1e-12 for c in sent]
+        # canonical order sends the triplet's codeword (block 0) first, the singlet last
+        assert singlet == [singlet_first] * 5 + [not singlet_first] * 5
+
     def test_classical_n10_builds_no_dense_rotation(self, capsys):
         decompose(10)  # cached block structure, as in any later call
         tracemalloc.start()
@@ -258,6 +277,19 @@ class TestCommands:
         assert code == 1  # min F is 2, but |1 - F| is 1 in every trial
         for verdict in report["verdicts"]:
             assert verdict["value"] > 0.99 and not verdict["passed"]
+
+    def test_quantum_verdicts_are_their_payload_deviations(self, capsys):
+        # the three deviations straddle 1e-15 at this seed, so both outcomes are read
+        code, report = run_json(capsys, ["quantum", "--trials", "3", "--tolerance", "1e-15"])
+        codes = report["payload"]["codes"]
+        verdicts = {v["name"].removesuffix("_max_fidelity_deviation"): v
+                    for v in report["verdicts"]}
+        assert len(report["verdicts"]) == 3 and verdicts.keys() == codes.keys()
+        for name, verdict in verdicts.items():
+            assert verdict["value"] == codes[name]["max_fidelity_deviation"]
+            assert verdict["threshold"] == 1e-15
+            assert verdict["passed"] == (verdict["value"] <= 1e-15)
+        assert {v["passed"] for v in report["verdicts"]} == {True, False} and code == 1
 
     def test_quantum_fails_when_the_channel_leaks_out_of_the_code(self, capsys, monkeypatch):
         twirl = TwirlChannel.apply

@@ -95,13 +95,6 @@ class TestCodeBook:
         assert first.j == HalfInteger.of(1) and abs(first.codeword.overlap(SINGLET)) < 1e-12
         assert abs(abs(second.codeword.overlap(SINGLET)) - 1.0) < 1e-12
 
-    def test_singlet_first_flag(self):
-        book = build_classical_codebook(2, singlet_first=True)
-        assert abs(abs(book.entries[0].codeword.overlap(SINGLET)) - 1.0) < 1e-12
-        assert book.entries[0].message == Message(0)
-        with pytest.raises(ValueError):
-            build_classical_codebook(4, singlet_first=True)
-
     def test_four_qubit_size(self):
         assert len(build_classical_codebook(4).entries) == 6
 
@@ -196,6 +189,7 @@ class FixedOutcome:
         return self.outcome
 
 
+# singlet_first visits the entries as ``classical --singlet-first`` runs them: reversed
 CODEBOOKS = [(n, False) for n in range(1, 7)] + [(2, True)]
 
 
@@ -204,17 +198,24 @@ class TestCodeBookIndexOracle:
 
     @pytest.mark.parametrize("n, singlet_first", CODEBOOKS)
     def test_entry_matches_scan(self, n, singlet_first):
-        book = build_classical_codebook(n, singlet_first=singlet_first)
-        for i in range(len(book.entries)):
-            scan = [e for e in book.entries if e.message == Message(i)]
-            assert [book.entry(Message(i))] == scan
+        book = build_classical_codebook(n)
+        for entry in book.entries[::-1] if singlet_first else book.entries:
+            scan = [e for e in book.entries if e.message == entry.message]
+            assert [book.entry(entry.message)] == scan == [entry]
         with pytest.raises(KeyError):
             book.entry(Message(len(book.entries)))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_message_is_its_block_index(self, n):
+        book = build_classical_codebook(n)
+        assert len(book.entries) == total_irrep_count(n)
+        for entry in book.entries:
+            assert entry.message.index == book.decomposition.block_index(entry.j, entry.r)
+
     @pytest.mark.parametrize("n, singlet_first", CODEBOOKS)
     def test_outcome_to_message_matches_scan(self, n, singlet_first):
-        book = build_classical_codebook(n, singlet_first=singlet_first)
-        sent = book.entries[0].message
+        book = build_classical_codebook(n)
+        sent = book.entries[-1 if singlet_first else 0].message
         for outcome, (j, r, _, _) in enumerate(racah_blocks(n)):
             scan = [e.message for e in book.entries if e.j == j and e.r == r]
             decoded = classical_round_trip(sent, book, GroupElement.identity(),

@@ -15,7 +15,7 @@ test failed).  It survives when pytest exits 0, and any other exit code
 first run once on an unmutated copy, and the script exits 2 if they fail
 there.  It prints one line per mutant and a count of those caught, and
 exits 1 unless every mutant was caught.  A mutant costs a copy of the
-repository plus its test: 0.9 to 1.5 s for each entry (2 cores).
+repository plus its test: 0.7 to 1.5 s for each entry (2 cores).
 
 ``tests/test_source.py`` checks in tier-1 that every old text still occurs
 exactly once, so the table cannot go stale when ``src/`` changes.
@@ -88,6 +88,16 @@ MUTANTS = (
     Mutant("optics-counts-short", "src/framefree/optics.py",
            "rng.sample_counts(outcome_probs, trials)", "rng.sample_counts(outcome_probs, trials - 1)",
            "tests/test_optics.py::TestProtocol::test_any_trial_count_costs_one_draw"),
+    Mutant("classical-reads-block-0", "src/framefree/cli.py",
+           "probs[entry.message.index]", "probs[0]",
+           "tests/test_cli.py::TestCommands::test_classical_runs_clean"),
+    Mutant("singlet-first-unordered", "src/framefree/cli.py",
+           "codebook.entries[::-1] if cfg.singlet_first", "codebook.entries if cfg.singlet_first",
+           "tests/test_cli.py::TestCommands::test_singlet_first_runs_the_singlet_trials_first"),
+    Mutant("quantum-deviation-from-min", "src/framefree/cli.py",
+           "worst = float(np.abs(np.subtract(1.0, fidelities)).max())",
+           "worst = 1.0 - float(min(fidelities))",
+           "tests/test_cli.py::TestCommands::test_quantum_verdicts_read_the_largest_deviation"),
 )
 
 

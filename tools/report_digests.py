@@ -63,6 +63,7 @@ MATRIX = (
     "quantum --trials 3",
     "bell --trials 150 --seed 11",
     "classical --n 3 --singlet-first",
+    "classical --n 2 --trials 50 --seed 1 --singlet-first",
 )
 
 _DURATION = re.compile(r'^(\s*"duration_s": .*|duration_s,.*)\n', re.MULTILINE)
