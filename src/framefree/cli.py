@@ -32,8 +32,8 @@ from .irreps import decompose
 from .optics import run_optical_protocol
 from .protocols import (build_classical_codebook, classical_rate_asymptote, classical_trial,
                         decode_logical, dephasing_sector_encoding, dfs_encoding_4qubit,
-                        encode_logical, logical_bell_chsh_trials, most_repeated_irrep,
-                        noiseless_subsystem_plan, rate_table)
+                        encode_logical, logical_bell_chsh_trials, noiseless_subsystem_plan,
+                        rate_table)
 from .twirl import TwirlChannel
 
 TSIRELSON = 2.0 * sqrt(2.0)
@@ -137,14 +137,8 @@ def _run_decompose(cfg: RunConfig):
 
 
 def _run_rates(cfg: RunConfig):
-    rows = [{
-        "n": row.n,
-        "classical_rate": row.classical_rate,
-        "quantum_rate": row.quantum_rate,
-        "dephasing_rate": row.dephasing_quantum_rate,
-        "asymptotic_gap": classical_rate_asymptote(row.n) - row.classical_rate,
-        "j2_max": most_repeated_irrep(row.n)[0].twice,
-    } for row in rate_table(cfg.n)]
+    rows = [{**asdict(row), "asymptotic_gap": classical_rate_asymptote(row.n) - row.classical_rate}
+            for row in rate_table(cfg.n)]
     payload = {"max_n": cfg.n, "rate_rows": rows}
     all_rates = [r[k] for r in rows for k in ("classical_rate", "quantum_rate", "dephasing_rate")]
     in_bounds = all(0.0 <= x <= 1.0 for x in all_rates)

@@ -74,14 +74,11 @@ def _as_complex_array(values, ndim: int) -> np.ndarray:
 
 def _checked_distribution(probabilities) -> np.ndarray:
     """The library's one probability-vector check: ``ValueError`` unless every entry is
-    >= -ATOL and the sum is within ATOL of 1 (NaN fails).  Returns it clipped at 0, summing to 1."""
+    >= 0 and the sum is within ATOL of 1 (NaN fails).  Returns it divided by its sum."""
     p = np.asarray(probabilities, dtype=float)
     lowest, total = p.min(), p.sum()
-    if not (lowest >= -ATOL and abs(total - 1.0) <= ATOL):
+    if not (lowest >= 0.0 and abs(total - 1.0) <= ATOL):
         raise ValueError(f"not a probability vector: min {lowest}, sum {total}")
-    if lowest < 0.0:  # clipping a nonnegative vector would change nothing
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
     return p / total
 
 

@@ -37,12 +37,12 @@ import numpy as np
 
 from .core import _check_qubit_count, _readonly
 
-# Columns per gather in ``IrrepDecomposition.columns``: at n = 12 one gather of the
-# level below is 4 MB.  Only calls for more columns than this are split, so every
-# call at n <= 10 (at most C(10, 5) = 252 columns) is one gather either way.  The
-# largest call, the 924 columns of one W_k of TwirlChannel.full_su2(12), is split:
-# building all its W_k took 148-181 against 171-196 ms unchunked (best of 5, four
-# alternating processes, 2 cores) and a traced peak of 54.9 against 65.0 MB.
+# Columns per gather in ``IrrepDecomposition.columns``: at n = 12 one gather of the level
+# below is 4 MB.  Only wider calls are split: the W_k of TwirlChannel.full_su2(n) at n >= 11
+# (C(11, 5) = 462 columns) and sectors over 256 columns, as noiseless_subsystem_plan(10)'s
+# sector(1), 90 blocks x 3 = 270.  No CLI command or perfbench workload makes such a call.
+# Building all W_k of TwirlChannel.full_su2(12) took 80-93 against 93-121 ms unchunked (best
+# of 5, four alternating processes, 2 cores) with a traced peak of 57.6 against 68.2 MB.
 _GATHER_COLUMNS = 256
 
 

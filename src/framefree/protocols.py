@@ -229,15 +229,15 @@ def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> Dens
     return DensityOperator(0.5 * (reduced + reduced.conj().T))
 
 
-def swap_qubits_matrix(n: int, a: int, b: int) -> np.ndarray:
-    """Permutation matrix exchanging qubits a and b (1-based, qubit 1 = MSB)."""
-    if not (1 <= a <= n and 1 <= b <= n) or a == b:
-        raise ValueError(f"need two distinct qubit labels in 1..{n}, got ({a}, {b})")
-    pa, pb = n - a, n - b  # bit positions from the LSB
-    idx = np.arange(2 ** n)
+def swap_qubits_matrix(a: int, b: int) -> np.ndarray:
+    """The 16 x 16 permutation exchanging qubits a and b of four (1-based, qubit 1 = MSB)."""
+    if not (1 <= a <= 4 and 1 <= b <= 4) or a == b:
+        raise ValueError(f"need two distinct qubit labels in 1..4, got ({a}, {b})")
+    pa, pb = 4 - a, 4 - b  # bit positions from the LSB
+    idx = np.arange(16)
     differ = ((idx >> pa) & 1) ^ ((idx >> pb) & 1)
     swapped = idx ^ ((differ << pa) | (differ << pb))
-    m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    m = np.zeros((16, 16), dtype=complex)
     m[swapped, idx] = 1.0
     return m
 
@@ -250,35 +250,30 @@ class ExchangeAction:
     leakage: float
 
 
-def exchange_logical_action(a: int, b: int, encoding: LogicalEncoding) -> ExchangeAction:
-    """Compress SWAP_ab into the logical space of the 4-qubit j=0 code.
+def exchange_logical_action(a: int, b: int) -> ExchangeAction:
+    """Compress SWAP_ab into the logical space of ``dfs_encoding_4qubit()``.
 
     The reported leakage is the Frobenius norm of (I - P_code) SWAP V,
     i.e. how much of the swapped code space escapes the code.
     """
-    if encoding.n != 4 or encoding.j != HalfInteger(0):
-        raise ValueError("exchange gates are defined for the 4-qubit j=0 code")
-    swap = swap_qubits_matrix(4, a, b)
-    v = encoding.isometry
-    image = swap @ v
+    v = dfs_encoding_4qubit().isometry
+    image = swap_qubits_matrix(a, b) @ v
     logical = v.conj().T @ image
     leakage = float(np.linalg.norm(image - v @ logical))
     return ExchangeAction(matrix=logical, leakage=leakage)
 
 
-def dfs_logical_paulis(encoding: LogicalEncoding) -> tuple[np.ndarray, np.ndarray]:
-    """(Z_L, X_L) for the 4-qubit j=0 code, built from exchange gates.
+def dfs_logical_paulis() -> tuple[np.ndarray, np.ndarray]:
+    """(Z_L, X_L) for ``dfs_encoding_4qubit()``, built from exchange gates.
 
     SWAP_12 compresses to -Z_L exactly; the traceless, Z-orthogonal part
     of SWAP_23's compression is proportional to X_L.  X_L is normalized to
-    square to the identity and signed so its (0, 1) entry is positive.
+    square to the identity; in this basis its (0, 1) entry is +1.
     """
-    z = -exchange_logical_action(1, 2, encoding).matrix
-    raw = exchange_logical_action(2, 3, encoding).matrix
+    z = -exchange_logical_action(1, 2).matrix
+    raw = exchange_logical_action(2, 3).matrix
     x = raw - 0.5 * np.trace(raw) * np.eye(2) - 0.5 * np.trace(raw @ z) * z
     x = x / sqrt(0.5 * np.trace(x @ x.conj().T).real)
-    if x[0, 1].real < 0:
-        x = -x
     return z, x
 
 
@@ -287,7 +282,8 @@ class RateRow:
     n: int
     classical_rate: float
     quantum_rate: float
-    dephasing_quantum_rate: float
+    dephasing_rate: float
+    j2_max: int  # twice the j of the most-repeated irrep, whose multiplicity sets quantum_rate
 
 
 def rate_table(n_max: int) -> tuple[RateRow, ...]:
@@ -300,10 +296,9 @@ def rate_table(n_max: int) -> tuple[RateRow, ...]:
     _check_qubit_count(n_max, MAX_RATE_QUBITS)
     rows = []
     for n in range(1, n_max + 1):
-        classical = log2(total_irrep_count(n)) / n
-        quantum = log2(most_repeated_irrep(n)[1]) / n
-        dephasing = log2(comb(n, n // 2)) / n
-        rows.append(RateRow(n, classical, quantum, dephasing))
+        j_max, multiplicity = most_repeated_irrep(n)
+        rows.append(RateRow(n, log2(total_irrep_count(n)) / n, log2(multiplicity) / n,
+                            log2(comb(n, n // 2)) / n, j_max.twice))
     return tuple(rows)
 
 
@@ -316,9 +311,8 @@ def classical_rate_asymptote(n: int) -> float:
 def _bell_operators() -> tuple[np.ndarray, ...]:
     """Read-only Z_L, X_L, (Z_L + X_L)/sqrt2 and (Z_L - X_L)/sqrt2 on one 4-qubit code,
     and the logical Bell pair (|0_L 0_L> + |1_L 1_L>)/sqrt2 as a 16x16 coefficient matrix."""
-    enc = dfs_encoding_4qubit()
-    v = enc.isometry
-    z, x = dfs_logical_paulis(enc)
+    v = dfs_encoding_4qubit().isometry
+    z, x = dfs_logical_paulis()
     zp = v @ z @ v.conj().T
     xp = v @ x @ v.conj().T
     b0 = (zp + xp) / sqrt(2.0)

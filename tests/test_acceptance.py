@@ -162,9 +162,8 @@ def test_criterion_08_protected_quantum_communication():
 
 
 def test_criterion_09_exchange_gate_algebra():
-    encoding = dfs_encoding_4qubit()
-    action = exchange_logical_action(1, 2, encoding)
-    z, x = dfs_logical_paulis(encoding)
+    action = exchange_logical_action(1, 2)
+    z, x = dfs_logical_paulis()
     swap_ok = (np.abs(action.matrix - np.diag([-1.0, 1.0])).max() < 1e-9
                and action.leakage < 1e-10)
     anticommute = float(np.abs(z @ x + x @ z).max())

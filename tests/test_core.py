@@ -87,10 +87,18 @@ class TestRandomSource:
             check(rng, bad)
 
     def test_sample_index_accepts_rounding_within_atol(self, rng):
-        assert all(rng.sample_index([-1e-12, 1.0 + 1e-12]) == 1 for _ in range(50))
+        assert all(rng.sample_index([0.0, 1.0 + 1e-12]) == 1 for _ in range(50))
 
     def test_sample_counts_accepts_rounding_within_atol(self, rng):
-        assert rng.sample_counts([-1e-12, 1.0 + 1e-12], 50).tolist() == [0, 50]
+        assert rng.sample_counts([0.0, 1.0 + 1e-12], 50).tolist() == [0, 50]
+
+    # every sampled probability is a sum of squared moduli, so any negative entry is a fault
+    @pytest.mark.parametrize("draw", [lambda rng, p: rng.sample_index(p),
+                                      lambda rng, p: rng.sample_counts(p, 10)],
+                             ids=["sample_index", "sample_counts"])
+    def test_rejects_any_negative_entry(self, rng, draw):
+        with pytest.raises(ValueError, match="^not a probability vector"):
+            draw(rng, [-1e-300, 1.0])
 
 
 class TestHaarSampling:

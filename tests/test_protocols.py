@@ -26,6 +26,7 @@ from framefree.twirl import TwirlChannel
 from racah_oracle import racah_blocks
 
 SQRT2 = np.sqrt(2.0)
+SQRT3 = np.sqrt(3.0)
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
 
 
@@ -59,9 +60,8 @@ def dfs_basis_4qubit() -> tuple[StateVector, StateVector]:
 
 def per_trial_chsh(rng: RandomSource, rotation_trials: int) -> np.ndarray:
     """The one-trial-at-a-time CHSH loop: fresh operators, two dense rotations per trial."""
-    enc = dfs_encoding_4qubit()
-    v = enc.isometry
-    z, x = dfs_logical_paulis(enc)
+    v = dfs_encoding_4qubit().isometry
+    z, x = dfs_logical_paulis()
     zp = v @ z @ v.conj().T
     xp = v @ x @ v.conj().T
     b0 = (zp + xp) / SQRT2
@@ -374,28 +374,26 @@ class TestEncodeDecode:
 class TestExchangeGates:
     def test_swap_matrix_against_axis_transpose(self, rng):
         for a, b in ((1, 2), (2, 3), (1, 4)):
-            s = swap_qubits_matrix(4, a, b)
+            s = swap_qubits_matrix(a, b)
             psi = random_state_vector(rng, 16).amplitudes
             assert np.abs(s @ psi - swap_by_axis_transpose(4, a, b, psi)).max() < 1e-12
 
     def test_swap12_and_swap34_act_as_minus_z(self):
-        enc = dfs_encoding_4qubit()
         for pair in ((1, 2), (3, 4)):
-            action = exchange_logical_action(*pair, enc)
+            action = exchange_logical_action(*pair)
             assert np.abs(action.matrix - np.diag([-1.0, 1.0])).max() < 1e-10
             assert action.leakage < 1e-10
 
     def test_swap23_from_independent_oracle(self):
         # oracle: 16-dim matrix elements computed by axis transposition on the
         # explicitly constructed code states
-        enc = dfs_encoding_4qubit()
         zero, one = dfs_basis_4qubit()
         expected = np.empty((2, 2))
         for col, ket in enumerate((zero, one)):
             swapped = swap_by_axis_transpose(4, 2, 3, ket.amplitudes)
             expected[0, col] = np.vdot(zero.amplitudes, swapped).real
             expected[1, col] = np.vdot(one.amplitudes, swapped).real
-        action = exchange_logical_action(2, 3, enc)
+        action = exchange_logical_action(2, 3)
         assert np.abs(action.matrix - expected).max() < 1e-10
         # frozen values from the oracle
         assert np.abs(expected - np.array([[0.5, np.sqrt(3) / 2],
@@ -404,45 +402,49 @@ class TestExchangeGates:
         assert abs(action.matrix[0, 1]) > 0.1
 
     def test_swap12_and_swap23_do_not_commute(self):
-        enc = dfs_encoding_4qubit()
-        a = exchange_logical_action(1, 2, enc).matrix
-        b = exchange_logical_action(2, 3, enc).matrix
+        a = exchange_logical_action(1, 2).matrix
+        b = exchange_logical_action(2, 3).matrix
         assert np.abs(a @ b - b @ a).max() > 0.1
 
     def test_rejects_bad_indices(self):
-        enc = dfs_encoding_4qubit()
         with pytest.raises(ValueError):
-            exchange_logical_action(1, 1, enc)
+            exchange_logical_action(1, 1)
         with pytest.raises(ValueError):
-            exchange_logical_action(0, 2, enc)
+            exchange_logical_action(0, 2)
 
-    def test_rejects_non_dfs_encoding(self):
-        with pytest.raises(ValueError):
-            exchange_logical_action(1, 2, noiseless_subsystem_plan(3))
-
-    @pytest.mark.parametrize("make", [noiseless_subsystem_plan, dephasing_sector_encoding])
-    def test_rejects_four_qubit_codes_off_j0(self, make):
-        enc = make(4)  # n = 4, so only the j check rejects these
-        assert enc.n == 4 and enc.j != HalfInteger(0)
-        with pytest.raises(ValueError):
-            exchange_logical_action(1, 2, enc)
+    # (12) = (34), (13) = (24) and (14) = (23): complementary pairs act alike on j = 0
+    @pytest.mark.parametrize("pair, expected", [
+        ((1, 2), [[-1.0, 0.0], [0.0, 1.0]]),
+        ((3, 4), [[-1.0, 0.0], [0.0, 1.0]]),
+        ((1, 3), [[0.5, -SQRT3 / 2], [-SQRT3 / 2, -0.5]]),
+        ((2, 4), [[0.5, -SQRT3 / 2], [-SQRT3 / 2, -0.5]]),
+        ((1, 4), [[0.5, SQRT3 / 2], [SQRT3 / 2, -0.5]]),
+        ((2, 3), [[0.5, SQRT3 / 2], [SQRT3 / 2, -0.5]]),
+    ])
+    def test_every_transposition_is_a_hermitian_involution_on_the_code(self, pair, expected):
+        action = exchange_logical_action(*pair)
+        m = action.matrix
+        assert action.leakage < 1e-10
+        assert np.abs(m - m.conj().T).max() < 1e-12
+        assert np.abs(m @ m - np.eye(2)).max() < 1e-12
+        assert np.abs(m - np.array(expected)).max() < 1e-12
 
     def test_exchange_commutes_with_collective_rotations(self, rng):
-        s = swap_qubits_matrix(4, 2, 3)
+        s = swap_qubits_matrix(2, 3)
         for _ in range(20):
             u = collective_rotation(haar_random_su2(rng), 4)
             assert np.abs(s @ u - u @ s).max() < 1e-10
 
     def test_gate_covariance_through_channel(self, rng):
         channel = TwirlChannel.full_su2(4)
-        s = swap_qubits_matrix(4, 1, 2)
+        s = swap_qubits_matrix(1, 2)
         rho = random_density(rng, 16)
         before = channel.apply(rho.evolve(s))
         after = channel.apply(rho).evolve(s)
         assert trace_distance(before, after) < 1e-9
 
     def test_logical_paulis(self):
-        z, x = dfs_logical_paulis(dfs_encoding_4qubit())
+        z, x = dfs_logical_paulis()
         assert np.abs(z - np.diag([1.0, -1.0])).max() < 1e-12
         assert np.abs(x - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
         assert np.abs(z @ x + x @ z).max() < 1e-9
@@ -625,12 +627,12 @@ class TestRates:
         assert abs(rows[3].quantum_rate - np.log2(3) / 4) < 1e-15
 
     def test_dephasing_rate(self):
-        assert rate_table(2)[1].dephasing_quantum_rate == 0.5
+        assert rate_table(2)[1].dephasing_rate == 0.5
 
     def test_all_rates_in_unit_interval_and_monotone(self):
         rows = rate_table(64)
         for row in rows:
-            for rate in (row.classical_rate, row.quantum_rate, row.dephasing_quantum_rate):
+            for rate in (row.classical_rate, row.quantum_rate, row.dephasing_rate):
                 assert 0.0 <= rate <= 1.0
         even = [r.classical_rate for r in rows if r.n % 2 == 0]
         assert all(a <= b for a, b in zip(even, even[1:]))

@@ -60,13 +60,15 @@ MUTANTS = (
     Mutant("fidelity-no-noise-floor", "src/framefree/core.py",
            "    w[w < rho.dim * np.finfo(float).eps * max(w.max(), 0.0)] = 0.0\n", "",
            "tests/test_cli.py::TestCommands::test_quantum"),
-    Mutant("sample-index-no-clip", "src/framefree/core.py",
-           "        p = np.clip(p, 0.0, None)\n", "",
-           "tests/test_core.py::TestRandomSource"
-           "::test_sample_index_accepts_rounding_within_atol"),
+    Mutant("distribution-admits-negative", "src/framefree/core.py",
+           "lowest >= 0.0", "lowest >= -ATOL",
+           "tests/test_core.py::TestRandomSource::test_rejects_any_negative_entry"),
     Mutant("block-trace-distance-max", "src/framefree/core.py",
            "np.abs(np.linalg.eigvalsh(b - c)).sum()", "np.abs(np.linalg.eigvalsh(b - c)).max()",
            "tests/test_core.py::TestBlockForm::test_same_frame_distance_reads_the_blocks"),
+    Mutant("paulis-x-sign", "src/framefree/protocols.py",
+           "x = x / sqrt(", "x = -x / sqrt(",
+           "tests/test_protocols.py::TestExchangeGates::test_logical_paulis"),
     Mutant("encode-logical-matmul", "src/framefree/protocols.py",
            "np.dot(encoding.isometry[:, ::encoding.carrier_dim],\n"
            "                              psi.amplitudes)",
