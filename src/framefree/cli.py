@@ -146,7 +146,7 @@ def _run_rates(cfg: RunConfig):
     monotone = all(a <= b for a, b in zip(even, even[1:]))
     verdicts = (
         Verdict("rates_within_unit_interval", in_bounds,
-                float(min(all_rates)), 0.0),
+                float(max(0.0, *(max(-x, x - 1.0) for x in all_rates))), 0.0),  # +0.0 when inside
         Verdict("classical_rate_monotone_even_n", monotone,
                 float(min((b - a for a, b in zip(even, even[1:])), default=0.0)), 0.0),
     )

@@ -19,19 +19,19 @@ import numpy as np
 
 ATOL = 1e-10
 
-# Size limits, in qubits.  Each follows from what the largest allowed call costs.
-# At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
-# takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at
-# n = 13).  Next come the W_k that an SU(2) twirl channel keeps: 21.6 MB in all,
-# built in 0.13-0.20 s with a 57.8 MB traced peak.  decompose(12) is not a bound:
-# a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.
+# Size limits, in qubits, from what the largest allowed call costs (2 Xeon cores, Python 3.11.7,
+# numpy 2.4.6).  At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
+# takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at n = 13).  Next
+# come the W_k an SU(2) twirl channel keeps: 21.6 MB in all, built in 87-112 ms (best of 5, nine
+# processes) with a 68.2 MB traced peak.  decompose(12) is not a bound: a cold build takes
+# 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.
 MAX_QUBITS = 12
-# O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every
-# message takes 0.16-0.18 s at n = 10.
+# O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every message,
+# classical --n 10 --trials 1, takes 0.088-0.15 s (five runs).
 MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
-# 1.07-1.17 s per 20 states at n = 8, about two thirds of it random_density's own
-# check: one 2^n x 2^n eigvalsh per input; twirled states are checked on weight blocks.
+# twirl-check --n 8 --trials 20 takes 0.72-0.91 s (five runs), about two thirds of it
+# random_density's check: one 2^n x 2^n eigvalsh per input; twirled states use weight blocks.
 MAX_TWIRL_CHECK_QUBITS = 8
 # Trials per batch of logical_bell_chsh_trials.  Over 2000 trials the median cost was
 # 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced

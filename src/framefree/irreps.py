@@ -37,14 +37,6 @@ import numpy as np
 
 from .core import _check_qubit_count, _readonly
 
-# Columns per gather in ``IrrepDecomposition.columns``: at n = 12 one gather of the level
-# below is 4 MB.  Only wider calls are split: the W_k of TwirlChannel.full_su2(n) at n >= 11
-# (C(11, 5) = 462 columns) and sectors over 256 columns, as noiseless_subsystem_plan(10)'s
-# sector(1), 90 blocks x 3 = 270.  No CLI command or perfbench workload makes such a call.
-# Building all W_k of TwirlChannel.full_su2(12) took 80-93 against 93-121 ms unchunked (best
-# of 5, four alternating processes, 2 cores) with a traced peak of 57.6 against 68.2 MB.
-_GATHER_COLUMNS = 256
-
 
 @dataclass(frozen=True, order=True)
 class HalfInteger:
@@ -144,10 +136,8 @@ class IrrepDecomposition:
         for parts, coef0, coef1 in reversed(plan):
             out = np.empty((2 * len(w), len(coef0)), order="F")
             halves = out.reshape(2, len(w), len(coef0), order="F")  # (qubit k, row below, column)
-            for first in range(0, len(coef0), _GATHER_COLUMNS):
-                s = slice(first, first + _GATHER_COLUMNS)
-                np.multiply(w[:, parts[0, s]], coef0[s], out=halves[0, :, s])
-                np.multiply(w[:, parts[1, s]], coef1[s], out=halves[1, :, s])
+            np.multiply(w[:, parts[0]], coef0, out=halves[0])
+            np.multiply(w[:, parts[1]], coef1, out=halves[1])
             w = out
         w += 0.0  # -0.0 becomes +0.0, as when the dense build adds each product to a zero
         return w

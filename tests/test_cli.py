@@ -10,7 +10,7 @@ from framefree.cli import RunConfig, emit_report, main, parse_args, run_command
 from framefree.core import DensityOperator, StateVector
 from framefree import cli, irreps
 from framefree.irreps import HalfInteger, decompose
-from framefree.protocols import noiseless_subsystem_plan
+from framefree.protocols import RateRow, noiseless_subsystem_plan
 from framefree.twirl import TwirlChannel
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
@@ -321,6 +321,14 @@ class TestCommands:
         rows = report["payload"]["rate_rows"]
         assert rows[1]["classical_rate"] == 0.5
         assert all(row["asymptotic_gap"] > 0 for row in rows if row["n"] >= 2)
+
+    def test_rates_within_unit_interval_reads_both_edges(self, capsys, monkeypatch):
+        rows = (RateRow(n=1, classical_rate=1.5, quantum_rate=0.0, dephasing_rate=1.0, j2_max=1),)
+        monkeypatch.setattr(cli, "rate_table", lambda n: rows)
+        code, report = run_json(capsys, ["rates", "--max-n", "1"])
+        verdict = report["verdicts"][0]
+        assert verdict["name"] == "rates_within_unit_interval"
+        assert verdict["passed"] is False and verdict["value"] == 0.5 and code == 1
 
 
 class TestEmission:

@@ -54,6 +54,18 @@ class TestOpticalState:
         with pytest.raises(ValueError):
             OpticalState(np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_coefficients(self, entry):
+        c = np.zeros((4, 4), dtype=complex)
+        c[0, 1] = c[1, 0] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            OpticalState(c)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (16,)])
+    def test_rejects_coefficients_not_4x4(self, shape):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            OpticalState(np.ones(shape, dtype=complex))
+
     def test_from_amplitudes_round_trip(self):
         amps = {(0, 3): 0.6, (1, 2): -0.8}
         state = OpticalState.from_amplitudes(amps)
@@ -64,6 +76,16 @@ class TestOpticalState:
     def test_from_amplitudes_rejects_bad_pair(self):
         with pytest.raises(ValueError):
             OpticalState.from_amplitudes({(3, 0): 1.0})
+
+
+class TestModeTransform:
+    @pytest.mark.parametrize("u", [2.0 * np.eye(4), np.eye(3), np.diag([np.nan, 1.0, 1.0, 1.0]),
+                                   np.diag([np.inf, 1.0, 1.0, 1.0])],
+                             ids=["non-unitary", "wrong-shape", "nan", "inf"])
+    def test_rejects(self, u):
+        with (np.errstate(invalid="ignore"),  # inf * 0 in u @ u^dagger
+              pytest.raises(ValueError, match="mode transform must be a 4x4 unitary")):
+            apply_mode_transform(prepare_bell("psi_minus"), u)
 
 
 class TestPolarizationRotation:

@@ -50,6 +50,10 @@ MUTANTS = (
            "coef[0] *= step", "coef[0] *= abs(step)",
            "tests/test_irreps.py::TestSchurFactors"
            "::test_factors_equal_the_per_column_loop_bit_for_bit"),
+    Mutant("columns-part1-from-part0", "src/framefree/irreps.py",
+           "w[:, parts[1]], coef1", "w[:, parts[0]], coef1",
+           "tests/test_irreps.py::TestSchurFactors"
+           "::test_coupling_matrix_equals_dense_build_bit_for_bit"),
     Mutant("haar-swap-x-y", "src/framefree/core.py",
            "w, x, y, z = (q / np.linalg.norm(q, axis=1)[:, None]).T",
            "w, y, x, z = (q / np.linalg.norm(q, axis=1)[:, None]).T",
@@ -90,6 +94,10 @@ MUTANTS = (
     Mutant("optics-counts-short", "src/framefree/optics.py",
            "rng.sample_counts(outcome_probs, trials)", "rng.sample_counts(outcome_probs, trials - 1)",
            "tests/test_optics.py::TestProtocol::test_any_trial_count_costs_one_draw"),
+    Mutant("mode-transform-admits-nan", "src/framefree/optics.py",
+           "not np.abs(u @ u.conj().T - np.eye(N_MODES)).max() <= ATOL",
+           "np.abs(u @ u.conj().T - np.eye(N_MODES)).max() > ATOL",
+           "tests/test_optics.py::TestModeTransform::test_rejects[nan]"),
     Mutant("classical-reads-block-0", "src/framefree/cli.py",
            "probs[entry.message.index]", "probs[0]",
            "tests/test_cli.py::TestCommands::test_classical_runs_clean"),
