@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -30,16 +31,19 @@ MAX_QUBITS = 12
 # classical --n 10 --trials 1, takes 0.088-0.15 s (five runs).
 MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
-# twirl-check --n 8 --trials 20 takes 0.72-0.91 s (five runs), about two thirds of it
-# random_density's check: one 2^n x 2^n eigvalsh per input; twirled states use weight blocks.
+# twirl-check --n 8 --trials 20 takes 0.30-0.37 s (five runs), three quarters of it random_density:
+# per input, 2.0 ms of draws, about 1.3 ms for g g^dag and 2.7 ms for the DensityOperator check,
+# 1.7 ms of it one 2^n x 2^n Cholesky; twirled states are checked by their weight blocks.
 MAX_TWIRL_CHECK_QUBITS = 8
 # Trials per batch of logical_bell_chsh_trials.  Over 2000 trials the median cost was
 # 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced
 # peak grows by about 37 KB per trial of a chunk, 2.5 MB at 64, whatever the trial count.
 _BELL_CHUNK_TRIALS = 64
-# Smallest dimension at which DensityOperator looks for Hamming-weight blocks.  Building
-# and checking a twirled state took 145-199 us from its blocks against 122-124 us dense
-# at dimension 32, and 250-313 against 472-532 us at 64 (best of 5, 2 cores).
+# Smallest dimension at which DensityOperator keeps Hamming-weight blocks.  Building and
+# checking a twirled SU(2) state took 70-72 us from its blocks against 27-28 us dense at
+# dimension 32, and 89-91 against 95-97 us at 64; a trace distance between two such states
+# then took 42-44 against 35-40 us at 32, and 75-79 against 164-179 us at 64 (two runs of
+# five timings of 300 calls each, 2 cores).
 _BLOCK_MIN_DIM = 64
 
 
@@ -237,6 +241,10 @@ class DensityOperator:
     blocks, read-only and weight 0 first, as ``blocks`` (otherwise None).  The
     Hermitian and positivity checks then read only the blocks, which have the
     same largest |m - m^dag| entry and, together, the same spectrum.
+    Positivity is a Cholesky factorisation of each part plus ATOL * 1: it
+    succeeds exactly when the lowest eigenvalue is above -ATOL, up to rounding
+    of order dim * eps * |m|.  A state known to be block diagonal is built
+    from its blocks by ``_from_weight_blocks``, which runs the same checks.
     """
 
     matrix: np.ndarray
@@ -246,17 +254,48 @@ class DensityOperator:
         m = _as_complex_array(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got {m.shape}")
-        blocks = _weight_blocks(m)
+        self._keep_checked(m, _weight_blocks(m))
+
+    def _keep_checked(self, m: np.ndarray, blocks: tuple[np.ndarray, ...] | None) -> None:
+        """Check the finite square m, reading only its read-only blocks when given; keep both."""
         parts = (m,) if blocks is None else blocks
         if max(np.abs(p - p.conj().T).max() for p in parts) > ATOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace {tr} is not 1")
-        if min(np.linalg.eigvalsh(p).min() for p in parts) < -ATOL:
-            raise ValueError("matrix has a negative eigenvalue")
+        try:
+            for p in parts:
+                shifted = p.copy()
+                shifted.reshape(-1)[::len(p) + 1] += ATOL  # p + ATOL * 1, without building 1
+                np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ValueError("matrix has a negative eigenvalue") from None
         object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "blocks", blocks)
+
+    @staticmethod
+    def _from_weight_blocks(blocks) -> "DensityOperator":
+        """The operator with these Hamming-weight blocks, weight 0 first, and zeros elsewhere.
+
+        The matrix is built by scattering the blocks into zeros, and the
+        blocks kept are copies of the same arrays, so the two always agree.
+        Below ``_BLOCK_MIN_DIM`` this is ``DensityOperator(matrix)``, which
+        keeps no blocks.
+        """
+        n = len(blocks) - 1
+        shapes = [b.shape for b in blocks]
+        if n < 1 or shapes != [(comb(n, k),) * 2 for k in range(n + 1)]:
+            raise ValueError(f"blocks of shapes {shapes} are not the Hamming-weight blocks "
+                             f"of n >= 1 qubits")
+        m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for rows, b in zip(weight_indices(2 ** n), blocks):
+            m[rows[:, None], rows] = b
+        if len(m) < _BLOCK_MIN_DIM:
+            return DensityOperator(m)
+        rho = object.__new__(DensityOperator)
+        rho._keep_checked(m, tuple(_readonly(_as_complex_array(b, 2)) for b in blocks))
+        return rho
 
     @property
     def dim(self) -> int:
@@ -365,7 +404,10 @@ def random_state_vector(rng: RandomSource, dim: int) -> StateVector:
 
 
 def random_density(rng: RandomSource, dim: int) -> DensityOperator:
-    """Random full-rank mixed state from the Ginibre ensemble."""
+    """Random full-rank mixed state from the Ginibre ensemble.
+
+    It has no zero entry, so its check is dense: one dim x dim Cholesky.
+    """
     g = rng.normal((dim, dim)) + 1j * rng.normal((dim, dim))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m).real)

@@ -77,7 +77,8 @@ class OpticalState:
 def apply_mode_transform(state: OpticalState, u) -> OpticalState:
     """Lift a 4x4 unitary on mode operators to the two-photon space."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (N_MODES, N_MODES) or not np.abs(u @ u.conj().T - np.eye(N_MODES)).max() <= ATOL:
+    if (u.shape != (N_MODES, N_MODES) or not np.isfinite(u).all()
+            or np.abs(u @ u.conj().T - np.eye(N_MODES)).max() > ATOL):
         raise ValueError("mode transform must be a 4x4 unitary")
     c = u @ state.pair_coefficients @ u.T
     return OpticalState(0.5 * (c + c.T))

@@ -83,13 +83,12 @@ class TwirlChannel:
         full SU(2), sum_k W_k^T rho_kk W_k holds every M_j on its equal-j
         entries; those entries divided by 2j+1, mapped back by W_k (.) W_k^T,
         give sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T, with the coherence
-        between different j gone.  The result's blocks are found again by
-        ``DensityOperator``.
+        between different j gone.  Either way the output is built and checked
+        from its weight blocks by ``DensityOperator._from_weight_blocks``.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
-        indices = weight_indices(self.dim)
-        blocks = [rho.matrix[rows[:, None], rows] for rows in indices]
+        blocks = [rho.matrix[rows[:, None], rows] for rows in weight_indices(self.dim)]
         if self.su2:
             widths, maps = self._weight_maps
             mult = np.zeros((len(widths), len(widths)), dtype=complex)
@@ -98,10 +97,7 @@ class TwirlChannel:
             mult = np.where(widths[:, None] == widths, mult / widths, 0.0)
             blocks = [w @ mult[:len(w), :len(w)] @ w.T for w in maps]
             blocks = [0.5 * (b + b.conj().T) for b in blocks]
-        result = np.zeros_like(rho.matrix)
-        for rows, block in zip(indices, blocks):
-            result[rows[:, None], rows] = block
-        return DensityOperator(result)
+        return DensityOperator._from_weight_blocks(blocks)
 
 
 def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,

@@ -352,6 +352,89 @@ def with_block_eigenvalue(lowest: float) -> np.ndarray:
     return m
 
 
+def with_eigenvalue(dim: int, lowest: float) -> np.ndarray:
+    """A dense dim x dim matrix of trace 1 with the eigenvalue ``lowest`` and no zero entry."""
+    g = RandomSource(5).normal((dim, dim)) + 1j * RandomSource(6).normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    spectrum = np.full(dim, (1 - lowest) / (dim - 1))
+    spectrum[0] = lowest
+    return (q * spectrum) @ q.conj().T
+
+
+def weight_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """Copies of the Hamming-weight blocks of m, weight 0 first."""
+    return [m[rows[:, None], rows] for rows in weight_indices(len(m))]
+
+
+class TestPositivity:
+    """The Cholesky check of m + ATOL * 1 and the oracle eigvalsh(m).min() >= -ATOL agree."""
+
+    @pytest.mark.parametrize("k", [-10, -2, -1.01, -0.99, -0.5, 0])
+    @pytest.mark.parametrize("form, dim", [("dense", 2), ("dense", 16), ("dense", 64),
+                                           ("dense", 256), ("blocks", 64)])
+    def test_accepts_exactly_when_the_oracle_does(self, form, dim, k):
+        m = with_block_eigenvalue(k * ATOL) if form == "blocks" else with_eigenvalue(dim, k * ATOL)
+        accepts = np.linalg.eigvalsh(m).min() >= -ATOL
+        assert accepts == (k > -1)  # the case lies on the side of -ATOL it was built for
+        if accepts:
+            assert (DensityOperator(m).blocks is None) == (form == "dense")
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityOperator(m)
+
+
+def nan_entry(blocks):
+    blocks[1][0, 0] = np.nan
+
+
+def skew_entry(blocks):
+    blocks[1][0, 1] += 2 * ATOL
+
+
+def trace_off(blocks):
+    blocks[0][0, 0] += 2 * ATOL
+
+
+def negative_eigenvalue(blocks):
+    blocks[3] = weight_blocks(with_block_eigenvalue(-2 * ATOL))[3]
+
+
+def block_missing(blocks):
+    del blocks[-1]
+
+
+def block_short(blocks):
+    blocks[2] = blocks[2][:-1, :-1]
+
+
+class TestFromWeightBlocks:
+    """``DensityOperator._from_weight_blocks`` builds its matrix from its blocks, keeps
+    read-only copies of them and checks those as ``DensityOperator(matrix)`` checks the
+    matrix's blocks.  Its outputs equal the matrix path's bit for bit:
+    ``test_twirl.py::TestBlockForm``."""
+
+    def test_blocks_are_read_only_copies(self, rng):
+        given = weight_blocks(weight_diagonal(rng))
+        rho = DensityOperator._from_weight_blocks(given)
+        for block, source in zip(rho.blocks, given, strict=True):
+            assert np.array_equal(block, source)
+            assert not np.shares_memory(block, source)
+            assert not np.shares_memory(block, rho.matrix)
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+
+    @pytest.mark.parametrize("fault, message", [pytest.param(f, m, id=f.__name__) for f, m in (
+        (nan_entry, "non-finite"), (skew_entry, "not Hermitian"), (trace_off, "trace"),
+        (negative_eigenvalue, "negative eigenvalue"), (block_missing, "Hamming-weight blocks"),
+        (block_short, "Hamming-weight blocks"))])
+    def test_rejects(self, fault, message):
+        blocks = weight_blocks(with_block_eigenvalue(0.0))
+        assert DensityOperator._from_weight_blocks(blocks).blocks is not None
+        fault(blocks)
+        with pytest.raises(ValueError, match=message):
+            DensityOperator._from_weight_blocks(blocks)
+
+
 class TestBlockForm:
     """Operators that are block diagonal in Hamming weight find and keep their blocks."""
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -83,9 +84,10 @@ class TestModeTransform:
                                    np.diag([np.inf, 1.0, 1.0, 1.0])],
                              ids=["non-unitary", "wrong-shape", "nan", "inf"])
     def test_rejects(self, u):
-        with (np.errstate(invalid="ignore"),  # inf * 0 in u @ u^dagger
-              pytest.raises(ValueError, match="mode transform must be a 4x4 unitary")):
-            apply_mode_transform(prepare_bell("psi_minus"), u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning, such as inf * 0 in u @ u^dagger, fails
+            with pytest.raises(ValueError, match="mode transform must be a 4x4 unitary"):
+                apply_mode_transform(prepare_bell("psi_minus"), u)
 
 
 class TestPolarizationRotation:

@@ -270,6 +270,17 @@ class TestBlockForm:
 
     @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
     @pytest.mark.parametrize("n", range(1, 11))
+    def test_output_equals_the_matrix_path_bit_for_bit(self, rng, kind, n):
+        once = channel_of(kind, n).apply(random_density(rng, 2 ** n))
+        dense = DensityOperator(once.matrix)
+        assert once.matrix.tobytes() == dense.matrix.tobytes()
+        if 2 ** n < _BLOCK_MIN_DIM:
+            assert once.blocks is None and dense.blocks is None
+        else:
+            assert [b.tobytes() for b in once.blocks] == [b.tobytes() for b in dense.blocks]
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_block_distance_matches_dense(self, rng, kind, n):
         channel = channel_of(kind, n)
         a = channel.apply(random_density(rng, 2 ** n))
