@@ -24,8 +24,10 @@ ATOL = 1e-10
 # numpy 2.4.6).  At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
 # takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at n = 13).  Next
 # come the W_k an SU(2) twirl channel keeps: 21.6 MB in all, built in 87-112 ms (best of 5, nine
-# processes) with a 68.2 MB traced peak.  decompose(12) is not a bound: a cold build takes
-# 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.
+# processes) with a 68.2 MB traced peak.  full_su2(12).apply(maximally_mixed(4096)) takes
+# 0.56-0.63 s on a cold channel (its W_k built) and 0.48-0.53 s warm (three processes of five
+# calls), with a 418 MB traced peak and 781 MB peak RSS, input included.  decompose(12) is not a
+# bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.
 MAX_QUBITS = 12
 # O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every message,
 # classical --n 10 --trials 1, takes 0.088-0.15 s (five runs).
@@ -39,7 +41,8 @@ MAX_TWIRL_CHECK_QUBITS = 8
 # 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced
 # peak grows by about 37 KB per trial of a chunk, 2.5 MB at 64, whatever the trial count.
 _BELL_CHUNK_TRIALS = 64
-# Smallest dimension at which DensityOperator keeps Hamming-weight blocks.  Building and
+# Smallest dimension at which _from_weight_blocks keeps the Hamming-weight blocks it is built
+# from; blocks are never found in a matrix, which is always checked dense.  Building and
 # checking a twirled SU(2) state took 70-72 us from its blocks against 27-28 us dense at
 # dimension 32, and 89-91 against 95-97 us at 64; a trace distance between two such states
 # then took 42-44 against 35-40 us at 32, and 75-79 against 164-179 us at 64 (two runs of
@@ -236,15 +239,16 @@ def weight_indices(dim: int) -> tuple[np.ndarray, ...]:
 class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace operator.
 
-    A matrix of dimension 2^n >= ``_BLOCK_MIN_DIM`` whose entries outside its
-    Hamming-weight blocks (``weight_indices``) are all exactly 0 keeps those
-    blocks, read-only and weight 0 first, as ``blocks`` (otherwise None).  The
-    Hermitian and positivity checks then read only the blocks, which have the
+    ``DensityOperator(matrix)`` checks the matrix as one dense matrix and
+    keeps no ``blocks``.  Blocks are built, never found: a state of
+    dimension 2^n >= ``_BLOCK_MIN_DIM`` made by ``_from_weight_blocks`` (each
+    twirl output, and ``maximally_mixed``) keeps its Hamming-weight blocks
+    (``weight_indices``), read-only and weight 0 first, as ``blocks``, and
+    its Hermitian and positivity checks read only those, which have the
     same largest |m - m^dag| entry and, together, the same spectrum.
     Positivity is a Cholesky factorisation of each part plus ATOL * 1: it
     succeeds exactly when the lowest eigenvalue is above -ATOL, up to rounding
-    of order dim * eps * |m|.  A state known to be block diagonal is built
-    from its blocks by ``_from_weight_blocks``, which runs the same checks.
+    of order dim * eps * |m|.
     """
 
     matrix: np.ndarray
@@ -254,7 +258,7 @@ class DensityOperator:
         m = _as_complex_array(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got {m.shape}")
-        self._keep_checked(m, _weight_blocks(m))
+        self._keep_checked(m, None)
 
     def _keep_checked(self, m: np.ndarray, blocks: tuple[np.ndarray, ...] | None) -> None:
         """Check the finite square m, reading only its read-only blocks when given; keep both."""
@@ -303,20 +307,13 @@ class DensityOperator:
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityOperator":
-        return DensityOperator(np.eye(dim) / dim)
+        """1/dim for dim = 2^n, n >= 1, built from its identity weight blocks."""
+        return DensityOperator._from_weight_blocks([np.eye(len(rows)) / dim
+                                                    for rows in weight_indices(dim)])
 
     def evolve(self, unitary) -> "DensityOperator":
         u = np.asarray(unitary)
         return DensityOperator(u @ self.matrix @ u.conj().T)
-
-
-def _weight_blocks(m: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """The diagonal Hamming-weight blocks of m, or None if it has other nonzero entries."""
-    dim = len(m)
-    if dim < _BLOCK_MIN_DIM or dim & (dim - 1) or m[0, -1]:  # weights 0 and n couple
-        return None
-    blocks = tuple(_readonly(m[rows[:, None], rows]) for rows in weight_indices(dim))
-    return blocks if np.count_nonzero(m) == sum(np.count_nonzero(b) for b in blocks) else None
 
 
 def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
@@ -384,9 +381,10 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma, unclipped.
 
-    When both carry blocks, the difference is block diagonal in Hamming
-    weight, so the distance is 1/2 sum_k ||B_k - B'_k||_1 and no dim x dim
-    matrix is decomposed.
+    When both carry blocks (both were built from them: twirl outputs and
+    ``maximally_mixed``), the difference is block diagonal in Hamming weight,
+    so the distance is 1/2 sum_k ||B_k - B'_k||_1 and no dim x dim matrix is
+    decomposed.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")

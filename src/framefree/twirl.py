@@ -84,7 +84,8 @@ class TwirlChannel:
         entries; those entries divided by 2j+1, mapped back by W_k (.) W_k^T,
         give sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T, with the coherence
         between different j gone.  Either way the output is built and checked
-        from its weight blocks by ``DensityOperator._from_weight_blocks``.
+        from its weight blocks by ``DensityOperator._from_weight_blocks``, and
+        keeps them from dimension 64; the blocks of ``rho`` are never read.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")

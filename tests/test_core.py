@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from framefree.cli import main
 from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
                             _check_su2, _tensor_powers, apply_collective_rotation, collective_rotation, fidelity,
@@ -366,6 +367,11 @@ def weight_blocks(m: np.ndarray) -> list[np.ndarray]:
     return [m[rows[:, None], rows] for rows in weight_indices(len(m))]
 
 
+def from_blocks(m: np.ndarray) -> DensityOperator:
+    """The state built from the Hamming-weight blocks of m, as each twirl builds its output."""
+    return DensityOperator._from_weight_blocks(weight_blocks(m))
+
+
 class TestPositivity:
     """The Cholesky check of m + ATOL * 1 and the oracle eigvalsh(m).min() >= -ATOL agree."""
 
@@ -376,11 +382,12 @@ class TestPositivity:
         m = with_block_eigenvalue(k * ATOL) if form == "blocks" else with_eigenvalue(dim, k * ATOL)
         accepts = np.linalg.eigvalsh(m).min() >= -ATOL
         assert accepts == (k > -1)  # the case lies on the side of -ATOL it was built for
+        build = from_blocks if form == "blocks" else DensityOperator
         if accepts:
-            assert (DensityOperator(m).blocks is None) == (form == "dense")
+            assert (build(m).blocks is None) == (form == "dense")
         else:
             with pytest.raises(ValueError, match="negative eigenvalue"):
-                DensityOperator(m)
+                build(m)
 
 
 def nan_entry(blocks):
@@ -409,8 +416,8 @@ def block_short(blocks):
 
 class TestFromWeightBlocks:
     """``DensityOperator._from_weight_blocks`` builds its matrix from its blocks, keeps
-    read-only copies of them and checks those as ``DensityOperator(matrix)`` checks the
-    matrix's blocks.  Its outputs equal the matrix path's bit for bit:
+    read-only copies of them and runs the Hermitian, trace and positivity checks on
+    those.  Its matrix equals the one ``DensityOperator(matrix)`` keeps bit for bit:
     ``test_twirl.py::TestBlockForm``."""
 
     def test_blocks_are_read_only_copies(self, rng):
@@ -436,13 +443,13 @@ class TestFromWeightBlocks:
 
 
 class TestBlockForm:
-    """Operators that are block diagonal in Hamming weight find and keep their blocks."""
+    """States built from their Hamming-weight blocks keep them; a matrix passed in keeps none."""
 
     SIZES = [comb(6, k) for k in range(7)]
 
     def test_blocks_are_stored_read_only(self, rng):
         m = weight_diagonal(rng)
-        rho = DensityOperator(m)
+        rho = from_blocks(m)
         assert [len(b) for b in rho.blocks] == self.SIZES
         for rows, block in zip(weight_indices(64), rho.blocks):
             assert np.array_equal(block, m[rows[:, None], rows])
@@ -450,21 +457,16 @@ class TestBlockForm:
                 block[0, 0] = 0.0
 
     def test_block_spectrum_is_the_dense_spectrum(self, rng):
-        rho = DensityOperator(weight_diagonal(rng))
+        rho = from_blocks(weight_diagonal(rng))
         spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]))
         assert np.abs(spectrum - np.linalg.eigvalsh(rho.matrix)).max() < 1e-15
 
     def test_plain_operators_carry_no_blocks(self, rng):
+        # blocks are built, never found: not even a weight-diagonal matrix keeps them
         assert random_density(rng, 64).blocks is None
+        assert DensityOperator(weight_diagonal(rng)).blocks is None
 
-    @pytest.mark.parametrize("i, j", [(0, 1), (3, 4), (0, 63)])
-    def test_one_tiny_entry_outside_the_blocks_forces_the_dense_path(self, rng, i, j):
-        m = weight_diagonal(rng)
-        m[i, j] = m[j, i] = 1e-300
-        assert DensityOperator(m).blocks is None
-        assert DensityOperator(weight_diagonal(rng)).blocks is not None
-
-    @pytest.mark.parametrize("dim", [3, 6, 32, 96])  # 32 = 2^5 is below the block path's size
+    @pytest.mark.parametrize("dim", [3, 6, 32, 96])
     def test_other_dimensions_take_the_dense_path(self, dim):
         assert DensityOperator(np.eye(dim) / dim).blocks is None
 
@@ -472,56 +474,85 @@ class TestBlockForm:
         m = with_block_eigenvalue(-2 * ATOL)
         assert np.linalg.eigvalsh(m).min() < -ATOL  # the dense predicate says the same
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityOperator(m)
+            from_blocks(m)
 
     def test_accepts_a_block_eigenvalue_within_atol(self):
         m = with_block_eigenvalue(-0.5 * ATOL)
         assert np.linalg.eigvalsh(m).min() >= -ATOL  # the dense predicate says the same
-        assert DensityOperator(m).blocks is not None
+        assert from_blocks(m).blocks is not None
 
     def test_rejects_a_block_trace_off_by_more_than_atol(self, rng):
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(weight_diagonal(rng) * (1 + 2 * ATOL))
+            from_blocks(weight_diagonal(rng) * (1 + 2 * ATOL))
 
     def test_rejects_non_hermitian_blocks(self, rng):
         m = weight_diagonal(rng)
         m[1, 2] += 2 * ATOL  # indices 1 and 2 both have weight 1
         with pytest.raises(ValueError, match="not Hermitian"):
-            DensityOperator(m)
+            from_blocks(m)
 
     def test_rejects_non_finite_blocks(self, rng):
         m = weight_diagonal(rng)
         m[1, 1] = np.nan
         with pytest.raises(ValueError):
-            DensityOperator(m)
+            from_blocks(m)
 
     def test_rejects_blocks_without_a_frame_and_a_frame_without_blocks(self, rng):
-        # the matrix is the only argument: blocks are found, never given
+        # the matrix is the only argument: blocks are built by _from_weight_blocks, never given
         m = weight_diagonal(rng)
         with pytest.raises(TypeError):
-            DensityOperator(m, blocks=DensityOperator(m).blocks)
+            DensityOperator(m, blocks=from_blocks(m).blocks)
         with pytest.raises(TypeError):
             DensityOperator(m, frame=object())
 
     def test_same_frame_distance_reads_the_blocks(self, rng):
-        rho, sigma = DensityOperator(weight_diagonal(rng)), DensityOperator(weight_diagonal(rng))
+        rho, sigma = from_blocks(weight_diagonal(rng)), from_blocks(weight_diagonal(rng))
         d = trace_distance(rho, sigma)
         assert d > 0.1
         assert abs(d - dense_distance(rho, sigma)) < 1e-15
 
     def test_same_frame_distance_trusts_the_blocks(self, rng, monkeypatch):
         # the sizes of the matrices decomposed show which path was taken
-        rho, sigma = DensityOperator(weight_diagonal(rng)), DensityOperator(weight_diagonal(rng))
+        rho, sigma = from_blocks(weight_diagonal(rng)), from_blocks(weight_diagonal(rng))
         sizes, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
         trace_distance(rho, sigma)
         assert sizes == self.SIZES
 
     def test_other_frames_take_the_dense_path_exactly(self, rng):
-        rho = DensityOperator(weight_diagonal(rng))
-        coupled = weight_diagonal(rng)
-        coupled[0, 1] = coupled[1, 0] = 1e-300
-        for sigma in (random_density(rng, 64), DensityOperator(coupled)):
+        rho = from_blocks(weight_diagonal(rng))
+        for sigma in (random_density(rng, 64), DensityOperator(weight_diagonal(rng))):
             assert sigma.blocks is None
             assert trace_distance(rho, sigma) == dense_distance(rho, sigma)
             assert trace_distance(sigma, rho) == dense_distance(sigma, rho)
+
+
+class TestMaximallyMixed:
+    """``maximally_mixed(2^n)`` is built from identity weight blocks, so a twirl-check
+    fixed-point distance reads blocks; it has the bits of the dense 1/dim."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_is_the_identity_over_dim_kept_as_blocks_from_64(self, n):
+        dim = 2 ** n
+        rho = DensityOperator.maximally_mixed(dim)
+        assert rho.matrix.tobytes() == (np.eye(dim, dtype=complex) / dim).tobytes()
+        if dim < 64:
+            assert rho.blocks is None
+            return
+        assert [len(b) for b in rho.blocks] == [comb(n, k) for k in range(n + 1)]
+        for block in rho.blocks:
+            assert block.tobytes() == (np.eye(len(block), dtype=complex) / dim).tobytes()
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dim", [3, 6, 96])
+    def test_rejects_a_dimension_that_is_not_a_power_of_two(self, dim):
+        with pytest.raises(ValueError, match="not a qubit count"):
+            DensityOperator.maximally_mixed(dim)
+
+    def test_twirl_check_fixed_point_distance_reads_the_blocks(self, monkeypatch):
+        # each channel's idempotence and fixed-point distances, one state: four block distances
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        assert main(["twirl-check", "--n", "6", "--trials", "1"]) == 0
+        assert sizes == TestBlockForm.SIZES * 4

@@ -70,6 +70,12 @@ MUTANTS = (
     Mutant("block-trace-distance-max", "src/framefree/core.py",
            "np.abs(np.linalg.eigvalsh(b - c)).sum()", "np.abs(np.linalg.eigvalsh(b - c)).max()",
            "tests/test_core.py::TestBlockForm::test_same_frame_distance_reads_the_blocks"),
+    Mutant("maximally-mixed-dense", "src/framefree/core.py",
+           "        return DensityOperator._from_weight_blocks([np.eye(len(rows)) / dim\n"
+           "                                                    for rows in weight_indices(dim)])\n",
+           "        return DensityOperator(np.eye(dim) / dim)\n",
+           "tests/test_core.py::TestMaximallyMixed"
+           "::test_is_the_identity_over_dim_kept_as_blocks_from_64"),
     Mutant("cholesky-without-atol-shift", "src/framefree/core.py",
            "shifted.reshape(-1)[::len(p) + 1] += ATOL", "pass",
            "tests/test_core.py::TestPositivity::test_accepts_exactly_when_the_oracle_does"),
