@@ -13,23 +13,24 @@ The coupling matrix W holds every block side by side in that order, but it
 is never stored: coupling qubit k to the first k - 1 multiplies the matrix
 of k - 1 qubits by a factor with at most two nonzeros per column (the
 sequential Schur transform of Bacon, Chuang and Harrow, quant-ph/0407082),
-and ``decompose`` keeps only those factors.  ``schur_transform`` applies W^T
-to a vector and ``columns`` builds chosen columns of W, both from the
-factors.  ``block(j, r)`` (one block) and ``sector(j)`` (every block with
-that j) are such columns, built on each call and kept by the caller.
+and ``decompose`` keeps only those factors, plus the per-block table its
+last level placed: each block's 2j and first column of W, in canonical order.
+``schur_transform`` applies W^T to a vector and ``columns`` builds chosen
+columns of W, both from the factors.  ``block(j, r)`` (one block) and
+``sector(j)`` (every block with that j) are such columns, found in the
+per-block table, built on each call and kept by the caller.
 
 Multiplicities follow the two-row closed form
 c_j = binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1), evaluated in exact
 integer arithmetic and kept in one cached, read-only table per n, which every
-count and layout reads; the path enumeration in tests/racah_oracle.py gives an
-independent count.
+count reads; ``decompose`` checks each level's blocks against it, and the path
+enumeration in tests/racah_oracle.py gives an independent count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate
+from functools import lru_cache
 from math import comb, inf
 from types import MappingProxyType
 
@@ -103,11 +104,15 @@ class IrrepDecomposition:
     (src0, coef0, src1, coef1) holds C_k, k = 2..n, as four read-only arrays of
     length 2^k: on the rows where qubit k is |0>, column c of W_k is coef0[c]
     times column src0[c] of W_{k-1}; where it is |1>, coef1[c] times column
-    src1[c].  An absent part has coefficient 0.0 and source 0.
+    src1[c].  An absent part has coefficient 0.0 and source 0.  ``twice_j``
+    and ``column_starts`` are read-only integer arrays holding each block's
+    2j and first column of W_n, in canonical block order.
     """
 
     n: int
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    twice_j: np.ndarray
+    column_starts: np.ndarray
 
     @property
     def multiplicity_table(self) -> MappingProxyType:
@@ -147,8 +152,11 @@ class IrrepDecomposition:
 
         One gather-multiply-add per level.  Level k applies C_k^T to the coupled
         index of qubits 1..k-1 and to qubit k, with qubits k+1..n riding along.
+        Any other shape raises ``ValueError``.
         """
         x = np.array(a)
+        if x.shape != (2 ** self.n,):
+            raise ValueError(f"expected a vector of length {2 ** self.n}, got shape {x.shape}")
         for src0, coef0, src1, coef1 in self.factors:
             x = x.reshape(len(coef0) // 2, 2, -1)
             x = coef0[:, None] * x[src0, 0] + coef1[:, None] * x[src1, 1]
@@ -160,33 +168,21 @@ class IrrepDecomposition:
         start = self.column_starts[self.block_index(j, r)]
         return _readonly(self.columns(slice(start, start + j.twice + 1)))
 
-    @cached_property
-    def _first_index(self) -> dict[HalfInteger, int]:
-        """Index of each j's first block; equal-j blocks are contiguous, j descending."""
-        table = self.multiplicity_table
-        return dict(zip(table, accumulate(table.values(), initial=0)))
-
-    @cached_property
-    def column_starts(self) -> np.ndarray:
-        """First column of each block in W_n, in canonical block order."""
-        dims = [j.twice + 1 for j, count in self.multiplicity_table.items() for _ in range(count)]
-        return _readonly(np.cumsum([0, *dims[:-1]]))
-
     def sector(self, j) -> np.ndarray:
         """The columns of every block with this j: one new read-only column-major array."""
         j = HalfInteger.of(j)
-        count = self.multiplicity_table.get(j, 0)
-        if not count:
+        found = np.flatnonzero(self.twice_j == j.twice)  # contiguous, j descending
+        if not len(found):
             raise KeyError(f"no block with j = {j}")
-        start = self.column_starts[self._first_index[j]]
-        return _readonly(self.columns(slice(start, start + count * (j.twice + 1))))
+        start = self.column_starts[found[0]]
+        return _readonly(self.columns(slice(start, start + len(found) * (j.twice + 1))))
 
     def block_index(self, j, r: int) -> int:
         j = HalfInteger.of(j)
-        if (not isinstance(r, (int, np.integer))
-                or r not in range(1, self.multiplicity_table.get(j, 0) + 1)):
+        found = np.flatnonzero(self.twice_j == j.twice)
+        if not isinstance(r, (int, np.integer)) or r not in range(1, len(found) + 1):
             raise KeyError(f"no block with j = {j}, r = {r}")
-        return self._first_index[j] + r - 1
+        return int(found[r - 1])
 
 
 # Change of 2j from a coupling path to its two children, up-step first so that the
@@ -219,6 +215,7 @@ def decompose(n: int) -> IrrepDecomposition:
     _check_qubit_count(n)
     factors = []
     path_tj, path_start = np.array([1]), np.array([0])  # 2j, first column; in path order
+    new_tj, first = path_tj, path_start  # in canonical order: at n = 1, the one block
     for k in range(2, n + 1):
         child = (path_tj[:, None] + _STEPS).ravel()
         keep = child >= 0  # no down-step from 2j = 0
@@ -252,4 +249,5 @@ def decompose(n: int) -> IrrepDecomposition:
         factors.append((src[0], coef[0], src[1], coef[1]))
         path_tj, path_start = child, np.empty_like(first)
         path_start[order] = first
-    return IrrepDecomposition(n=n, factors=tuple(factors))
+    return IrrepDecomposition(n=n, factors=tuple(factors), twice_j=_readonly(new_tj),
+                              column_starts=_readonly(first))

@@ -66,15 +66,15 @@ class TwirlChannel:
         W_k is the coupling matrix on the weight-k rows and the columns
         |j, m = n/2 - k, r>: real orthogonal and C(n, k) wide, its columns from
         the blocks with 2j >= |2m|, a prefix of canonical order as j descends.
+        Each block's 2j and first column are ``decompose(n)``'s ``twice_j`` and
+        ``column_starts``.
         """
         d = decompose(self.n)
-        twice_j = np.repeat([j.twice for j in d.multiplicity_table],
-                            list(d.multiplicity_table.values()))
         maps = []
         for k, rows in enumerate(weight_indices(self.dim)):
-            cols = d.column_starts[:len(rows)] + (twice_j[:len(rows)] - self.n + 2 * k) // 2
+            cols = d.column_starts[:len(rows)] + (d.twice_j[:len(rows)] - self.n + 2 * k) // 2
             maps.append(_readonly(d.columns(cols)[rows]))
-        return twice_j + 1, tuple(maps)
+        return d.twice_j + 1, tuple(maps)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Average rho over the channel's frame rotations, in closed form.

@@ -211,6 +211,14 @@ class TestSchurFactors:
             expected = a.real @ w + 1j * (a.imag @ w)
             assert np.abs(d.schur_transform(a) - expected).max() <= 1e-15, n
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_schur_transform_rejects_any_other_shape(self, n):
+        d = decompose(n)
+        for shape in [(2 ** (n + 1),), (2 ** (n + 2),), (2 ** n, 2), (2, 2 ** n), (1, 2 ** n),
+                      (2 ** (n - 1),), ()]:
+            with pytest.raises(ValueError, match=f"length {2 ** n}"):
+                d.schur_transform(np.full(shape, 0.5))
+
 
 class TestClebschGordanOracle:
     @pytest.mark.parametrize("tj1,tj2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (4, 1), (3, 2)])
@@ -537,6 +545,11 @@ class TestBlockIndexOracle:
             assert np.array_equal(d.block(j, r), basis), (n, str(j), r)
             assert np.array_equal(d.block(j, r), w[:, start:start + j.twice + 1])
         assert d.column_starts.tolist() == [start for _, _, start, _ in scan]
+        assert d.twice_j.tolist() == [j.twice for j, _, _, _ in scan]
+        for table in (d.twice_j, d.column_starts):
+            assert table.dtype.kind == "i" and not table.flags.writeable, n
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_sector_matches_scan(self, n):

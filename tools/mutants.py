@@ -50,6 +50,14 @@ MUTANTS = (
            "coef[0] *= step", "coef[0] *= abs(step)",
            "tests/test_irreps.py::TestSchurFactors"
            "::test_factors_equal_the_per_column_loop_bit_for_bit"),
+    Mutant("block-table-in-path-order", "src/framefree/irreps.py",
+           "twice_j=_readonly(new_tj)", "twice_j=_readonly(path_tj)",
+           "tests/test_irreps.py::TestBlockIndexOracle::test_block_index_matches_scan"),
+    Mutant("schur-transform-admits-any-shape", "src/framefree/irreps.py",
+           "        if x.shape != (2 ** self.n,):\n"
+           "            raise ValueError(f\"expected a vector of length {2 ** self.n}, "
+           "got shape {x.shape}\")\n", "",
+           "tests/test_irreps.py::TestSchurFactors::test_schur_transform_rejects_any_other_shape"),
     Mutant("columns-part1-from-part0", "src/framefree/irreps.py",
            "w[:, parts[1]], coef1", "w[:, parts[0]], coef1",
            "tests/test_irreps.py::TestSchurFactors"
