@@ -9,8 +9,7 @@ Bell tests, and a two-photon optical realization of the two-qubit case.
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_QUBITS, RandomSource,
                    StateVector, apply_collective_rotation, collective_rotation, fidelity,
-                   haar_random_su2, haar_random_su2_batch, random_density,
-                   random_state_vector, trace_distance)
+                   haar_random_su2, random_density, random_state_vector, trace_distance)
 from .irreps import (HalfInteger, IrrepDecomposition, decompose, multiplicity,
                      total_irrep_count)
 from .twirl import TwirlChannel, twirl_su2_monte_carlo

@@ -187,8 +187,9 @@ def _run_classical(cfg: RunConfig):
     # at n = 2 the singlet is the last block, so --singlet-first runs its trials first
     for entry in codebook.entries[::-1] if cfg.singlet_first else codebook.entries:
         for _ in range(cfg.trials):
-            decoded, probs = classical_trial(entry.message, codebook, haar_random_su2(rng), rng)
-            errors += int(decoded != entry.message)
+            g = haar_random_su2(rng)
+            decoded, probs = classical_trial(entry.codeword, codebook.decomposition, g, rng)
+            errors += int(decoded != entry.message.index)
             min_correct = min(min_correct, float(probs[entry.message.index]))
     payload = {
         "protocol": cfg.command,

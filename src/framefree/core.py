@@ -41,6 +41,9 @@ MAX_TWIRL_CHECK_QUBITS = 8
 # 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced
 # peak grows by about 37 KB per trial of a chunk, 2.5 MB at 64, whatever the trial count.
 _BELL_CHUNK_TRIALS = 64
+# Max batched entries per twirl_su2_monte_carlo chunk.  At 1M/4M, time per sample (best of 3,
+# 2 cores) and traced peak: n = 4: 10.2/11.6 us, 37/145 MB; n = 8: 5.28/5.37 ms, 81/322 MB.
+_MC_ENTRY_BUDGET = 1_000_000
 # Smallest dimension at which _from_weight_blocks keeps the Hamming-weight blocks it is built
 # from; blocks are never found in a matrix, which is always checked dense.  Building and
 # checking a twirled SU(2) state took 70-72 us from its blocks against 27-28 us dense at
@@ -56,8 +59,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_qubit_count(n: int, high: int | None = MAX_QUBITS, low: int = 1) -> None:
-    """The library's one ``ValueError`` for a qubit count outside low..high (None: no cap)."""
-    if n < low or (high is not None and n > high):
+    """The library's one ``ValueError`` for a qubit count: an int, not bool, in low..high
+    (high None: no cap)."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or n < low or (high is not None and n > high)):
         span = f"in {low}..{high}" if high is not None else f"at least {low}"
         raise ValueError(f"qubit count must be {span}, got {n}")
 
@@ -333,6 +338,16 @@ def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
             np.multiply(out, factor, out=nxt[:, :, i, :, j])
         out = nxt.reshape(k, 2 * d, 2 * d)
     return out
+
+
+def _haar_rotation_chunks(rng: RandomSource, draws: int, n: int, chunk: int):
+    """The library's one producer of Haar rotations: ``draws`` draws, ``chunk`` at most per
+    batch (the stream read as by single draws), each batch checked SU(2) and yielded as its
+    ``_tensor_powers`` stack, (k, 2^n, 2^n) with k <= chunk."""
+    for start in range(0, draws, chunk):
+        gs = haar_random_su2_batch(rng, min(chunk, draws - start))
+        _check_su2(gs)
+        yield _tensor_powers(gs, n)
 
 
 def collective_rotation(g: GroupElement, n: int) -> np.ndarray:

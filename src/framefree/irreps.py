@@ -81,7 +81,7 @@ def multiplicity(n: int, j) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a bool or float equal to a cached count must miss
 def _multiplicity_table(n: int) -> MappingProxyType:
     """Read-only {j: c_j} for n qubits, j descending: the one source of every count."""
     _check_qubit_count(n, high=None)
@@ -192,7 +192,7 @@ _STEPS = np.array([1, -1])
 _TMU = _STEPS[:, None]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a bool or float equal to a cached count must miss
 def decompose(n: int) -> IrrepDecomposition:
     """Build every invariant block of the collective SU(2) action on n qubits.
 

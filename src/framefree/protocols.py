@@ -22,9 +22,8 @@ import numpy as np
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_RATE_QUBITS,
                    RandomSource, StateVector, _BELL_CHUNK_TRIALS, _check_qubit_count,
-                   _check_su2, _qubit_count, _readonly, _tensor_powers,
-                   apply_collective_rotation, haar_random_su2_batch, trace_distance,
-                   weight_indices)
+                   _haar_rotation_chunks, _qubit_count, _readonly, apply_collective_rotation,
+                   trace_distance, weight_indices)
 from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
                      total_irrep_count)
 
@@ -59,11 +58,6 @@ class CodeBook:
     def n(self) -> int:
         return self.decomposition.n
 
-    def entry(self, message: Message) -> CodeBookEntry:
-        if message.index >= len(self.entries):
-            raise KeyError(f"message {message.index} not in codebook (size {len(self.entries)})")
-        return self.entries[message.index]
-
 
 def build_classical_codebook(n: int) -> CodeBook:
     """Codebook with the highest-weight state |j, m=j, r> of every block.
@@ -97,21 +91,22 @@ def block_outcome_probabilities(state: StateVector,
 def classical_round_trip(msg: Message, codebook: CodeBook, g: GroupElement,
                          rng: RandomSource) -> Message:
     """Send one codeword through an unknown frame rotation and decode it."""
-    return classical_trial(msg, codebook, g, rng)[0]
+    entry = codebook.entries[msg.index]  # IndexError past the end
+    return Message(classical_trial(entry.codeword, codebook.decomposition, g, rng)[0])
 
 
-def classical_trial(msg: Message, codebook: CodeBook, g: GroupElement,
-                    rng: RandomSource) -> tuple[Message, np.ndarray]:
-    """One round trip: the decoded message and the block probabilities it was drawn from.
+def classical_trial(codeword: StateVector, decomposition: IrrepDecomposition, g: GroupElement,
+                    rng: RandomSource) -> tuple[int, np.ndarray]:
+    """One round trip: the decoded block index and the block probabilities it was drawn from.
 
     PVM outcome probabilities are computed exactly and then sampled, so
     the measurement pathway is exercised even though the distribution is a
     point mass for valid codewords.  The rotation is applied qubit by qubit,
     never as a 2^n x 2^n matrix.
     """
-    rotated = apply_collective_rotation(g, codebook.entry(msg).codeword)
-    probabilities = block_outcome_probabilities(rotated, codebook.decomposition)
-    return Message(rng.sample_index(probabilities)), probabilities
+    rotated = apply_collective_rotation(g, codeword)
+    probabilities = block_outcome_probabilities(rotated, decomposition)
+    return rng.sample_index(probabilities), probabilities
 
 
 def helstrom_success_probability(rho0: DensityOperator, rho1: DensityOperator) -> float:
@@ -330,20 +325,15 @@ def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndar
     rotations, so every trial individually sits at the Tsirelson point.
 
     Trials run in chunks of ``_BELL_CHUNK_TRIALS``, so memory does not grow
-    with the trial count.  A chunk draws the two parties' elements alternately
-    (ua_1, ub_1, ua_2, ...) in one batch, which consumes the stream as single
-    draws do, and each value is the same matmul chain, bit for bit, as a
-    trial run alone.
+    with the trial count.  ``core._haar_rotation_chunks`` draws and checks each
+    chunk's elements, the two parties' alternately (ua_1, ub_1, ua_2, ...), and
+    each value is the same matmul chain, bit for bit, as a trial run alone.
     """
     if rotation_trials < 1:
         raise ValueError(f"trial count must be positive, got {rotation_trials}")
     zp, xp, b0, b1, pair = _bell_operators()
-    values = np.empty(rotation_trials)
-    for start in range(0, rotation_trials, _BELL_CHUNK_TRIALS):
-        trials = min(_BELL_CHUNK_TRIALS, rotation_trials - start)
-        gs = haar_random_su2_batch(rng, 2 * trials)
-        _check_su2(gs)
-        us = _tensor_powers(gs, 4)
+    values = []
+    for us in _haar_rotation_chunks(rng, 2 * rotation_trials, 4, 2 * _BELL_CHUNK_TRIALS):
         ua, ub = us[0::2], us[1::2]
         rotated = ua @ pair @ ub.transpose(0, 2, 1)
         adjoint = rotated.conj().transpose(0, 2, 1)
@@ -351,5 +341,5 @@ def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndar
         z_side, x_side = (adjoint @ a_op @ rotated for a_op in (zp, xp))
         zb0, zb1, xb0, xb1 = (np.trace(side @ b_op.T, axis1=1, axis2=2).real
                               for side in (z_side, x_side) for b_op in (b0, b1))
-        values[start:start + trials] = zb0 + zb1 + xb0 - xb1
-    return values
+        values.append(zb0 + zb1 + xb0 - xb1)
+    return np.concatenate(values)

@@ -7,9 +7,10 @@ each carrier space by its maximally mixed state, keeping the coherence
 between equal-j multiplicity labels, and reads it inside the weight blocks
 (the G-twirl of Bartlett, Rudolph and Spekkens, quant-ph/0610030).  The
 Monte Carlo variant averages explicit Haar samples and exists as an
-independent check of that structure; it builds each chunk's rotations with
-the tensor-power kernel behind ``collective_rotation``, so every sampled
-u^(x)n equals that dense rotation bit for bit.
+independent check of that structure; it takes its rotations, checked SU(2),
+from ``core._haar_rotation_chunks``, whose tensor-power kernel is the one
+behind ``collective_rotation``, so every sampled u^(x)n equals that dense
+rotation bit for bit.
 
 Channels are represented behaviorally: each channel caches the block data
 it reads on first use, ``apply`` is a pure function, and no superoperator
@@ -23,13 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DensityOperator, RandomSource, _check_qubit_count, _qubit_count,
-                   _readonly, _tensor_powers, haar_random_su2_batch, weight_indices)
+from .core import (DensityOperator, RandomSource, _MC_ENTRY_BUDGET, _check_qubit_count,
+                   _haar_rotation_chunks, _qubit_count, _readonly, weight_indices)
 from .irreps import decompose
-
-# Max batched entries per Monte Carlo chunk.  At 1M/4M, time per sample (best of 3, 2 cores) and
-# traced peak: n = 4: 10.2/11.6 us, 37/145 MB; n = 8: 5.28/5.37 ms, 81/322 MB.
-_MC_ENTRY_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,18 +102,15 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
                           rng: RandomSource) -> DensityOperator:
     """Average U rho U^dag over explicit Haar samples of collective rotations.
 
-    Sampling is chunked but deterministic for a given source.
+    Samples come checked from ``core._haar_rotation_chunks``, in chunks of at most
+    ``_MC_ENTRY_BUDGET`` entries: chunked, but deterministic for a given source.
     """
     if samples < 1:
         raise ValueError(f"sample count must be positive, got {samples}")
     n = _qubit_count(rho.dim)
     acc = np.zeros((rho.dim, rho.dim), dtype=complex)
-    remaining = samples
-    chunk_cap = max(1, _MC_ENTRY_BUDGET // (rho.dim * rho.dim))
-    while remaining:
-        k = min(remaining, chunk_cap)
-        us = _tensor_powers(haar_random_su2_batch(rng, k), n)
+    chunk = max(1, _MC_ENTRY_BUDGET // (rho.dim * rho.dim))
+    for us in _haar_rotation_chunks(rng, samples, n, chunk):
         acc += np.einsum("kab,bc,kdc->ad", us, rho.matrix, us.conj(), optimize=True)
-        remaining -= k
     out = acc / samples
     return DensityOperator(0.5 * (out + out.conj().T))

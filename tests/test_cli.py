@@ -196,9 +196,9 @@ class TestCommands:
                                                           singlet_first):
         sent, trial = [], cli.classical_trial
 
-        def recording_trial(msg, codebook, g, rng):
-            sent.append(codebook.entry(msg).codeword)
-            return trial(msg, codebook, g, rng)
+        def recording_trial(codeword, decomposition, g, rng):
+            sent.append(codeword)
+            return trial(codeword, decomposition, g, rng)
 
         monkeypatch.setattr(cli, "classical_trial", recording_trial)
         flag = ["--singlet-first"] if singlet_first else []

@@ -7,7 +7,8 @@ import pytest
 from framefree.cli import main
 from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
-                            _check_su2, _tensor_powers, apply_collective_rotation, collective_rotation, fidelity,
+                            _check_su2, _haar_rotation_chunks, _tensor_powers,
+                            apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, random_density,
                             random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose, multiplicity, total_irrep_count
@@ -45,10 +46,21 @@ QUBIT_COUNT_GUARDS = (
                            else f"qubit count must be at least {low}, got {n}"),
                  id=f"{name}-{n}")
     for name, call, low, high in QUBIT_COUNT_GUARDS
-    for n in dict.fromkeys([low - 1, -1] + ([high + 1] if high else []))])
+    # 2.5 and True join after the dedup: True == 1 would fold into low - 1 = 1
+    for n in [*dict.fromkeys([low - 1, -1] + ([high + 1] if high else [])), 2.5, True]])
 def test_qubit_count_out_of_range_raises_the_one_message(call, n, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(n)
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_a_cached_count_does_not_admit_an_equal_non_integer(n):
+    # a numpy integer is cached under the key (count,), which (True,) and (2.0,) equal
+    decompose(np.int64(n)), total_irrep_count(np.int64(n))
+    with pytest.raises(ValueError, match="qubit count"):
+        decompose(n)
+    with pytest.raises(ValueError, match="qubit count"):
+        total_irrep_count(n)
 
 
 class TestRandomSource:
@@ -219,6 +231,16 @@ class TestCollectiveRotationOracle:
         assert powers.shape == (3, 2 ** n, 2 ** n)
         for u, power in zip(stack, powers):
             assert np.array_equal(power, kron_chain(GroupElement(u), n))
+
+    @pytest.mark.parametrize("draws, chunk", [(1, 4), (8, 4), (10, 4), (10, 10), (3, 64)])
+    def test_producer_yields_the_kernel_of_the_same_draws(self, draws, chunk):
+        produced, oracle = RandomSource(19), RandomSource(19)
+        stacks = list(_haar_rotation_chunks(produced, draws, 3, chunk))
+        sizes = [min(chunk, draws - start) for start in range(0, draws, chunk)]
+        assert [len(s) for s in stacks] == sizes
+        for stack, size in zip(stacks, sizes):
+            assert np.array_equal(stack, _tensor_powers(haar_random_su2_batch(oracle, size), 3))
+        assert np.array_equal(produced.normal(4), oracle.normal(4))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matrix_free_matches_dense(self, rng, n):

@@ -133,8 +133,9 @@ class TestClassicalRoundTrip:
         g = haar_random_su2(RandomSource(5))
         for entry in book.entries:
             a, b = RandomSource(8), RandomSource(8)
-            decoded, probs = classical_trial(entry.message, book, g, a)
-            assert decoded == classical_round_trip(entry.message, book, g, b) == entry.message
+            decoded, probs = classical_trial(entry.codeword, book.decomposition, g, a)
+            assert decoded == entry.message.index
+            assert classical_round_trip(entry.message, book, g, b) == entry.message
             rotated = entry.codeword.evolve(collective_rotation(g, 4))
             assert np.allclose(probs, block_outcome_probabilities(rotated, book.decomposition))
             assert a.generator.random() == b.generator.random()  # one draw each
@@ -199,11 +200,15 @@ class TestCodeBookIndexOracle:
     @pytest.mark.parametrize("n, singlet_first", CODEBOOKS)
     def test_entry_matches_scan(self, n, singlet_first):
         book = build_classical_codebook(n)
+        rng = RandomSource(4)
         for entry in book.entries[::-1] if singlet_first else book.entries:
             scan = [e for e in book.entries if e.message == entry.message]
-            assert [book.entry(entry.message)] == scan == [entry]
-        with pytest.raises(KeyError):
-            book.entry(Message(len(book.entries)))
+            assert [book.entries[entry.message.index]] == scan == [entry]
+            # the round trip's one lookup sends this entry's codeword, so its block comes back
+            assert classical_round_trip(entry.message, book, GroupElement.identity(),
+                                        rng) == entry.message
+        with pytest.raises(IndexError):
+            classical_round_trip(Message(len(book.entries)), book, GroupElement.identity(), rng)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_message_is_its_block_index(self, n):

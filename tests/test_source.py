@@ -18,6 +18,16 @@ def test_src_has_no_bare_assert():
     assert not found
 
 
+def test_only_core_draws_checks_and_expands_haar_rotations():
+    # every other module takes its batches from core._haar_rotation_chunks, which checks them
+    kept_in_core = {"_check_su2", "_tensor_powers", "haar_random_su2_batch"}
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py")) if path.name != "core.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if {getattr(node, attr, None) for attr in ("id", "attr", "name")} & kept_in_core]
+    assert not found
+
+
 def test_every_mutant_still_applies_exactly_once():
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:

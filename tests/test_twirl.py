@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from framefree import core, twirl
 from framefree.core import (_BLOCK_MIN_DIM, MAX_QUBITS, DensityOperator, GroupElement,
                             RandomSource, StateVector, collective_rotation, haar_random_su2,
                             random_density, random_state_vector, trace_distance, weight_indices)
@@ -122,6 +123,29 @@ class TestMonteCarloTwirl:
     def test_rejects_zero_samples(self, rng):
         with pytest.raises(ValueError):
             twirl_su2_monte_carlo(random_density(rng, 2), 0, rng)
+
+    def test_rejects_a_draw_that_is_not_su2(self, rng, monkeypatch):
+        draw = core.haar_random_su2_batch
+        monkeypatch.setattr(core, "haar_random_su2_batch", lambda *args: 1.01 * draw(*args))
+        with pytest.raises(ValueError, match="not unitary"):
+            twirl_su2_monte_carlo(random_density(rng, 4), 10, RandomSource(3))
+
+    def test_chunks_add_up_to_the_one_chunk_average(self, rng, monkeypatch):
+        rho = random_density(rng, 4)
+        whole_rng, split_rng = RandomSource(9), RandomSource(9)
+        whole = twirl_su2_monte_carlo(rho, 100, whole_rng)
+        sizes, draw = [], core.haar_random_su2_batch
+
+        def recording_draw(source, size):
+            sizes.append(size)
+            return draw(source, size)
+
+        monkeypatch.setattr(core, "haar_random_su2_batch", recording_draw)
+        monkeypatch.setattr(twirl, "_MC_ENTRY_BUDGET", 7 * 16)  # 7 samples of a 4 x 4 state
+        split = twirl_su2_monte_carlo(rho, 100, split_rng)
+        assert sizes == [7] * 14 + [2]
+        assert np.abs(split.matrix - whole.matrix).max() < 1e-15
+        assert np.array_equal(split_rng.normal(4), whole_rng.normal(4))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rejects_non_qubit_dimensions(self, dim):

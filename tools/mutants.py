@@ -69,6 +69,9 @@ MUTANTS = (
     Mutant("su2-twirl-no-hermitian-part", "src/framefree/twirl.py",
            "            blocks = [0.5 * (b + b.conj().T) for b in blocks]\n", "",
            "tests/test_twirl.py::TestChannelProperties::test_su2_output_is_exactly_hermitian"),
+    Mutant("haar-chunks-unchecked", "src/framefree/core.py",
+           "        _check_su2(gs)\n", "",
+           "tests/test_twirl.py::TestMonteCarloTwirl::test_rejects_a_draw_that_is_not_su2"),
     Mutant("fidelity-no-noise-floor", "src/framefree/core.py",
            "    w[w < rho.dim * np.finfo(float).eps * max(w.max(), 0.0)] = 0.0\n", "",
            "tests/test_cli.py::TestCommands::test_quantum"),
