@@ -33,9 +33,10 @@ MAX_QUBITS = 12
 # classical --n 10 --trials 1, takes 0.088-0.15 s (five runs).
 MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
-# twirl-check --n 8 --trials 20 takes 0.30-0.37 s (five runs), three quarters of it random_density:
-# per input, 2.0 ms of draws, about 1.3 ms for g g^dag and 2.7 ms for the DensityOperator check,
-# 1.7 ms of it one 2^n x 2^n Cholesky; twirled states are checked by their weight blocks.
+# twirl-check --n 8 --trials 20 takes 0.54-0.73 s (five runs), two thirds of it random_density:
+# per input, 2.4 ms of draws, 1.5 ms for g g^dag and 4.0 ms for the DensityOperator check, 1.6 ms
+# of it one 2^n x 2^n Cholesky.  Twirled states are checked by their weight blocks, and the 42
+# trace distances, on j sectors and weight blocks, take 13 ms of 0.60 s under cProfile.
 MAX_TWIRL_CHECK_QUBITS = 8
 # Trials per batch of logical_bell_chsh_trials.  Over 2000 trials the median cost was
 # 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced
@@ -45,11 +46,13 @@ _BELL_CHUNK_TRIALS = 64
 # 2 cores) and traced peak: n = 4: 10.2/11.6 us, 37/145 MB; n = 8: 5.28/5.37 ms, 81/322 MB.
 _MC_ENTRY_BUDGET = 1_000_000
 # Smallest dimension at which _from_weight_blocks keeps the Hamming-weight blocks it is built
-# from; blocks are never found in a matrix, which is always checked dense.  Building and
-# checking a twirled SU(2) state took 70-72 us from its blocks against 27-28 us dense at
-# dimension 32, and 89-91 against 95-97 us at 64; a trace distance between two such states
-# then took 42-44 against 35-40 us at 32, and 75-79 against 164-179 us at 64 (two runs of
-# five timings of 300 calls each, 2 cores).
+# from, and a full SU(2) twirl output its j sectors; blocks are never found in a matrix, which is
+# always checked dense.  Building and checking a twirled SU(2) state from its blocks and sectors
+# took 157-160 us against 34 us dense at dimension 32, and 190-191 against 135-144 us at 64; a
+# trace distance between two such states then took 35-37 us on the sectors against 59-62 us
+# dense at 32, and 56 against 266-271 us at 64 (best of five timings of 300 calls, two runs,
+# 2 cores).  Build and distance together: 192-197 against 93-96 us at 32, 246-247 against
+# 401-415 us at 64.
 _BLOCK_MIN_DIM = 64
 
 
@@ -67,10 +70,16 @@ def _check_qubit_count(n: int, high: int | None = MAX_QUBITS, low: int = 1) -> N
         raise ValueError(f"qubit count must be {span}, got {n}")
 
 
+def _check_count(count: int, what: str) -> None:
+    """The library's one ``ValueError`` for a trial or sample count: an int, not bool, >= 1."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{what} must be a positive integer, got {count!r}")
+
+
 def _qubit_count(dim: int) -> int:
-    """The n with dim = 2^n, n >= 1; anything else raises ``ValueError``."""
-    n = dim.bit_length() - 1
-    if n < 1 or dim != 2 ** n:
+    """The n with dim = 2^n, n >= 1, for an int dim; anything else raises ``ValueError``."""
+    n = int(dim).bit_length() - 1 if isinstance(dim, (int, np.integer)) else 0
+    if n < 1 or dim != 2 ** n:  # True and False give n = 0 and -1
         raise ValueError(f"dimension {dim} is not a qubit count's 2^n")
     return n
 
@@ -229,15 +238,16 @@ class StateVector:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float equal to a cached dimension must miss
 def weight_indices(dim: int) -> tuple[np.ndarray, ...]:
     """Basis indices of each Hamming weight k = 0..n of the n qubits with dim = 2^n.
 
     Weight k holds the states with total m = n/2 - k, so an operator that
     commutes with the collective J_z is block diagonal in these index sets.
     """
+    n = _qubit_count(dim)
     weights = np.bitwise_count(np.arange(dim, dtype=np.uint64))
-    return tuple(_readonly(np.flatnonzero(weights == k)) for k in range(_qubit_count(dim) + 1))
+    return tuple(_readonly(np.flatnonzero(weights == k)) for k in range(n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,34 +255,48 @@ class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace operator.
 
     ``DensityOperator(matrix)`` checks the matrix as one dense matrix and
-    keeps no ``blocks``.  Blocks are built, never found: a state of
-    dimension 2^n >= ``_BLOCK_MIN_DIM`` made by ``_from_weight_blocks`` (each
-    twirl output, and ``maximally_mixed``) keeps its Hamming-weight blocks
-    (``weight_indices``), read-only and weight 0 first, as ``blocks``, and
-    its Hermitian and positivity checks read only those, which have the
+    keeps no ``blocks`` and no ``sectors``.  Blocks are built, never found: a
+    state of dimension 2^n >= ``_BLOCK_MIN_DIM`` made by ``_from_weight_blocks``
+    (each twirl output, and ``maximally_mixed``) keeps its Hamming-weight
+    blocks (``weight_indices``), read-only and weight 0 first, as ``blocks``,
+    and its Hermitian and positivity checks read only those, which have the
     same largest |m - m^dag| entry and, together, the same spectrum.
     Positivity is a Cholesky factorisation of each part plus ATOL * 1: it
     succeeds exactly when the lowest eigenvalue is above -ATOL, up to rounding
     of order dim * eps * |m|.
+
+    A full SU(2) twirl output of that size also keeps its j sectors as
+    ``sectors``: one (2j+1, Q_j) pair per j, j descending, with the matrix
+    W (+)_j (Q_j (x) 1_{2j+1}) W^T up to rounding.  Each read-only c_j x c_j Q_j is checked
+    Hermitian, and sum_j (2j+1) tr Q_j is checked against tr m to ATOL; only
+    ``trace_distance`` reads them.
     """
 
     matrix: np.ndarray
     blocks: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
+    sectors: tuple[tuple[int, np.ndarray], ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got {m.shape}")
-        self._keep_checked(m, None)
+        self._keep_checked(m, None, None)
 
-    def _keep_checked(self, m: np.ndarray, blocks: tuple[np.ndarray, ...] | None) -> None:
-        """Check the finite square m, reading only its read-only blocks when given; keep both."""
+    def _keep_checked(self, m: np.ndarray, blocks: tuple[np.ndarray, ...] | None,
+                      sectors: tuple[tuple[int, np.ndarray], ...] | None) -> None:
+        """Check the finite square m, reading only its read-only blocks when given, and the
+        sectors when given; keep all three."""
         parts = (m,) if blocks is None else blocks
-        if max(np.abs(p - p.conj().T).max() for p in parts) > ATOL:
+        hermitian = parts if sectors is None else (*parts, *(q for _, q in sectors))
+        if max(np.abs(p - p.conj().T).max() for p in hermitian) > ATOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace {tr} is not 1")
+        if sectors is not None:
+            weighted = sum(carrier * np.trace(q) for carrier, q in sectors)
+            if abs(weighted - tr) > ATOL:
+                raise ValueError(f"sector trace {weighted} is not the trace {tr}")
         try:
             for p in parts:
                 shifted = p.copy()
@@ -282,15 +306,17 @@ class DensityOperator:
             raise ValueError("matrix has a negative eigenvalue") from None
         object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "sectors", sectors)
 
     @staticmethod
-    def _from_weight_blocks(blocks) -> "DensityOperator":
+    def _from_weight_blocks(blocks, sectors=None) -> "DensityOperator":
         """The operator with these Hamming-weight blocks, weight 0 first, and zeros elsewhere.
 
         The matrix is built by scattering the blocks into zeros, and the
         blocks kept are copies of the same arrays, so the two always agree.
-        Below ``_BLOCK_MIN_DIM`` this is ``DensityOperator(matrix)``, which
-        keeps no blocks.
+        ``sectors``, (2j+1, Q_j) pairs, are kept as read-only copies once
+        checked.  Below ``_BLOCK_MIN_DIM`` this is
+        ``DensityOperator(matrix)``, which keeps neither.
         """
         n = len(blocks) - 1
         shapes = [b.shape for b in blocks]
@@ -302,8 +328,11 @@ class DensityOperator:
             m[rows[:, None], rows] = b
         if len(m) < _BLOCK_MIN_DIM:
             return DensityOperator(m)
+        if sectors is not None:
+            sectors = tuple((carrier, _readonly(_as_complex_array(q, 2)))
+                            for carrier, q in sectors)
         rho = object.__new__(DensityOperator)
-        rho._keep_checked(m, tuple(_readonly(_as_complex_array(b, 2)) for b in blocks))
+        rho._keep_checked(m, tuple(_readonly(_as_complex_array(b, 2)) for b in blocks), sectors)
         return rho
 
     @property
@@ -393,21 +422,46 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(np.sqrt(w).sum() ** 2)
 
 
+def _trace_norm_of_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||_1 of two Hermitian matrices.  Equal ones give 0 with no ``eigvalsh``: the
+    difference is then exactly zero, whose eigenvalues LAPACK returns as exact zeros."""
+    if np.array_equal(a, b):
+        return 0.0
+    return np.abs(np.linalg.eigvalsh(a - b)).sum()
+
+
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma, unclipped.
 
-    When both carry blocks (both were built from them: twirl outputs and
-    ``maximally_mixed``), the difference is block diagonal in Hamming weight,
-    so the distance is 1/2 sum_k ||B_k - B'_k||_1 and no dim x dim matrix is
-    decomposed.
+    The first of three paths that both states allow, each decomposing no
+    dim x dim matrix unless it is the last:
+
+    * Both keep ``sectors`` (full SU(2) twirl outputs): 1/2 sum_j (2j+1)
+      ||Q_j - Q'_j||_1.  Proof: both matrices are W D W^T and W D' W^T with
+      the same real orthogonal W, ``decompose``'s coupling matrix, whose
+      columns |j, m, r> run j descending, then r, then m; so
+      D = (+)_j Q_j (x) 1_{2j+1}.  Then rho - sigma = W (D - D') W^T has the
+      spectrum of D - D', and that is the spectrum of each Q_j - Q'_j
+      repeated 2j+1 times, as A (x) 1_d has the eigenvalues of A, each d
+      times.  The stored matrices equal W D W^T up to rounding, so the two
+      values agree to order dim * eps.
+    * Both keep ``blocks`` (twirl outputs and ``maximally_mixed``): the
+      difference is block diagonal in Hamming weight, so the distance is
+      1/2 sum_k ||B_k - B'_k||_1.
+    * Otherwise, the dense ``eigvalsh`` of rho - sigma.
+
+    A pair of equal parts adds exactly 0 without being decomposed.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if rho.blocks is not None and sigma.blocks is not None:
-        total = sum(np.abs(np.linalg.eigvalsh(b - c)).sum()
-                    for b, c in zip(rho.blocks, sigma.blocks, strict=True))
+    if rho.sectors is not None and sigma.sectors is not None:
+        parts = [(carrier, q, p) for (carrier, q), (_, p)
+                 in zip(rho.sectors, sigma.sectors, strict=True)]
+    elif rho.blocks is not None and sigma.blocks is not None:
+        parts = [(1, b, c) for b, c in zip(rho.blocks, sigma.blocks, strict=True)]
     else:
-        total = np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
+        parts = [(1, rho.matrix, sigma.matrix)]
+    total = sum(carrier * _trace_norm_of_difference(a, b) for carrier, a, b in parts)
     return 0.5 * float(total)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, GroupElement, RandomSource, StateVector, _checked_distribution, _readonly
+from .core import (ATOL, GroupElement, RandomSource, StateVector, _check_count,
+                   _checked_distribution, _readonly)
 
 N_MODES = 4
 _PAIRS = tuple((i, j) for i in range(N_MODES) for j in range(i, N_MODES))
@@ -166,8 +167,7 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    _check_count(trials, "trial count")
     state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
     misaligned = polarization_rotation(state, g_fiber)
     outcome_probs = detect(beam_splitter(misaligned)).as_vector()

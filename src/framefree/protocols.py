@@ -21,9 +21,9 @@ from math import comb, log2, sqrt
 import numpy as np
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_RATE_QUBITS,
-                   RandomSource, StateVector, _BELL_CHUNK_TRIALS, _check_qubit_count,
-                   _haar_rotation_chunks, _qubit_count, _readonly, apply_collective_rotation,
-                   trace_distance, weight_indices)
+                   RandomSource, StateVector, _BELL_CHUNK_TRIALS, _check_count,
+                   _check_qubit_count, _haar_rotation_chunks, _qubit_count, _readonly,
+                   apply_collective_rotation, trace_distance, weight_indices)
 from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
                      total_irrep_count)
 
@@ -329,8 +329,7 @@ def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndar
     chunk's elements, the two parties' alternately (ua_1, ub_1, ua_2, ...), and
     each value is the same matmul chain, bit for bit, as a trial run alone.
     """
-    if rotation_trials < 1:
-        raise ValueError(f"trial count must be positive, got {rotation_trials}")
+    _check_count(rotation_trials, "trial count")
     zp, xp, b0, b1, pair = _bell_operators()
     values = []
     for us in _haar_rotation_chunks(rng, 2 * rotation_trials, 4, 2 * _BELL_CHUNK_TRIALS):

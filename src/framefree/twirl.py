@@ -24,8 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DensityOperator, RandomSource, _MC_ENTRY_BUDGET, _check_qubit_count,
-                   _haar_rotation_chunks, _qubit_count, _readonly, weight_indices)
+from .core import (DensityOperator, RandomSource, _BLOCK_MIN_DIM, _MC_ENTRY_BUDGET,
+                   _check_count, _check_qubit_count, _haar_rotation_chunks, _qubit_count,
+                   _readonly, weight_indices)
 from .irreps import decompose
 
 
@@ -57,21 +58,29 @@ class TwirlChannel:
         return 2 ** self.n
 
     @cached_property
-    def _weight_maps(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """2j+1 of each block in canonical order, and W_k for each weight k.
+    def _weight_maps(self) -> tuple[np.ndarray, tuple[np.ndarray, ...],
+                                    tuple[tuple[slice, int], ...]]:
+        """2j+1 of each block in canonical order, W_k for each weight k, and the j sectors.
 
         W_k is the coupling matrix on the weight-k rows and the columns
         |j, m = n/2 - k, r>: real orthogonal and C(n, k) wide, its columns from
         the blocks with 2j >= |2m|, a prefix of canonical order as j descends.
         Each block's 2j and first column are ``decompose(n)``'s ``twice_j`` and
-        ``column_starts``.
+        ``column_starts``.  Each sector is the slice of the blocks with one j
+        (a run of ``twice_j``) and its 2j+1; from dimension ``_BLOCK_MIN_DIM``
+        only, the first at which an output keeps them.
         """
         d = decompose(self.n)
         maps = []
         for k, rows in enumerate(weight_indices(self.dim)):
             cols = d.column_starts[:len(rows)] + (d.twice_j[:len(rows)] - self.n + 2 * k) // 2
             maps.append(_readonly(d.columns(cols)[rows]))
-        return d.twice_j + 1, tuple(maps)
+        sectors = ()
+        if self.dim >= _BLOCK_MIN_DIM:
+            edges = [0, *(np.flatnonzero(np.diff(d.twice_j)) + 1), len(d.twice_j)]
+            sectors = tuple((slice(a, b), int(d.twice_j[a]) + 1)
+                            for a, b in zip(edges, edges[1:]))
+        return d.twice_j + 1, tuple(maps), sectors
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Average rho over the channel's frame rotations, in closed form.
@@ -82,20 +91,26 @@ class TwirlChannel:
         give sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T, with the coherence
         between different j gone.  Either way the output is built and checked
         from its weight blocks by ``DensityOperator._from_weight_blocks``, and
-        keeps them from dimension 64; the blocks of ``rho`` are never read.
+        keeps them from dimension 64; the SU(2) output there also keeps each
+        Q_j = M_j/(2j+1), cut from the same masked entries, as its sectors, so
+        ``trace_distance`` between two outputs decomposes only c_j x c_j
+        matrices.  The blocks and sectors of ``rho`` are never read.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
         blocks = [rho.matrix[rows[:, None], rows] for rows in weight_indices(self.dim)]
-        if self.su2:
-            widths, maps = self._weight_maps
-            mult = np.zeros((len(widths), len(widths)), dtype=complex)
-            for w, block in zip(maps, blocks):
-                mult[:len(w), :len(w)] += w.T @ block @ w
-            mult = np.where(widths[:, None] == widths, mult / widths, 0.0)
-            blocks = [w @ mult[:len(w), :len(w)] @ w.T for w in maps]
-            blocks = [0.5 * (b + b.conj().T) for b in blocks]
-        return DensityOperator._from_weight_blocks(blocks)
+        if not self.su2:
+            return DensityOperator._from_weight_blocks(blocks)
+        widths, maps, cuts = self._weight_maps
+        mult = np.zeros((len(widths), len(widths)), dtype=complex)
+        for w, block in zip(maps, blocks):
+            mult[:len(w), :len(w)] += w.T @ block @ w
+        kept = np.where(widths[:, None] == widths, mult / widths, 0.0)
+        blocks = [w @ kept[:len(w), :len(w)] @ w.T for w in maps]
+        blocks = [0.5 * (b + b.conj().T) for b in blocks]
+        sectors = [(carrier, kept[cut, cut]) for cut, carrier in cuts]
+        sectors = [(carrier, 0.5 * (q + q.conj().T)) for carrier, q in sectors]
+        return DensityOperator._from_weight_blocks(blocks, sectors)
 
 
 def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
@@ -105,8 +120,7 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
     Samples come checked from ``core._haar_rotation_chunks``, in chunks of at most
     ``_MC_ENTRY_BUDGET`` entries: chunked, but deterministic for a given source.
     """
-    if samples < 1:
-        raise ValueError(f"sample count must be positive, got {samples}")
+    _check_count(samples, "sample count")
     n = _qubit_count(rho.dim)
     acc = np.zeros((rho.dim, rho.dim), dtype=complex)
     chunk = max(1, _MC_ENTRY_BUDGET // (rho.dim * rho.dim))

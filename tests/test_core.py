@@ -7,17 +7,17 @@ import pytest
 from framefree.cli import main
 from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
-                            _check_su2, _haar_rotation_chunks, _tensor_powers,
+                            _check_su2, _haar_rotation_chunks, _qubit_count, _tensor_powers,
                             apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, random_density,
                             random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose, multiplicity, total_irrep_count
-from framefree.optics import DetectionDistribution
+from framefree.optics import DetectionDistribution, run_optical_protocol
 from framefree.protocols import (build_classical_codebook, decode_logical,
                                  dephasing_sector_encoding, dfs_encoding_4qubit,
-                                 encode_logical, most_repeated_irrep, noiseless_subsystem_plan,
-                                 rate_table)
-from framefree.twirl import TwirlChannel
+                                 encode_logical, logical_bell_chsh_trials, most_repeated_irrep,
+                                 noiseless_subsystem_plan, rate_table)
+from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
 from test_twirl import dense_distance
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
@@ -51,6 +51,30 @@ QUBIT_COUNT_GUARDS = (
 def test_qubit_count_out_of_range_raises_the_one_message(call, n, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(n)
+
+
+# every library function that takes a trial or sample count, called with that count
+COUNT_GUARDS = (
+    ("run_optical_protocol",
+     lambda t: run_optical_protocol(0, GroupElement.identity(), t, RandomSource(0))),
+    ("logical_bell_chsh_trials", lambda t: logical_bell_chsh_trials(RandomSource(0), t)),
+    ("twirl_su2_monte_carlo",
+     lambda t: twirl_su2_monte_carlo(DensityOperator.maximally_mixed(2), t, RandomSource(0))),
+)
+
+
+@pytest.mark.parametrize("call, count", [
+    pytest.param(call, count, id=f"{name}-{count}")
+    for name, call in COUNT_GUARDS for count in (2.5, True, 0, np.float64(3.0))])
+def test_count_that_is_not_a_positive_integer_raises_the_one_message(call, count):
+    message = f"count must be a positive integer, got {count!r}"
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        call(count)
+
+
+@pytest.mark.parametrize("name, call", COUNT_GUARDS)
+def test_a_numpy_integer_count_is_a_count(name, call):
+    call(np.int64(2))
 
 
 @pytest.mark.parametrize("n", [True, 2.0])
@@ -464,6 +488,50 @@ class TestFromWeightBlocks:
             DensityOperator._from_weight_blocks(blocks)
 
 
+def sector_skew(sectors):
+    sectors[1][1][0, 1] += 2 * ATOL
+
+
+def sector_trace_off(sectors):
+    sectors[-1][1][0, 0] += 2 * ATOL  # the j = 0 sector, carrier 1
+
+
+def sector_carrier_off(sectors):
+    sectors[0][0] += 1
+
+
+def sector_missing(sectors):
+    del sectors[-1]
+
+
+class TestFromWeightBlocksWithSectors:
+    """``_from_weight_blocks`` keeps the sectors of a full SU(2) output as read-only copies
+    once each is Hermitian and sum_j (2j+1) tr Q_j is tr m, both to ATOL."""
+
+    @staticmethod
+    def parts(rng):
+        out = TwirlChannel.full_su2(6).apply(random_density(rng, 64))
+        return list(out.blocks), [[carrier, q.copy()] for carrier, q in out.sectors]
+
+    def test_sectors_are_read_only_copies(self, rng):
+        blocks, sectors = self.parts(rng)
+        rho = DensityOperator._from_weight_blocks(blocks, sectors)
+        for (carrier, q), (given_carrier, given) in zip(rho.sectors, sectors, strict=True):
+            assert carrier == given_carrier
+            assert np.array_equal(q, given) and not np.shares_memory(q, given)
+            with pytest.raises(ValueError):
+                q[0, 0] = 0.0
+
+    @pytest.mark.parametrize("fault, message", [pytest.param(f, m, id=f.__name__) for f, m in (
+        (sector_skew, "not Hermitian"), (sector_trace_off, "sector trace"),
+        (sector_carrier_off, "sector trace"), (sector_missing, "sector trace"))])
+    def test_rejects(self, rng, fault, message):
+        blocks, sectors = self.parts(rng)
+        fault(sectors)
+        with pytest.raises(ValueError, match=message):
+            DensityOperator._from_weight_blocks(blocks, sectors)
+
+
 class TestBlockForm:
     """States built from their Hamming-weight blocks keep them; a matrix passed in keeps none."""
 
@@ -567,14 +635,21 @@ class TestMaximallyMixed:
             with pytest.raises(ValueError):
                 block[0, 0] = 0.0
 
-    @pytest.mark.parametrize("dim", [3, 6, 96])
+    @pytest.mark.parametrize("dim", [3, 6, 96, 4.0, 64.0, True, "4"])
     def test_rejects_a_dimension_that_is_not_a_power_of_two(self, dim):
+        DensityOperator.maximally_mixed(4), DensityOperator.maximally_mixed(64)  # cached first
         with pytest.raises(ValueError, match="not a qubit count"):
             DensityOperator.maximally_mixed(dim)
+        with pytest.raises(ValueError, match="not a qubit count"):
+            _qubit_count(dim)
 
     def test_twirl_check_fixed_point_distance_reads_the_blocks(self, monkeypatch):
-        # each channel's idempotence and fixed-point distances, one state: four block distances
+        # each channel's idempotence and fixed-point distances, one state; a pair of parts
+        # that are equal bit for bit is never decomposed
         sizes, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
         assert main(["twirl-check", "--n", "6", "--trials", "1"]) == 0
-        assert sizes == TestBlockForm.SIZES * 4
+        # SU(2) idempotence: the sectors c_j = 1, 5, 9, 5, the 1 x 1 j = 3 pair equal;
+        # SU(2) fixed point: the weight blocks, the 1 x 1 pairs at weights 0 and 6 equal;
+        # U(1): every block of both distances equal
+        assert sizes == [5, 9, 5] + TestBlockForm.SIZES[1:-1]

@@ -330,7 +330,7 @@ class TestBlockForm:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_weight_maps_are_orthogonal_and_rebuild_the_coupling_matrix(self, n):
-        _, maps = TwirlChannel.full_su2(n)._weight_maps
+        _, maps, _ = TwirlChannel.full_su2(n)._weight_maps
         dense = dense_coupling_matrix(n)
         placed = np.zeros_like(dense)
         for rows, w in zip(weight_indices(2 ** n), maps):
@@ -339,3 +339,102 @@ class TestBlockForm:
             cols = np.flatnonzero(np.any(dense[rows] != 0, axis=0))
             placed[rows[:, None], cols] = w
         assert placed.tobytes() == dense.tobytes()
+
+
+def eps_bound(dim: int) -> float:
+    """The written tolerance for two routes to one distance or one sector: dim * eps."""
+    return dim * np.finfo(float).eps
+
+
+def blocks_only(rho: DensityOperator) -> DensityOperator:
+    """The same state rebuilt from its weight blocks alone, so it keeps no sectors."""
+    return DensityOperator._from_weight_blocks(list(rho.blocks))
+
+
+def unskipped_block_distance(a: DensityOperator, b: DensityOperator) -> float:
+    """The weight-block distance with ``eigvalsh`` run on every block pair, equal or not."""
+    total = sum(np.abs(np.linalg.eigvalsh(x - y)).sum()
+                for x, y in zip(a.blocks, b.blocks, strict=True))
+    return 0.5 * float(total)
+
+
+class TestSectors:
+    """Full SU(2) outputs from ``_BLOCK_MIN_DIM`` keep their j sectors Q_j = M_j/(2j+1), and
+    ``trace_distance`` between two of them reads only those; the weight-block path and the
+    dense ``eigvalsh`` are its oracles, to ``eps_bound(dim)``."""
+
+    SEEDS = (1, 2, 3)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sectors_are_the_multiplicity_blocks_of_the_coupled_output(self, rng, n):
+        out = TwirlChannel.full_su2(n).apply(random_density(rng, 2 ** n))
+        if 2 ** n < _BLOCK_MIN_DIM:
+            assert out.sectors is None
+            return
+        table = decompose(n).multiplicity_table
+        assert [(carrier, len(q)) for carrier, q in out.sectors] == [
+            (j.twice + 1, count) for j, count in table.items()]
+        w = dense_coupling_matrix(n)
+        coupled = w.T @ out.matrix @ w
+        offset = 0
+        for carrier, q in out.sectors:
+            size = len(q) * carrier
+            sector = coupled[offset:offset + size, offset:offset + size]
+            # W^T out W holds Q_j (x) 1_{2j+1} on the sector: Q_j is its carrier-averaged trace
+            oracle = np.trace(sector.reshape(len(q), carrier, len(q), carrier),
+                              axis1=1, axis2=3) / carrier
+            assert np.abs(q - oracle).max() <= eps_bound(2 ** n)
+            assert np.array_equal(q, q.conj().T)
+            with pytest.raises(ValueError):
+                q[0, 0] = 0.0
+            offset += size
+
+    def test_u1_outputs_and_plain_operators_keep_no_sectors(self, rng):
+        rho = random_density(rng, 64)
+        assert rho.sectors is None
+        assert TwirlChannel.u1_dephasing(6).apply(rho).sectors is None
+        assert DensityOperator.maximally_mixed(64).sectors is None
+        assert blocks_only(TwirlChannel.full_su2(6).apply(rho)).sectors is None
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_sector_distance_matches_the_block_path_and_dense(self, n, seed):
+        rng = RandomSource(seed)
+        channel = TwirlChannel.full_su2(n)
+        once = channel.apply(random_density(rng, 2 ** n))
+        other = channel.apply(random_density(rng, 2 ** n))
+        for a, b in ((channel.apply(once), once), (once, other)):
+            assert a.sectors is not None and b.sectors is not None
+            d = trace_distance(a, b)
+            assert abs(d - trace_distance(blocks_only(a), blocks_only(b))) <= eps_bound(2 ** n)
+            assert abs(d - dense_distance(a, b)) <= eps_bound(2 ** n)
+        assert dense_distance(once, other) > 1e-3  # so a wrong sector weight cannot hide
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_distance_decomposes_only_the_sectors(self, rng, n, monkeypatch):
+        channel = TwirlChannel.full_su2(n)
+        a, b = (channel.apply(random_density(rng, 2 ** n)) for _ in range(2))
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+        trace_distance(a, b)
+        assert sizes == list(decompose(n).multiplicity_table.values())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_equal_block_skip_gives_the_bits_of_eigvalsh_on_every_block(self, n, seed):
+        rng = RandomSource(seed)
+        u1 = TwirlChannel.u1_dephasing(n)
+        once = u1.apply(random_density(rng, 2 ** n))
+        twice = u1.apply(once)
+        assert all(np.array_equal(x, y) for x, y in zip(twice.blocks, once.blocks))
+        # every odd-weight block conjugated: still a state, with some blocks equal and some not
+        half = DensityOperator._from_weight_blocks(
+            [b.conj() if k % 2 else b for k, b in enumerate(once.blocks)])
+        equal = [np.array_equal(x, y) for x, y in zip(half.blocks, once.blocks)]
+        assert any(equal) and not all(equal)
+        mixed = DensityOperator.maximally_mixed(2 ** n)
+        pairs = ((twice, once), (half, once), (u1.apply(mixed), mixed),
+                 (TwirlChannel.full_su2(n).apply(mixed), mixed))
+        for a, b in pairs:
+            d = trace_distance(a, b)
+            assert np.float64(d).tobytes() == np.float64(unskipped_block_distance(a, b)).tobytes()

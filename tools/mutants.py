@@ -67,7 +67,7 @@ MUTANTS = (
            "w, y, x, z = (q / np.linalg.norm(q, axis=1)[:, None]).T",
            "tests/test_core.py::TestHaarSampling::test_fixed_seed_draw_is_the_quaternion_map"),
     Mutant("su2-twirl-no-hermitian-part", "src/framefree/twirl.py",
-           "            blocks = [0.5 * (b + b.conj().T) for b in blocks]\n", "",
+           "        blocks = [0.5 * (b + b.conj().T) for b in blocks]\n", "",
            "tests/test_twirl.py::TestChannelProperties::test_su2_output_is_exactly_hermitian"),
     Mutant("haar-chunks-unchecked", "src/framefree/core.py",
            "        _check_su2(gs)\n", "",
@@ -79,8 +79,19 @@ MUTANTS = (
            "lowest >= 0.0", "lowest >= -ATOL",
            "tests/test_core.py::TestRandomSource::test_rejects_any_negative_entry"),
     Mutant("block-trace-distance-max", "src/framefree/core.py",
-           "np.abs(np.linalg.eigvalsh(b - c)).sum()", "np.abs(np.linalg.eigvalsh(b - c)).max()",
+           "np.abs(np.linalg.eigvalsh(a - b)).sum()", "np.abs(np.linalg.eigvalsh(a - b)).max()",
            "tests/test_core.py::TestBlockForm::test_same_frame_distance_reads_the_blocks"),
+    Mutant("sector-distance-without-carrier", "src/framefree/core.py",
+           "parts = [(carrier, q, p)", "parts = [(1, q, p)",
+           "tests/test_twirl.py::TestSectors::test_sector_distance_matches_the_block_path_and_dense"),
+    Mutant("sectors-from-unmasked-mult", "src/framefree/twirl.py",
+           "(carrier, kept[cut, cut])", "(carrier, mult[cut, cut])",
+           "tests/test_twirl.py::TestSectors"
+           "::test_sectors_are_the_multiplicity_blocks_of_the_coupled_output"),
+    Mutant("equal-skip-compares-a-block-with-itself", "src/framefree/core.py",
+           "np.array_equal(a, b)", "np.array_equal(a, a)",
+           "tests/test_twirl.py::TestSectors"
+           "::test_equal_block_skip_gives_the_bits_of_eigvalsh_on_every_block"),
     Mutant("maximally-mixed-dense", "src/framefree/core.py",
            "        return DensityOperator._from_weight_blocks([np.eye(len(rows)) / dim\n"
            "                                                    for rows in weight_indices(dim)])\n",
