@@ -267,9 +267,9 @@ class DensityOperator:
 
     A full SU(2) twirl output of that size also keeps its j sectors as
     ``sectors``: one (2j+1, Q_j) pair per j, j descending, with the matrix
-    W (+)_j (Q_j (x) 1_{2j+1}) W^T up to rounding.  Each read-only c_j x c_j Q_j is checked
-    Hermitian, and sum_j (2j+1) tr Q_j is checked against tr m to ATOL; only
-    ``trace_distance`` reads them.
+    W (+)_j (Q_j (x) 1_{2j+1}) W^T up to rounding.  Each c_j x c_j Q_j is a read-only view of
+    one copy of Q = (+)_j Q_j; Q is checked Hermitian, and its carrier-weighted trace against
+    tr m, both to ATOL.  Only ``trace_distance`` reads them.
     """
 
     matrix: np.ndarray
@@ -283,20 +283,24 @@ class DensityOperator:
         self._keep_checked(m, None, None)
 
     def _keep_checked(self, m: np.ndarray, blocks: tuple[np.ndarray, ...] | None,
-                      sectors: tuple[tuple[int, np.ndarray], ...] | None) -> None:
+                      multiplicity: tuple[np.ndarray, np.ndarray] | None) -> None:
         """Check the finite square m, reading only its read-only blocks when given, and the
-        sectors when given; keep all three."""
+        read-only Q with its carriers when given; keep m, the blocks and Q's j sectors."""
         parts = (m,) if blocks is None else blocks
-        hermitian = parts if sectors is None else (*parts, *(q for _, q in sectors))
+        hermitian = parts if multiplicity is None else (*parts, multiplicity[0])
         if max(np.abs(p - p.conj().T).max() for p in hermitian) > ATOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace {tr} is not 1")
-        if sectors is not None:
-            weighted = sum(carrier * np.trace(q) for carrier, q in sectors)
+        sectors = None
+        if multiplicity is not None:
+            q, carriers = multiplicity
+            weighted = carriers @ q.diagonal()
             if abs(weighted - tr) > ATOL:
                 raise ValueError(f"sector trace {weighted} is not the trace {tr}")
+            edges = [0, *(np.flatnonzero(np.diff(carriers)) + 1), len(carriers)]
+            sectors = tuple((int(carriers[a]), q[a:b, a:b]) for a, b in zip(edges, edges[1:]))
         try:
             for p in parts:
                 shifted = p.copy()
@@ -309,14 +313,15 @@ class DensityOperator:
         object.__setattr__(self, "sectors", sectors)
 
     @staticmethod
-    def _from_weight_blocks(blocks, sectors=None) -> "DensityOperator":
+    def _from_weight_blocks(blocks, multiplicity=None) -> "DensityOperator":
         """The operator with these Hamming-weight blocks, weight 0 first, and zeros elsewhere.
 
         The matrix is built by scattering the blocks into zeros, and the
         blocks kept are copies of the same arrays, so the two always agree.
-        ``sectors``, (2j+1, Q_j) pairs, are kept as read-only copies once
-        checked.  Below ``_BLOCK_MIN_DIM`` this is
-        ``DensityOperator(matrix)``, which keeps neither.
+        ``multiplicity``, an SU(2) output's Q = (+)_j Q_j and each block's 2j+1, is copied
+        once, read-only, and checked; the Q_j are kept as views cut at the runs of equal
+        carriers.  Below ``_BLOCK_MIN_DIM`` this is ``DensityOperator(matrix)``, which keeps
+        neither and never reads Q.
         """
         n = len(blocks) - 1
         shapes = [b.shape for b in blocks]
@@ -328,11 +333,11 @@ class DensityOperator:
             m[rows[:, None], rows] = b
         if len(m) < _BLOCK_MIN_DIM:
             return DensityOperator(m)
-        if sectors is not None:
-            sectors = tuple((carrier, _readonly(_as_complex_array(q, 2)))
-                            for carrier, q in sectors)
+        if multiplicity is not None:
+            multiplicity = _readonly(_as_complex_array(multiplicity[0], 2)), multiplicity[1]
         rho = object.__new__(DensityOperator)
-        rho._keep_checked(m, tuple(_readonly(_as_complex_array(b, 2)) for b in blocks), sectors)
+        rho._keep_checked(m, tuple(_readonly(_as_complex_array(b, 2)) for b in blocks),
+                          multiplicity)
         return rho
 
     @property

@@ -46,17 +46,18 @@ class HalfInteger:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, (int, np.integer)):
+        if isinstance(self.twice, bool) or not isinstance(self.twice, (int, np.integer)):
             raise TypeError(f"twice must be an integer, got {type(self.twice).__name__}")
         object.__setattr__(self, "twice", int(self.twice))
 
     @staticmethod
     def of(value) -> "HalfInteger":
-        """Coerce an int, float, Fraction, or HalfInteger to a HalfInteger."""
+        """Coerce an int, float, Fraction, or HalfInteger, not a bool, to a HalfInteger."""
         if isinstance(value, HalfInteger):
             return value
         doubled = 2 * value
-        if not (abs(doubled) < inf and doubled == round(doubled)):  # NaN fails too
+        whole = abs(doubled) < inf and doubled == round(doubled)  # NaN fails too
+        if isinstance(value, (bool, np.bool_)) or not whole:  # 2 * True would give j = 1
             raise ValueError(f"{value!r} is not a half-integer")
         return HalfInteger(int(round(doubled)))
 
@@ -180,7 +181,8 @@ class IrrepDecomposition:
     def block_index(self, j, r: int) -> int:
         j = HalfInteger.of(j)
         found = np.flatnonzero(self.twice_j == j.twice)
-        if not isinstance(r, (int, np.integer)) or r not in range(1, len(found) + 1):
+        if (isinstance(r, bool) or not isinstance(r, (int, np.integer))
+                or r not in range(1, len(found) + 1)):
             raise KeyError(f"no block with j = {j}, r = {r}")
         return int(found[r - 1])
 

@@ -165,8 +165,8 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     to 0 and bunching to 1.  A common fiber rotation cannot change the
     outcome statistics, so the sampled error rate is zero.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    if isinstance(bit, bool) or not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     _check_count(trials, "trial count")
     state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
     misaligned = polarization_rotation(state, g_fiber)

@@ -132,6 +132,8 @@ class LogicalEncoding:
     j: HalfInteger | None = None  # SU(2) sector
 
     def __post_init__(self):
+        if self.j is not None:
+            object.__setattr__(self, "j", HalfInteger.of(self.j))
         v = np.asarray(self.isometry)  # a real sector is checked in real arithmetic
         if v.ndim != 2 or v.shape[1] % self.carrier_dim:
             raise ValueError(f"isometry shape {v.shape} is not (2^n, a multiple "

@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DensityOperator, RandomSource, _BLOCK_MIN_DIM, _MC_ENTRY_BUDGET,
-                   _check_count, _check_qubit_count, _haar_rotation_chunks, _qubit_count,
-                   _readonly, weight_indices)
+from .core import (DensityOperator, RandomSource, _MC_ENTRY_BUDGET, _check_count,
+                   _check_qubit_count, _haar_rotation_chunks, _qubit_count, _readonly,
+                   weight_indices)
 from .irreps import decompose
 
 
@@ -58,29 +58,21 @@ class TwirlChannel:
         return 2 ** self.n
 
     @cached_property
-    def _weight_maps(self) -> tuple[np.ndarray, tuple[np.ndarray, ...],
-                                    tuple[tuple[slice, int], ...]]:
-        """2j+1 of each block in canonical order, W_k for each weight k, and the j sectors.
+    def _weight_maps(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """2j+1 of each block in canonical order, and W_k for each weight k.
 
         W_k is the coupling matrix on the weight-k rows and the columns
         |j, m = n/2 - k, r>: real orthogonal and C(n, k) wide, its columns from
         the blocks with 2j >= |2m|, a prefix of canonical order as j descends.
         Each block's 2j and first column are ``decompose(n)``'s ``twice_j`` and
-        ``column_starts``.  Each sector is the slice of the blocks with one j
-        (a run of ``twice_j``) and its 2j+1; from dimension ``_BLOCK_MIN_DIM``
-        only, the first at which an output keeps them.
+        ``column_starts``.
         """
         d = decompose(self.n)
         maps = []
         for k, rows in enumerate(weight_indices(self.dim)):
             cols = d.column_starts[:len(rows)] + (d.twice_j[:len(rows)] - self.n + 2 * k) // 2
             maps.append(_readonly(d.columns(cols)[rows]))
-        sectors = ()
-        if self.dim >= _BLOCK_MIN_DIM:
-            edges = [0, *(np.flatnonzero(np.diff(d.twice_j)) + 1), len(d.twice_j)]
-            sectors = tuple((slice(a, b), int(d.twice_j[a]) + 1)
-                            for a, b in zip(edges, edges[1:]))
-        return d.twice_j + 1, tuple(maps), sectors
+        return _readonly(d.twice_j + 1), tuple(maps)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Average rho over the channel's frame rotations, in closed form.
@@ -90,27 +82,24 @@ class TwirlChannel:
         entries; those entries divided by 2j+1, mapped back by W_k (.) W_k^T,
         give sum_j S_j (M_j/(2j+1) (x) I_{2j+1}) S_j^T, with the coherence
         between different j gone.  Either way the output is built and checked
-        from its weight blocks by ``DensityOperator._from_weight_blocks``, and
-        keeps them from dimension 64; the SU(2) output there also keeps each
-        Q_j = M_j/(2j+1), cut from the same masked entries, as its sectors, so
-        ``trace_distance`` between two outputs decomposes only c_j x c_j
-        matrices.  The blocks and sectors of ``rho`` are never read.
+        from its weight blocks by ``DensityOperator._from_weight_blocks``.  The
+        SU(2) output also hands over Q = (+)_j M_j/(2j+1), the masked entries
+        made Hermitian, with each block's carrier 2j+1; ``core`` decides whether
+        to keep its j sectors.  The blocks and sectors of ``rho`` are never read.
         """
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: state {rho.dim}, channel {self.dim}")
         blocks = [rho.matrix[rows[:, None], rows] for rows in weight_indices(self.dim)]
         if not self.su2:
             return DensityOperator._from_weight_blocks(blocks)
-        widths, maps, cuts = self._weight_maps
+        widths, maps = self._weight_maps
         mult = np.zeros((len(widths), len(widths)), dtype=complex)
         for w, block in zip(maps, blocks):
             mult[:len(w), :len(w)] += w.T @ block @ w
         kept = np.where(widths[:, None] == widths, mult / widths, 0.0)
         blocks = [w @ kept[:len(w), :len(w)] @ w.T for w in maps]
         blocks = [0.5 * (b + b.conj().T) for b in blocks]
-        sectors = [(carrier, kept[cut, cut]) for cut, carrier in cuts]
-        sectors = [(carrier, 0.5 * (q + q.conj().T)) for carrier, q in sectors]
-        return DensityOperator._from_weight_blocks(blocks, sectors)
+        return DensityOperator._from_weight_blocks(blocks, (0.5 * (kept + kept.conj().T), widths))
 
 
 def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,

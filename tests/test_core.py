@@ -488,48 +488,63 @@ class TestFromWeightBlocks:
             DensityOperator._from_weight_blocks(blocks)
 
 
-def sector_skew(sectors):
-    sectors[1][1][0, 1] += 2 * ATOL
+def sector_skew(q, carriers):
+    q[1, 2] += 2 * ATOL  # inside the second sector, j = n/2 - 1
+    return q, carriers
 
 
-def sector_trace_off(sectors):
-    sectors[-1][1][0, 0] += 2 * ATOL  # the j = 0 sector, carrier 1
+def sector_trace_off(q, carriers):
+    q[-1, -1] += 2 * ATOL  # in the j = 0 sector, carrier 1
+    return q, carriers
 
 
-def sector_carrier_off(sectors):
-    sectors[0][0] += 1
-
-
-def sector_missing(sectors):
-    del sectors[-1]
+def sector_carrier_off(q, carriers):
+    carriers[0] += 1
+    return q, carriers
 
 
 class TestFromWeightBlocksWithSectors:
-    """``_from_weight_blocks`` keeps the sectors of a full SU(2) output as read-only copies
-    once each is Hermitian and sum_j (2j+1) tr Q_j is tr m, both to ATOL."""
+    """``_from_weight_blocks`` keeps one read-only copy of an SU(2) output's Q, and its j
+    sectors as views of it, once Q is Hermitian and sum_b (2j_b+1) Q_bb is tr m, both to ATOL."""
 
     @staticmethod
-    def parts(rng):
-        out = TwirlChannel.full_su2(6).apply(random_density(rng, 64))
-        return list(out.blocks), [[carrier, q.copy()] for carrier, q in out.sectors]
+    def parts(rng, monkeypatch):
+        """The blocks, Q and carriers that an n = 6 full SU(2) twirl hands over, as copies."""
+        given, build = [], DensityOperator._from_weight_blocks
+        monkeypatch.setattr(DensityOperator, "_from_weight_blocks",
+                            staticmethod(lambda *args: given.append(args) or build(*args)))
+        TwirlChannel.full_su2(6).apply(random_density(rng, 64))
+        monkeypatch.undo()
+        [(blocks, (q, carriers))] = given
+        return list(blocks), q.copy(), carriers.copy()
 
-    def test_sectors_are_read_only_copies(self, rng):
-        blocks, sectors = self.parts(rng)
-        rho = DensityOperator._from_weight_blocks(blocks, sectors)
-        for (carrier, q), (given_carrier, given) in zip(rho.sectors, sectors, strict=True):
-            assert carrier == given_carrier
-            assert np.array_equal(q, given) and not np.shares_memory(q, given)
+    def test_sectors_are_read_only_views_of_one_copy(self, rng, monkeypatch):
+        blocks, q, carriers = self.parts(rng, monkeypatch)
+        rho = DensityOperator._from_weight_blocks(blocks, (q, carriers))
+        kept = rho.sectors[0][1].base
+        assert np.array_equal(kept, q) and not np.shares_memory(kept, q)
+        start = 0
+        for (carrier, s), (j, count) in zip(rho.sectors, decompose(6).multiplicity_table.items(),
+                                             strict=True):
+            assert carrier == j.twice + 1 and s.base is kept
+            assert np.array_equal(s, q[start:start + count, start:start + count])
             with pytest.raises(ValueError):
-                q[0, 0] = 0.0
+                s[0, 0] = 0.0
+            start += count
 
     @pytest.mark.parametrize("fault, message", [pytest.param(f, m, id=f.__name__) for f, m in (
         (sector_skew, "not Hermitian"), (sector_trace_off, "sector trace"),
-        (sector_carrier_off, "sector trace"), (sector_missing, "sector trace"))])
-    def test_rejects(self, rng, fault, message):
-        blocks, sectors = self.parts(rng)
-        fault(sectors)
+        (sector_carrier_off, "sector trace"))])
+    def test_rejects(self, rng, monkeypatch, fault, message):
+        blocks, q, carriers = self.parts(rng, monkeypatch)
         with pytest.raises(ValueError, match=message):
-            DensityOperator._from_weight_blocks(blocks, sectors)
+            DensityOperator._from_weight_blocks(blocks, fault(q, carriers))
+
+    def test_rejects_carriers_of_the_wrong_length(self, rng, monkeypatch):
+        blocks, q, carriers = self.parts(rng, monkeypatch)
+        for wrong in (carriers[:-1], np.append(carriers, 1)):
+            with pytest.raises(ValueError):  # numpy's, from the carrier-weighted trace
+                DensityOperator._from_weight_blocks(blocks, (q, wrong))
 
 
 class TestBlockForm:

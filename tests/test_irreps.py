@@ -341,6 +341,23 @@ class TestHalfInteger:
         with pytest.raises(ValueError, match="is not a half-integer"):
             HalfInteger.of(value)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_a_bool_is_not_a_half_integer(self, value):
+        # HalfInteger(True) would be j = 1/2 and HalfInteger.of(True) j = 1
+        with pytest.raises(TypeError):
+            HalfInteger(value)
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            HalfInteger.of(value)
+
+    @pytest.mark.parametrize("call", [
+        lambda j: multiplicity(4, j), lambda j: decompose(4).sector(j),
+        lambda j: decompose(4).block_index(j, 1), lambda j: decompose(4).block(j, 1)],
+        ids=["multiplicity", "sector", "block_index", "block"])
+    @pytest.mark.parametrize("j", [True, False])
+    def test_every_j_label_rejects_a_bool(self, call, j):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            call(j)
+
     def test_order(self):
         assert HalfInteger.of(0.5) < HalfInteger.of(1)
 
@@ -567,7 +584,7 @@ class TestBlockIndexOracle:
     def test_unknown_labels_raise_key_error(self, n):
         d = decompose(n)
         for j, count in d.multiplicity_table.items():
-            for r in (0, count + 1, 1.0, float(count), 0.5, "1", None):
+            for r in (0, count + 1, 1.0, float(count), 0.5, "1", None, True):
                 with pytest.raises(KeyError):
                     d.block_index(j, r)
                 with pytest.raises(KeyError):

@@ -244,6 +244,12 @@ class TestProtocol:
         assert sum(result.counts.values()) == trials
         assert result.counts["coincidence"] == 0 and result.error_rate == 0.0
 
-    def test_rejects_bad_bit(self, rng):
-        with pytest.raises(ValueError):
-            run_optical_protocol(2, GroupElement.identity(), 1, rng)
+    @pytest.mark.parametrize("bit", [2, -1, True, False, 1.0, np.float64(0.0), "1", None])
+    def test_rejects_bad_bit(self, rng, bit):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            run_optical_protocol(bit, GroupElement.identity(), 1, rng)
+
+    def test_a_numpy_integer_bit_is_a_bit(self):
+        ours, theirs = (run_optical_protocol(bit, GroupElement.identity(), 5, RandomSource(2))
+                        for bit in (np.int64(1), 1))
+        assert ours == theirs

@@ -581,6 +581,18 @@ class TestLogicalEncodingShape:
         with pytest.raises(ValueError):
             LogicalEncoding(isometry=sector[:, :3], j=HalfInteger.of(0.5))
 
+    @pytest.mark.parametrize("j", [0, 0.0, np.int64(0), HalfInteger(0)])
+    def test_j_is_coerced_to_a_half_integer(self, j):
+        enc = LogicalEncoding(decompose(4).sector(0)[:, ::-1], j=j)
+        assert enc.j == HalfInteger(0) and type(enc.j) is HalfInteger
+        assert (enc.carrier_dim, enc.logical_dim) == (1, 2)
+        assert np.array_equal(enc.isometry, dfs_encoding_4qubit().isometry)
+
+    @pytest.mark.parametrize("j", [True, 0.3])
+    def test_rejects_a_j_that_is_not_a_half_integer(self, j):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            LogicalEncoding(decompose(4).sector(0)[:, ::-1], j=j)
+
     def test_rejects_row_count_off_two_to_the_n(self):
         with pytest.raises(ValueError, match="not a qubit count"):
             LogicalEncoding(isometry=np.eye(6)[:, :2])

@@ -18,14 +18,22 @@ def test_src_has_no_bare_assert():
     assert not found
 
 
+def named_outside_core(kept_in_core: set[str]) -> list[str]:
+    """Each place, as path:line, where a src/ module other than core.py names one of these."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in sorted(SRC.rglob("*.py")) if path.name != "core.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if {getattr(node, attr, None) for attr in ("id", "attr", "name")} & kept_in_core]
+
+
 def test_only_core_draws_checks_and_expands_haar_rotations():
     # every other module takes its batches from core._haar_rotation_chunks, which checks them
-    kept_in_core = {"_check_su2", "_tensor_powers", "haar_random_su2_batch"}
-    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
-             for path in sorted(SRC.rglob("*.py")) if path.name != "core.py"
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if {getattr(node, attr, None) for attr in ("id", "attr", "name")} & kept_in_core]
-    assert not found
+    assert not named_outside_core({"_check_su2", "_tensor_powers", "haar_random_su2_batch"})
+
+
+def test_only_core_decides_from_which_dimension_a_state_keeps_its_parts():
+    # a twirl hands over its weight blocks and Q at every size; core alone keeps or drops them
+    assert not named_outside_core({"_BLOCK_MIN_DIM"})
 
 
 def test_every_mutant_still_applies_exactly_once():

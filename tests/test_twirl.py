@@ -330,7 +330,10 @@ class TestBlockForm:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_weight_maps_are_orthogonal_and_rebuild_the_coupling_matrix(self, n):
-        _, maps, _ = TwirlChannel.full_su2(n)._weight_maps
+        widths, maps = TwirlChannel.full_su2(n)._weight_maps
+        # every later output's mask and carriers: read-only, like each W_k
+        assert np.array_equal(widths, decompose(n).twice_j + 1) and not widths.flags.writeable
+        assert not any(w.flags.writeable for w in maps)
         dense = dense_coupling_matrix(n)
         placed = np.zeros_like(dense)
         for rows, w in zip(weight_indices(2 ** n), maps):
@@ -356,6 +359,22 @@ def unskipped_block_distance(a: DensityOperator, b: DensityOperator) -> float:
     total = sum(np.abs(np.linalg.eigvalsh(x - y)).sum()
                 for x, y in zip(a.blocks, b.blocks, strict=True))
     return 0.5 * float(total)
+
+
+def cut_then_symmetrised(channel: TwirlChannel, rho: DensityOperator) -> list:
+    """The oracle sectors: each Q_j cut from the masked multiplicity matrix at the counts of
+    ``multiplicity_table``, then made Hermitian on its own, as (2j+1, Q_j) pairs."""
+    widths, maps = channel._weight_maps
+    mult = np.zeros((len(widths), len(widths)), dtype=complex)
+    for w, rows in zip(maps, weight_indices(channel.dim)):
+        mult[:len(w), :len(w)] += w.T @ rho.matrix[rows[:, None], rows] @ w
+    kept = np.where(widths[:, None] == widths, mult / widths, 0.0)
+    sectors, start = [], 0
+    for j, count in decompose(channel.n).multiplicity_table.items():
+        q = kept[start:start + count, start:start + count]
+        sectors.append((j.twice + 1, 0.5 * (q + q.conj().T)))
+        start += count
+    return sectors
 
 
 class TestSectors:
@@ -388,6 +407,16 @@ class TestSectors:
             with pytest.raises(ValueError):
                 q[0, 0] = 0.0
             offset += size
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_sectors_are_the_bits_of_cutting_then_symmetrising(self, rng, n):
+        # 0.5 (Q + Q^dag) on a diagonal block is the same arithmetic as on that block alone
+        channel = TwirlChannel.full_su2(n)
+        rho = random_density(rng, 2 ** n)
+        expected = cut_then_symmetrised(channel, rho)
+        out = channel.apply(rho)
+        assert [carrier for carrier, _ in out.sectors] == [carrier for carrier, _ in expected]
+        assert [q.tobytes() for _, q in out.sectors] == [q.tobytes() for _, q in expected]
 
     def test_u1_outputs_and_plain_operators_keep_no_sectors(self, rng):
         rho = random_density(rng, 64)

@@ -85,9 +85,13 @@ MUTANTS = (
            "parts = [(carrier, q, p)", "parts = [(1, q, p)",
            "tests/test_twirl.py::TestSectors::test_sector_distance_matches_the_block_path_and_dense"),
     Mutant("sectors-from-unmasked-mult", "src/framefree/twirl.py",
-           "(carrier, kept[cut, cut])", "(carrier, mult[cut, cut])",
+           "0.5 * (kept + kept.conj().T)", "0.5 * (mult + mult.conj().T)",
            "tests/test_twirl.py::TestSectors"
            "::test_sectors_are_the_multiplicity_blocks_of_the_coupled_output"),
+    Mutant("sector-runs-cut-one-early", "src/framefree/core.py",
+           "np.flatnonzero(np.diff(carriers)) + 1", "np.flatnonzero(np.diff(carriers))",
+           "tests/test_twirl.py::TestSectors"
+           "::test_sectors_are_the_bits_of_cutting_then_symmetrising"),
     Mutant("equal-skip-compares-a-block-with-itself", "src/framefree/core.py",
            "np.array_equal(a, b)", "np.array_equal(a, a)",
            "tests/test_twirl.py::TestSectors"
