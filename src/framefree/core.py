@@ -22,7 +22,8 @@ ATOL = 1e-10
 
 # Size limits, in qubits, from what the largest allowed call costs (2 Xeon cores, Python 3.11.7,
 # numpy 2.4.6).  At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
-# takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at n = 13).  Next
+# takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at n = 13): that
+# build takes 81-82 ms with a 257.5 MiB traced peak (best of 5, three processes).  Next
 # come the W_k an SU(2) twirl channel keeps: 21.6 MB in all, built in 87-112 ms (best of 5, nine
 # processes) with a 68.2 MB traced peak.  full_su2(12).apply(maximally_mixed(4096)) takes
 # 0.56-0.63 s on a cold channel (its W_k built) and 0.48-0.53 s warm (three processes of five
@@ -43,8 +44,19 @@ MAX_TWIRL_CHECK_QUBITS = 8
 # peak grows by about 37 KB per trial of a chunk, 2.5 MB at 64, whatever the trial count.
 _BELL_CHUNK_TRIALS = 64
 # Max batched entries per twirl_su2_monte_carlo chunk.  At 1M/4M, time per sample (best of 3,
-# 2 cores) and traced peak: n = 4: 10.2/11.6 us, 37/145 MB; n = 8: 5.28/5.37 ms, 81/322 MB.
+# 2 cores; 16384 samples at n = 4, 64 at n = 8, two processes) and traced peak: n = 4:
+# 8.8-9.1/8.8-9.0 us, 34.4/131.1 MB; n = 8: 4.56-4.63/4.91-5.36 ms, 80.7/321.9 MB.
 _MC_ENTRY_BUDGET = 1_000_000
+# Entries (1 MiB of complex128) up to which _tensor_powers builds a stack's levels whole, and then
+# writes per part, so a part's scratch and stretch of the result stay in the 2 MiB L2.  Best of 5
+# runs, three rounds, against whole levels, in ms, for 2^13/2^14/2^15/2^16/2^17 entries: one
+# power at n = 10: 4.5-4.7/4.0-4.3/3.1-3.4/2.8-3.0/3.1-3.8 against 3.7-4.0; Monte Carlo stacks,
+# 15 at n = 8: 6.0-6.1/3.6-3.7/2.9-3.5/2.7-3.8/3.6-4.0 against 3.6-4.2, 244 at n = 6:
+# 7.2-7.7/5.0-5.5/4.1-4.2/4.4-4.6/4.6-4.7 against 4.7, 3906 at n = 4: 7.9-8.1/6.5-7.0/5.7-6.1/
+# 5.8-6.0/6.0-6.5 against 6.0-6.3; the Bell stack, 128 at n = 4, 0.16 whole from 2^15.  Parts
+# that took rows of several u at once, 4^n entries apart, were slower than whole levels: best
+# 4.5 against 4.0 ms for 15 at n = 8, 12.6 against 6.9 ms for 3906 at n = 4.
+_TENSOR_CHUNK_ENTRIES = 2 ** 16
 # Smallest dimension at which _from_weight_blocks keeps the Hamming-weight blocks it is built
 # from, and a full SU(2) twirl output its j sectors; blocks are never found in a matrix, which is
 # always checked dense.  Building and checking a twirled SU(2) state from its blocks and sectors
@@ -362,16 +374,54 @@ def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
     quarters of the next level: the same products as ``np.kron``, so the same
     bits, but each multiply runs over whole rows where kron's broadcast runs
     two elements at a time.
+
+    Levels are built whole while the stack holds at most
+    ``_TENSOR_CHUNK_ENTRIES`` entries.  Built whole past that, each level
+    would go out to memory and be read back four times to write the next
+    (at n = 10, the 4 MiB level 9 for the 16 MiB result).  But row a of the
+    head level alone fixes rows a 2^t .. (a + 1) 2^t - 1 of the level t
+    further on.  So the remaining levels run on one part at a time, whole
+    powers of a group of u or a run of head rows of one u, in scratch arrays
+    that stay in cache, and the last level writes the part's stretch of the
+    result, contiguous and at most that many entries, in place.  Each entry
+    is the same product of the same operands as in a whole-level build, so
+    the bits are the same; only the order in which rows are visited changes.
     """
+    k = len(matrices)
     out = np.array(matrices, dtype=complex)
     factors = [(i, j, matrices[:, i, j, None, None]) for i in range(2) for j in range(2)]
-    for _ in range(n - 1):
-        k, d = out.shape[:2]
-        nxt = np.empty((k, d, 2, d, 2), dtype=complex)
-        for i, j, factor in factors:
-            np.multiply(out, factor, out=nxt[:, :, i, :, j])
-        out = nxt.reshape(k, 2 * d, 2 * d)
-    return out
+
+    def grow(src: np.ndarray, dst: np.ndarray, group_factors: list) -> np.ndarray:
+        """The next level of src, (g, r, d), in dst, (g, r, 2, d, 2): the u of group_factors."""
+        for i, j, factor in group_factors:
+            np.multiply(src, factor, out=dst[:, :, i, :, j])
+        return dst.reshape(len(src), 2 * src.shape[1], 2 * src.shape[2])
+
+    head = 1
+    while head < n and k * 4 ** (head + 1) <= _TENSOR_CHUNK_ENTRIES:
+        d = 2 ** head
+        out = grow(out, np.empty((k, d, 2, d, 2), dtype=complex), factors)
+        head += 1
+    if head == n:
+        return out
+    d = 2 ** (n - 1)
+    result = np.empty((k, d, 2, d, 2), dtype=complex)
+    span = 2 ** (n - 1 - head)  # rows of level n - 1 that one head row fixes
+    # a part is whole powers of a group of u or a run of head rows of one u, never rows of
+    # several u, whose stretches sit 4^n entries apart (see the _TENSOR_CHUNK_ENTRIES timings)
+    group = max(1, _TENSOR_CHUNK_ENTRIES // 4 ** n)
+    rows = min(2 ** head, max(1, _TENSOR_CHUNK_ENTRIES // (1 << (2 * n - head))))
+    scratch = [np.empty((group, rows << (level - head), 2, 2 ** level, 2), dtype=complex)
+               for level in range(head, n - 1)]
+    for u in range(0, k, group):
+        us = slice(u, u + group)
+        part_factors = [(i, j, factor[us]) for i, j, factor in factors]
+        for start in range(0, 2 ** head, rows):
+            part = out[us, start:start + rows]
+            for buf in scratch:
+                part = grow(part, buf[:len(part), :part.shape[1]], part_factors)
+            grow(part, result[us, start * span:start * span + part.shape[1]], part_factors)
+    return result.reshape(k, 2 * d, 2 * d)
 
 
 def _haar_rotation_chunks(rng: RandomSource, draws: int, n: int, chunk: int):

@@ -168,6 +168,7 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     if isinstance(bit, bool) or not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     _check_count(trials, "trial count")
+    bit, trials = int(bit), int(trials)
     state = prepare_bell("psi_minus" if bit == 0 else "phi_minus")
     misaligned = polarization_rotation(state, g_fiber)
     outcome_probs = detect(beam_splitter(misaligned)).as_vector()

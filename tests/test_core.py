@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+from framefree import core
 from framefree.cli import main
 from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
@@ -239,6 +241,19 @@ def kron_chain(g: GroupElement, n: int) -> np.ndarray:
     return out
 
 
+def whole_level_powers(matrices: np.ndarray, n: int) -> np.ndarray:
+    """The loop ``_tensor_powers`` replaced: each level built whole by four strided multiplies."""
+    out = np.array(matrices, dtype=complex)
+    factors = [(i, j, matrices[:, i, j, None, None]) for i in range(2) for j in range(2)]
+    for _ in range(n - 1):
+        k, d = out.shape[:2]
+        nxt = np.empty((k, d, 2, d, 2), dtype=complex)
+        for i, j, factor in factors:
+            np.multiply(out, factor, out=nxt[:, :, i, :, j])
+        out = nxt.reshape(k, 2 * d, 2 * d)
+    return out
+
+
 class TestCollectiveRotationOracle:
     """The fast builder and the matrix-free rotation against the kron chain."""
 
@@ -255,6 +270,34 @@ class TestCollectiveRotationOracle:
         assert powers.shape == (3, 2 ** n, 2 ** n)
         for u, power in zip(stack, powers):
             assert np.array_equal(power, kron_chain(GroupElement(u), n))
+
+    # 16: one-row runs, tails of up to six levels, and a stack of 15 past the budget at level 1;
+    # 48: also a ragged last run (three head rows of four at n = 3); 1000: level-3 and level-4
+    # heads, ragged runs of up to 15 rows, and runs of three whole powers (n = 4, k = 15);
+    # 2000: a ragged last group of powers (7, 7 and 1 at n = 4, k = 15)
+    @pytest.mark.parametrize("budget", [16, 48, 1000, 2000])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_row_chunks_equal_both_oracles_bit_for_bit(self, monkeypatch, budget, k):
+        monkeypatch.setattr(core, "_TENSOR_CHUNK_ENTRIES", budget)
+        stack = haar_random_su2_batch(RandomSource(budget + k), k)
+        for n in range(1, 8):
+            powers = _tensor_powers(stack, n)
+            assert powers.shape == (k, 2 ** n, 2 ** n)
+            assert powers.tobytes() == whole_level_powers(stack, n).tobytes()
+            for u, power in zip(stack, powers):
+                assert power.tobytes() == kron_chain(GroupElement(u), n).tobytes()
+
+    def test_n10_rotation_builds_no_level_nine_matrix(self):
+        g = haar_random_su2(RandomSource(3))
+        tracemalloc.start()
+        try:
+            u = collective_rotation(g, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB result, the 1 MiB level-8 head and one run of scratch; the whole-level
+        # build peaked at 20.13 MiB, with the 4 MiB level-9 matrix beside the result
+        assert u.nbytes == 2 ** 24 and peak <= 18 * 2 ** 20
 
     @pytest.mark.parametrize("draws, chunk", [(1, 4), (8, 4), (10, 4), (10, 10), (3, 64)])
     def test_producer_yields_the_kernel_of_the_same_draws(self, draws, chunk):

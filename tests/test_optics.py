@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import asdict
 
@@ -222,6 +223,16 @@ class TestProtocol:
         payload = asdict(result)
         assert set(payload) == {"bit", "trials", "counts", "error_rate"}
         assert set(payload["counts"]) == {"coincidence", "bunch1", "bunch2"}
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_numpy_integer_arguments_give_python_numbers(self, bit):
+        result = run_optical_protocol(np.int64(bit), GroupElement.identity(), np.int64(3),
+                                      RandomSource(1))
+        assert type(result.bit) is int and type(result.trials) is int
+        assert type(result.error_rate) is float
+        assert all(type(c) is int for c in result.counts.values())
+        assert json.loads(json.dumps(asdict(result))) == {
+            "bit": bit, "trials": 3, "counts": result.counts, "error_rate": 0.0}
 
     @pytest.mark.parametrize("trials", [1, 100, 70_000])
     @pytest.mark.parametrize("bit", [0, 1])

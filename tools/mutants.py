@@ -69,6 +69,11 @@ MUTANTS = (
     Mutant("su2-twirl-no-hermitian-part", "src/framefree/twirl.py",
            "        blocks = [0.5 * (b + b.conj().T) for b in blocks]\n", "",
            "tests/test_twirl.py::TestChannelProperties::test_su2_output_is_exactly_hermitian"),
+    Mutant("tensor-rows-at-head-offset", "src/framefree/core.py",
+           "result[us, start * span:start * span + part.shape[1]]",
+           "result[us, start:start + part.shape[1]]",
+           "tests/test_core.py::TestCollectiveRotationOracle"
+           "::test_row_chunks_equal_both_oracles_bit_for_bit"),
     Mutant("haar-chunks-unchecked", "src/framefree/core.py",
            "        _check_su2(gs)\n", "",
            "tests/test_twirl.py::TestMonteCarloTwirl::test_rejects_a_draw_that_is_not_su2"),
