@@ -73,25 +73,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """The library's one integer rule: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_qubit_count(n: int, high: int | None = MAX_QUBITS, low: int = 1) -> None:
-    """The library's one ``ValueError`` for a qubit count: an int, not bool, in low..high
+    """The library's one ``ValueError`` for a qubit count: an integer in low..high
     (high None: no cap)."""
-    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-            or n < low or (high is not None and n > high)):
+    if not _is_integer(n) or n < low or (high is not None and n > high):
         span = f"in {low}..{high}" if high is not None else f"at least {low}"
         raise ValueError(f"qubit count must be {span}, got {n}")
 
 
 def _check_count(count: int, what: str) -> None:
-    """The library's one ``ValueError`` for a trial or sample count: an int, not bool, >= 1."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+    """The library's one ``ValueError`` for a trial or sample count: an integer >= 1."""
+    if not _is_integer(count) or count < 1:
         raise ValueError(f"{what} must be a positive integer, got {count!r}")
 
 
 def _qubit_count(dim: int) -> int:
     """The n with dim = 2^n, n >= 1, for an int dim; anything else raises ``ValueError``."""
-    n = int(dim).bit_length() - 1 if isinstance(dim, (int, np.integer)) else 0
-    if n < 1 or dim != 2 ** n:  # True and False give n = 0 and -1
+    n = int(dim).bit_length() - 1 if _is_integer(dim) else 0
+    if n < 1 or dim != 2 ** n:
         raise ValueError(f"dimension {dim} is not a qubit count's 2^n")
     return n
 
@@ -124,6 +128,9 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
+        if not all(_is_integer(k) and k >= 0 for k in (seed, *spawn_key)):
+            raise ValueError(f"seed and spawn key must be nonnegative integers, "
+                             f"got {seed!r} and {spawn_key!r}")
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
         sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
@@ -228,6 +235,8 @@ class StateVector:
 
     @staticmethod
     def basis(dim: int, index: int) -> "StateVector":
+        if not _is_integer(index) or index not in range(dim):
+            raise ValueError(f"basis index must be an integer in 0..{dim - 1}, got {index!r}")
         a = np.zeros(dim, dtype=complex)
         a[index] = 1.0
         return StateVector(a)

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import _check_qubit_count, _readonly
+from .core import _check_qubit_count, _is_integer, _readonly
 
 
 @dataclass(frozen=True, order=True)
@@ -46,7 +46,7 @@ class HalfInteger:
     twice: int
 
     def __post_init__(self):
-        if isinstance(self.twice, bool) or not isinstance(self.twice, (int, np.integer)):
+        if not _is_integer(self.twice):
             raise TypeError(f"twice must be an integer, got {type(self.twice).__name__}")
         object.__setattr__(self, "twice", int(self.twice))
 
@@ -57,7 +57,8 @@ class HalfInteger:
             return value
         doubled = 2 * value
         whole = abs(doubled) < inf and doubled == round(doubled)  # NaN fails too
-        if isinstance(value, (bool, np.bool_)) or not whole:  # 2 * True would give j = 1
+        # a Python int the integer rule refuses is a bool: 2 * True would give j = 1
+        if not whole or isinstance(value, (int, np.bool_)) and not _is_integer(value):
             raise ValueError(f"{value!r} is not a half-integer")
         return HalfInteger(int(round(doubled)))
 
@@ -181,8 +182,7 @@ class IrrepDecomposition:
     def block_index(self, j, r: int) -> int:
         j = HalfInteger.of(j)
         found = np.flatnonzero(self.twice_j == j.twice)
-        if (isinstance(r, bool) or not isinstance(r, (int, np.integer))
-                or r not in range(1, len(found) + 1)):
+        if not _is_integer(r) or r not in range(1, len(found) + 1):
             raise KeyError(f"no block with j = {j}, r = {r}")
         return int(found[r - 1])
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ATOL, GroupElement, RandomSource, StateVector, _check_count,
-                   _checked_distribution, _readonly)
+                   _checked_distribution, _is_integer, _readonly)
 
 N_MODES = 4
 _PAIRS = tuple((i, j) for i in range(N_MODES) for j in range(i, N_MODES))
@@ -53,7 +53,7 @@ class OpticalState:
         """Build from basis amplitudes keyed by unordered mode pairs (i <= j)."""
         c = np.zeros((N_MODES, N_MODES), dtype=complex)
         for (i, j), amp in amplitudes.items():
-            if not 0 <= i <= j < N_MODES:
+            if not (_is_integer(i) and _is_integer(j) and 0 <= i <= j < N_MODES):
                 raise ValueError(f"mode pair ({i}, {j}) must satisfy 0 <= i <= j < {N_MODES}")
             if i == j:
                 c[i, i] += amp
@@ -64,6 +64,8 @@ class OpticalState:
 
     def amplitude(self, i: int, j: int) -> complex:
         """Amplitude on the orthonormal basis element for modes {i, j}."""
+        if not all(_is_integer(mode) and 0 <= mode < N_MODES for mode in (i, j)):
+            raise ValueError(f"modes must be integers in 0..{N_MODES - 1}, got ({i}, {j})")
         i, j = min(i, j), max(i, j)
         scale = 1.0 if i == j else np.sqrt(2.0)
         return complex(scale * self.pair_coefficients[i, j])
@@ -165,7 +167,7 @@ def run_optical_protocol(bit: int, g_fiber: GroupElement, trials: int,
     to 0 and bunching to 1.  A common fiber rotation cannot change the
     outcome statistics, so the sampled error rate is zero.
     """
-    if isinstance(bit, bool) or not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
+    if not _is_integer(bit) or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     _check_count(trials, "trial count")
     bit, trials = int(bit), int(trials)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_RATE_QUBITS,
                    RandomSource, StateVector, _BELL_CHUNK_TRIALS, _check_count,
-                   _check_qubit_count, _haar_rotation_chunks, _qubit_count, _readonly,
+                   _check_qubit_count, _haar_rotation_chunks, _is_integer, _qubit_count, _readonly,
                    apply_collective_rotation, trace_distance, weight_indices)
 from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
                      total_irrep_count)
@@ -35,7 +35,7 @@ class Message:
     index: int
 
     def __post_init__(self):
-        if self.index < 0:
+        if not _is_integer(self.index) or self.index < 0:
             raise ValueError(f"message index must be nonnegative, got {self.index}")
 
 
@@ -228,7 +228,7 @@ def decode_logical(rho_phys: DensityOperator, encoding: LogicalEncoding) -> Dens
 
 def swap_qubits_matrix(a: int, b: int) -> np.ndarray:
     """The 16 x 16 permutation exchanging qubits a and b of four (1-based, qubit 1 = MSB)."""
-    if not (1 <= a <= 4 and 1 <= b <= 4) or a == b:
+    if not all(_is_integer(q) and 1 <= q <= 4 for q in (a, b)) or a == b:
         raise ValueError(f"need two distinct qubit labels in 1..4, got ({a}, {b})")
     pa, pb = 4 - a, 4 - b  # bit positions from the LSB
     idx = np.arange(16)

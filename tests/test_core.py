@@ -104,6 +104,19 @@ class TestRandomSource:
         assert not np.array_equal(RandomSource(5, (0,)).normal(8),
                                   RandomSource(5, (1,)).normal(8))
 
+    @pytest.mark.parametrize("seed, spawn_key", [
+        (2.7, ()), (1, (0.5,)), (True, ()), (1, (False,)), (-1, ()), (1, (0, -1))],
+        ids=["seed-2.7", "key-0.5", "seed-True", "key-False", "seed-minus-1", "key-minus-1"])
+    def test_rejects_a_seed_or_key_entry_that_is_not_a_nonnegative_integer(self, seed,
+                                                                           spawn_key):
+        # int() would truncate 2.7 to seed 2 and 0.5 to key entry 0
+        with pytest.raises(ValueError, match="^seed and spawn key must be nonnegative integers"):
+            RandomSource(seed, spawn_key)
+
+    def test_numpy_integers_seed_the_same_stream(self):
+        assert np.array_equal(RandomSource(np.int64(5), (np.uint8(1),)).normal(8),
+                              RandomSource(5, (1,)).normal(8))
+
     def test_sample_index_is_deterministic(self):
         p = [0.25, 0.5, 0.25]
         draws = [RandomSource(3).sample_index(p) for _ in range(3)]
@@ -396,6 +409,12 @@ class TestWrapperValidation:
     def test_state_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
             StateVector(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize("index", [-1, 4, 1.0, 2.5, True])
+    def test_basis_rejects_an_index_outside_its_range(self, index):
+        # numpy would read -1 as |3>, and raise its own IndexError for 4
+        with pytest.raises(ValueError, match=r"^basis index must be an integer in 0..3, got "):
+            StateVector.basis(4, index)
 
     def test_normalized_rejects_zero_vector(self):
         with pytest.raises(ValueError):

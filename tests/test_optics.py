@@ -76,8 +76,15 @@ class TestOpticalState:
             assert abs(recovered[pair] - amp) < 1e-12
 
     def test_from_amplitudes_rejects_bad_pair(self):
-        with pytest.raises(ValueError):
-            OpticalState.from_amplitudes({(3, 0): 1.0})
+        for pair in ((3, 0), (0, 4), (0.5, 1), (True, 2)):
+            with pytest.raises(ValueError, match=r"^mode pair .* must satisfy 0 <= i <= j < 4$"):
+                OpticalState.from_amplitudes({pair: 1.0})
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, 4), (0.5, 1), (True, 0), (0, 3.0)])
+    def test_amplitude_rejects_a_mode_that_is_not_an_integer_in_0_to_3(self, i, j):
+        # -1 would read mode 3, and True mode 1, through numpy indexing
+        with pytest.raises(ValueError, match=r"^modes must be integers in 0..3, got "):
+            prepare_bell("psi_minus").amplitude(i, j)
 
 
 class TestModeTransform:

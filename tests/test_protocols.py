@@ -210,6 +210,12 @@ class TestCodeBookIndexOracle:
         with pytest.raises(IndexError):
             classical_round_trip(Message(len(book.entries)), book, GroupElement.identity(), rng)
 
+    @pytest.mark.parametrize("index", [-1, 2.5, True, np.float64(1.0)])
+    def test_a_message_is_a_nonnegative_integer(self, index):
+        # True == 1 would send message 1; 2.5 would reach numpy's tuple indexing
+        with pytest.raises(ValueError, match="^message index must be nonnegative, got "):
+            Message(index)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_message_is_its_block_index(self, n):
         book = build_classical_codebook(n)
@@ -412,10 +418,11 @@ class TestExchangeGates:
         assert np.abs(a @ b - b @ a).max() > 0.1
 
     def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            exchange_logical_action(1, 1)
-        with pytest.raises(ValueError):
-            exchange_logical_action(0, 2)
+        # True == 1 and 2.0 == 2, but a label is an integer: neither names qubit 1 or 2
+        for pair in ((1, 1), (0, 2), (2, 5), (True, 2), (1.5, 2), (1, np.float64(2.0))):
+            for call in (swap_qubits_matrix, exchange_logical_action):
+                with pytest.raises(ValueError, match="^need two distinct qubit labels in 1..4"):
+                    call(*pair)
 
     # (12) = (34), (13) = (24) and (14) = (23): complementary pairs act alike on j = 0
     @pytest.mark.parametrize("pair, expected", [

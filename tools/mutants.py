@@ -62,6 +62,11 @@ MUTANTS = (
            "w[:, parts[1]], coef1", "w[:, parts[0]], coef1",
            "tests/test_irreps.py::TestSchurFactors"
            "::test_coupling_matrix_equals_dense_build_bit_for_bit"),
+    Mutant("integer-rule-admits-bool", "src/framefree/core.py",
+           "isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
+           "isinstance(value, (int, np.integer))",
+           "tests/test_core.py::test_qubit_count_out_of_range_raises_the_one_message"
+           "[decompose-True]"),
     Mutant("haar-swap-x-y", "src/framefree/core.py",
            "w, x, y, z = (q / np.linalg.norm(q, axis=1)[:, None]).T",
            "w, y, x, z = (q / np.linalg.norm(q, axis=1)[:, None]).T",
