@@ -25,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (DensityOperator, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
-                   MAX_TWIRL_CHECK_QUBITS, RandomSource, fidelity, haar_random_su2,
-                   random_density, random_state_vector, trace_distance)
+from .core import (DensityOperator, MAX_QUBITS, MAX_RATE_QUBITS, MAX_TWIRL_CHECK_QUBITS,
+                   RandomSource, fidelity, haar_random_su2, random_density,
+                   random_state_vector, trace_distance)
 from .irreps import decompose
 from .optics import run_optical_protocol
 from .protocols import (build_classical_codebook, classical_rate_asymptote, classical_trial,
@@ -292,7 +292,7 @@ _COMMANDS = {
     "twirl-check": _Command(_run_twirl_check, "fixed-point and idempotence residuals",
                             _qubits("--n", MAX_TWIRL_CHECK_QUBITS, 2) + _SAMPLING + _TOLERANCE),
     "classical": _Command(_run_classical, "classical round trips under random frames",
-                          _qubits("--n", MAX_CODEBOOK_QUBITS, 2)
+                          _qubits("--n", MAX_QUBITS, 2)
                           + (("--singlet-first", {"action": "store_true"}),)
                           + _SAMPLING + _TOLERANCE),
     "quantum": _Command(_run_quantum, "decode fidelities of the protected codes",

@@ -28,11 +28,10 @@ ATOL = 1e-10
 # processes) with a 68.2 MB traced peak.  full_su2(12).apply(maximally_mixed(4096)) takes
 # 0.56-0.63 s on a cold channel (its W_k built) and 0.48-0.53 s warm (three processes of five
 # calls), with a 418 MB traced peak and 781 MB peak RSS, input included.  decompose(12) is not a
-# bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.
+# bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.  Nor
+# are the codes: classical --n 12 --trials 1, one trial of each of 924 messages from a cold
+# decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and 123 MiB max RSS (three processes).
 MAX_QUBITS = 12
-# O(n 2^n) per trial and message, binom(n, n/2) messages: one trial of every message,
-# classical --n 10 --trials 1, takes 0.088-0.15 s (five runs).
-MAX_CODEBOOK_QUBITS = 10
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
 # twirl-check --n 8 --trials 20 takes 0.54-0.73 s (five runs), two thirds of it random_density:
 # per input, 2.4 ms of draws, 1.5 ms for g g^dag and 4.0 ms for the DensityOperator check, 1.6 ms
@@ -138,6 +137,7 @@ class RandomSource:
 
     def split(self, children: int) -> list["RandomSource"]:
         """Derive ``children`` independent sources; child i is reproducible."""
+        _check_count(children, "child count")
         return [RandomSource(self.seed, self.spawn_key + (i,)) for i in range(children)]
 
     def normal(self, size=None):
@@ -150,6 +150,7 @@ class RandomSource:
 
     def sample_counts(self, probabilities, trials: int) -> np.ndarray:
         """Each index's count over ``trials`` draws: one multinomial call at any trial count."""
+        _check_count(trials, "trial count")
         return self.generator.multinomial(trials, _checked_distribution(probabilities))
 
     def __repr__(self):

@@ -20,9 +20,9 @@ from math import comb, log2, sqrt
 
 import numpy as np
 
-from .core import (ATOL, DensityOperator, GroupElement, MAX_CODEBOOK_QUBITS, MAX_RATE_QUBITS,
-                   RandomSource, StateVector, _BELL_CHUNK_TRIALS, _check_count,
-                   _check_qubit_count, _haar_rotation_chunks, _is_integer, _qubit_count, _readonly,
+from .core import (ATOL, DensityOperator, GroupElement, MAX_RATE_QUBITS, RandomSource,
+                   StateVector, _BELL_CHUNK_TRIALS, _check_count, _check_qubit_count,
+                   _haar_rotation_chunks, _is_integer, _qubit_count, _readonly,
                    apply_collective_rotation, trace_distance, weight_indices)
 from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
                      total_irrep_count)
@@ -65,7 +65,7 @@ def build_classical_codebook(n: int) -> CodeBook:
     Message i rides on block i of the canonical order (j descending, then
     path order): the block the receiver's measurement lands in is the message.
     """
-    _check_qubit_count(n, MAX_CODEBOOK_QUBITS)
+    _check_qubit_count(n)
     d = decompose(n)
     labels = [(j, r) for j, count in d.multiplicity_table.items() for r in range(1, count + 1)]
     codewords = d.columns(d.column_starts).T  # first column of every block
@@ -174,7 +174,7 @@ def noiseless_subsystem_plan(n: int) -> LogicalEncoding:
     basis state r rides on |j_max, m=j_max, r>; frame averaging mixes only
     the carrier index, so the multiplicity index survives.
     """
-    _check_qubit_count(n, MAX_CODEBOOK_QUBITS, low=2)
+    _check_qubit_count(n, low=2)
     j_max, _ = most_repeated_irrep(n)
     return LogicalEncoding(isometry=decompose(n).sector(j_max), j=j_max)
 
@@ -301,6 +301,7 @@ def rate_table(n_max: int) -> tuple[RateRow, ...]:
 
 def classical_rate_asymptote(n: int) -> float:
     """Large-n approximation 1 - log2(n)/(2n) of the classical rate."""
+    _check_qubit_count(n, high=None)
     return 1.0 - log2(n) / (2 * n)
 
 

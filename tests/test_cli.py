@@ -43,7 +43,7 @@ class TestParseArgs:
             output_format="json", output_path=None, singlet_first=False)
 
     def test_out_of_range_n_exits_2(self, capsys):
-        for value, message in (("999", "value must be in 1..10, got 999"),
+        for value, message in (("999", "value must be in 1..12, got 999"),
                                ("abc", "invalid qubit count value: 'abc'")):
             assert main(["classical", "--n", value]) == 2
             err = capsys.readouterr().err
@@ -208,17 +208,18 @@ class TestCommands:
         # canonical order sends the triplet's codeword (block 0) first, the singlet last
         assert singlet == [singlet_first] * 5 + [not singlet_first] * 5
 
-    def test_classical_n10_builds_no_dense_rotation(self, capsys):
-        decompose(10)  # cached block structure, as in any later call
+    @pytest.mark.parametrize("n, messages", [(10, 252), (12, 924)])
+    def test_classical_builds_no_dense_rotation(self, capsys, n, messages):
+        decompose(n)  # cached block structure, as in any later call
         tracemalloc.start()
         try:
-            code, report = run_json(capsys, ["classical", "--n", "10", "--trials", "1"])
+            code, report = run_json(capsys, ["classical", "--n", str(n), "--trials", "1"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert report["payload"]["messages"] == 252 and report["payload"]["errors"] == 0
-        assert peak < 2 ** 24  # bytes in one 2^10 x 2^10 complex matrix
+        assert report["payload"]["messages"] == messages and report["payload"]["errors"] == 0
+        assert peak < 16 * 4 ** n  # bytes in one 2^n x 2^n complex matrix
 
     def test_cold_decompose_n12_stores_no_coupling_matrix(self, capsys):
         decompose.cache_clear()

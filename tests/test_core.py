@@ -7,7 +7,7 @@ import pytest
 
 from framefree import core
 from framefree.cli import main
-from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBITS,
+from framefree.core import (ATOL, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
                             _check_su2, _haar_rotation_chunks, _qubit_count, _tensor_powers,
                             apply_collective_rotation, collective_rotation, fidelity,
@@ -15,8 +15,8 @@ from framefree.core import (ATOL, MAX_CODEBOOK_QUBITS, MAX_QUBITS, MAX_RATE_QUBI
                             random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose, multiplicity, total_irrep_count
 from framefree.optics import DetectionDistribution, run_optical_protocol
-from framefree.protocols import (build_classical_codebook, decode_logical,
-                                 dephasing_sector_encoding, dfs_encoding_4qubit,
+from framefree.protocols import (build_classical_codebook, classical_rate_asymptote,
+                                 decode_logical, dephasing_sector_encoding, dfs_encoding_4qubit,
                                  encode_logical, logical_bell_chsh_trials, most_repeated_irrep,
                                  noiseless_subsystem_plan, rate_table)
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
@@ -36,10 +36,11 @@ QUBIT_COUNT_GUARDS = (
     ("total_irrep_count", total_irrep_count, 1, None),
     ("most_repeated_irrep", most_repeated_irrep, 1, None),
     ("TwirlChannel", TwirlChannel, 1, MAX_QUBITS),
-    ("build_classical_codebook", build_classical_codebook, 1, MAX_CODEBOOK_QUBITS),
-    ("noiseless_subsystem_plan", noiseless_subsystem_plan, 2, MAX_CODEBOOK_QUBITS),
+    ("build_classical_codebook", build_classical_codebook, 1, MAX_QUBITS),
+    ("noiseless_subsystem_plan", noiseless_subsystem_plan, 2, MAX_QUBITS),
     ("dephasing_sector_encoding", dephasing_sector_encoding, 1, MAX_QUBITS),
     ("rate_table", rate_table, 1, MAX_RATE_QUBITS),
+    ("classical_rate_asymptote", classical_rate_asymptote, 1, None),
 )
 
 
@@ -62,6 +63,8 @@ COUNT_GUARDS = (
     ("logical_bell_chsh_trials", lambda t: logical_bell_chsh_trials(RandomSource(0), t)),
     ("twirl_su2_monte_carlo",
      lambda t: twirl_su2_monte_carlo(DensityOperator.maximally_mixed(2), t, RandomSource(0))),
+    ("sample_counts", lambda t: RandomSource(0).sample_counts([0.5, 0.5], t)),
+    ("split", lambda t: RandomSource(0).split(t)),
 )
 
 

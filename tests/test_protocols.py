@@ -110,7 +110,7 @@ class TestCodeBook:
         with pytest.raises(ValueError):
             build_classical_codebook(0)
         with pytest.raises(ValueError):
-            build_classical_codebook(11)
+            build_classical_codebook(MAX_QUBITS + 1)
 
 
 class TestClassicalRoundTrip:
@@ -652,6 +652,19 @@ class TestRates:
 
     def test_dephasing_rate(self):
         assert rate_table(2)[1].dephasing_rate == 0.5
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_every_row_up_to_max_qubits_is_a_built_code(self, n):
+        # the classical rate is the codebook's message count, and from n = 2 the quantum
+        # rate is the noiseless subsystem's logical dimension, each built at this n
+        row = rate_table(MAX_QUBITS)[n - 1]
+        messages = len(build_classical_codebook(n).entries)
+        assert messages == total_irrep_count(n)
+        assert log2(messages) / n == row.classical_rate
+        if n >= 2:
+            enc = noiseless_subsystem_plan(n)
+            assert enc.j.twice == row.j2_max
+            assert log2(enc.logical_dim) / n == row.quantum_rate
 
     def test_all_rates_in_unit_interval_and_monotone(self):
         rows = rate_table(64)

@@ -139,6 +139,11 @@ MUTANTS = (
            "    reduced = reduced / probability\n",
            "tests/test_cli.py::TestCommands"
            "::test_quantum_fails_when_the_channel_leaks_out_of_the_code"),
+    Mutant("codebook-ten-qubit-cap", "src/framefree/protocols.py",
+           "    _check_qubit_count(n)\n    d = decompose(n)\n",
+           "    _check_qubit_count(n, 10)\n    d = decompose(n)\n",
+           "tests/test_protocols.py::TestRates"
+           "::test_every_row_up_to_max_qubits_is_a_built_code[11]"),
     Mutant("fidelity-clamped", "src/framefree/core.py",
            "    return float(np.sqrt(w).sum() ** 2)\n",
            "    return min(max(float(np.sqrt(w).sum() ** 2), 0.0), 1.0)\n",

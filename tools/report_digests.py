@@ -46,10 +46,11 @@ MATRIX = (
     "classical --n 3 --trials 20 --output csv",
     "classical --n 8 --trials 2 --seed 3",
     "classical --n 10 --trials 1 --seed 7",
+    "classical --n 12 --trials 1 --seed 7",
     "quantum --trials 50",
     "optics --trials 2000",
     "bell --trials 20",
-    "classical --n 11",
+    "classical --n 13",
     "optics --trials 70000 --seed 3",
     "quantum --trials 5 --tolerance 1e-12",
     "bell --trials 2 --seed -1",
