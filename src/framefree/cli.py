@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (DensityOperator, MAX_QUBITS, MAX_RATE_QUBITS, MAX_TWIRL_CHECK_QUBITS,
-                   RandomSource, fidelity, haar_random_su2, random_density,
+                   RandomSource, _check_count, fidelity, haar_random_su2, random_density,
                    random_state_vector, trace_distance)
 from .irreps import decompose
 from .optics import run_optical_protocol
@@ -305,11 +305,13 @@ _COMMANDS = {
 
 def run_command(cfg: RunConfig) -> Report:
     """Run one command; its report echoes only the settings that command reads."""
+    read = {"command"} | {spec.get("dest", flag[2:].replace("-", "_"))
+                          for flag, spec in _COMMANDS[cfg.command].options + _OUTPUT}
+    if "trials" in read:
+        _check_count(cfg.trials, "trial count")
     start = time.perf_counter()
     payload, verdicts = _COMMANDS[cfg.command].handler(cfg)
     duration = time.perf_counter() - start
-    read = {"command"} | {spec.get("dest", flag[2:].replace("-", "_"))
-                          for flag, spec in _COMMANDS[cfg.command].options + _OUTPUT}
     return Report(
         command=cfg.command,
         config={key: value for key, value in asdict(cfg).items() if key in read},

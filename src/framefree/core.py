@@ -38,23 +38,14 @@ MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this ca
 # of it one 2^n x 2^n Cholesky.  Twirled states are checked by their weight blocks, and the 42
 # trace distances, on j sectors and weight blocks, take 13 ms of 0.60 s under cProfile.
 MAX_TWIRL_CHECK_QUBITS = 8
-# Trials per batch of logical_bell_chsh_trials.  Over 2000 trials the median cost was
-# 24-25 us per trial for chunks of 32 to 128 and 31 us at 250 (2 cores); the traced
-# peak grows by about 37 KB per trial of a chunk, 2.5 MB at 64, whatever the trial count.
-_BELL_CHUNK_TRIALS = 64
-# Max batched entries per twirl_su2_monte_carlo chunk.  At 1M/4M, time per sample (best of 3,
-# 2 cores; 16384 samples at n = 4, 64 at n = 8, two processes) and traced peak: n = 4:
-# 8.8-9.1/8.8-9.0 us, 34.4/131.1 MB; n = 8: 4.56-4.63/4.91-5.36 ms, 80.7/321.9 MB.
-_MC_ENTRY_BUDGET = 1_000_000
-# Entries (1 MiB of complex128) up to which _tensor_powers builds a stack's levels whole, and then
-# writes per part, so a part's scratch and stretch of the result stay in the 2 MiB L2.  Best of 5
-# runs, three rounds, against whole levels, in ms, for 2^13/2^14/2^15/2^16/2^17 entries: one
-# power at n = 10: 4.5-4.7/4.0-4.3/3.1-3.4/2.8-3.0/3.1-3.8 against 3.7-4.0; Monte Carlo stacks,
-# 15 at n = 8: 6.0-6.1/3.6-3.7/2.9-3.5/2.7-3.8/3.6-4.0 against 3.6-4.2, 244 at n = 6:
-# 7.2-7.7/5.0-5.5/4.1-4.2/4.4-4.6/4.6-4.7 against 4.7, 3906 at n = 4: 7.9-8.1/6.5-7.0/5.7-6.1/
-# 5.8-6.0/6.0-6.5 against 6.0-6.3; the Bell stack, 128 at n = 4, 0.16 whole from 2^15.  Parts
-# that took rows of several u at once, 4^n entries apart, were slower than whole levels: best
-# 4.5 against 4.0 ms for 15 at n = 8, 12.6 against 6.9 ms for 3906 at n = 4.
+# The one batch size, in entries (1 MiB of complex128): _haar_rotation_chunks draws 256 powers
+# a batch at n = 4, 16 at n = 6 and one from n = 8, and _tensor_powers builds levels whole up to
+# it, then in parts whose scratch and stretch of the result stay in the 2 MiB L2: one power at
+# n = 10 took 2.8-3.0 ms against 3.7-4.0 whole (best of 5), and 2^13, 2^14, 2^15 or 2^17 no less.
+# Against 64-trial Bell and 1M-entry Monte Carlo batches (best of 7, 2 cores), bell took 22.6-23.2
+# against 23.8-24.7 us a trial, 4.54 against 2.40 MiB traced over ten batches, and the twirl at
+# n = 4/6/8 13.1-14.6 us/216-234 us/6.0-6.4 ms against 8.8-10.9 us/170-184 us/4.7-5.1 ms a sample
+# (glibc faults each batch's arrays in afresh), 4.0/5.1/7.1 against 32.8/61.1/77.0 MiB traced.
 _TENSOR_CHUNK_ENTRIES = 2 ** 16
 # Smallest dimension at which _from_weight_blocks keeps the Hamming-weight blocks it is built
 # from, and a full SU(2) twirl output its j sectors; blocks are never found in a matrix, which is
@@ -109,12 +100,12 @@ def _as_complex_array(values, ndim: int) -> np.ndarray:
 
 
 def _checked_distribution(probabilities) -> np.ndarray:
-    """The library's one probability-vector check: ``ValueError`` unless every entry is
-    >= 0 and the sum is within ATOL of 1 (NaN fails).  Returns it divided by its sum."""
+    """The library's one probability-vector check: ``ValueError`` unless 1-D, non-empty, every
+    entry >= 0 and the sum within ATOL of 1 (NaN fails).  Returns it divided by its sum."""
     p = np.asarray(probabilities, dtype=float)
-    lowest, total = p.min(), p.sum()
+    lowest, total = (p.min(), p.sum()) if p.ndim == 1 and p.size else (np.nan, np.nan)
     if not (lowest >= 0.0 and abs(total - 1.0) <= ATOL):
-        raise ValueError(f"not a probability vector: min {lowest}, sum {total}")
+        raise ValueError(f"not a probability vector: shape {p.shape}, min {lowest}, sum {total}")
     return p / total
 
 
@@ -418,8 +409,8 @@ def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
     result = np.empty((k, d, 2, d, 2), dtype=complex)
     span = 2 ** (n - 1 - head)  # rows of level n - 1 that one head row fixes
     # a part is whole powers of a group of u or a run of head rows of one u, never rows of
-    # several u, whose stretches sit 4^n entries apart (see the _TENSOR_CHUNK_ENTRIES timings)
-    group = max(1, _TENSOR_CHUNK_ENTRIES // 4 ** n)
+    # several u, 4^n entries apart: slower than whole levels (12.6 against 6.9 ms, 3906 at n = 4)
+    group = _powers_per_stack(n)
     rows = min(2 ** head, max(1, _TENSOR_CHUNK_ENTRIES // (1 << (2 * n - head))))
     scratch = [np.empty((group, rows << (level - head), 2, 2 ** level, 2), dtype=complex)
                for level in range(head, n - 1)]
@@ -434,12 +425,19 @@ def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
     return result.reshape(k, 2 * d, 2 * d)
 
 
-def _haar_rotation_chunks(rng: RandomSource, draws: int, n: int, chunk: int):
-    """The library's one producer of Haar rotations: ``draws`` draws, ``chunk`` at most per
-    batch (the stream read as by single draws), each batch checked SU(2) and yielded as its
-    ``_tensor_powers`` stack, (k, 2^n, 2^n) with k <= chunk."""
-    for start in range(0, draws, chunk):
-        gs = haar_random_su2_batch(rng, min(chunk, draws - start))
+def _powers_per_stack(n: int) -> int:
+    """The one batch size: n-fold powers in ``_TENSOR_CHUNK_ENTRIES`` entries, at least one."""
+    return max(1, _TENSOR_CHUNK_ENTRIES // 4 ** n)
+
+
+def _haar_rotation_chunks(rng: RandomSource, draws: int, n: int):
+    """The library's one producer of Haar rotations: ``draws`` draws, ``_powers_per_stack(n)``
+    a batch (the stream read as by single draws), each checked SU(2) and yielded as its
+    ``_tensor_powers`` stack, (k, 2^n, 2^n): built whole up to n = 8, and from n = 9 one power
+    built in parts, as ``collective_rotation`` builds it."""
+    batch = _powers_per_stack(n)
+    for start in range(0, draws, batch):
+        gs = haar_random_su2_batch(rng, min(batch, draws - start))
         _check_su2(gs)
         yield _tensor_powers(gs, n)
 

@@ -21,9 +21,9 @@ from math import comb, log2, sqrt
 import numpy as np
 
 from .core import (ATOL, DensityOperator, GroupElement, MAX_RATE_QUBITS, RandomSource,
-                   StateVector, _BELL_CHUNK_TRIALS, _check_count, _check_qubit_count,
-                   _haar_rotation_chunks, _is_integer, _qubit_count, _readonly,
-                   apply_collective_rotation, trace_distance, weight_indices)
+                   StateVector, _check_count, _check_qubit_count, _haar_rotation_chunks,
+                   _is_integer, _qubit_count, _readonly, apply_collective_rotation,
+                   trace_distance, weight_indices)
 from .irreps import (HalfInteger, IrrepDecomposition, _multiplicity_table, decompose,
                      total_irrep_count)
 
@@ -327,16 +327,15 @@ def logical_bell_chsh_trials(rng: RandomSource, rotation_trials: int) -> np.ndar
     for the two quadruplets; logical observables commute with collective
     rotations, so every trial individually sits at the Tsirelson point.
 
-    Trials run in chunks of ``_BELL_CHUNK_TRIALS``, so memory does not grow
-    with the trial count.  ``core._haar_rotation_chunks`` draws and checks each
-    chunk's elements, the two parties' alternately (ua_1, ub_1, ua_2, ...), and
-    each value is the same matmul chain, bit for bit, as a trial run alone.
+    Trials run 128 to a batch of ``core._haar_rotation_chunks``, which draws and checks
+    the two parties' elements alternately (ua_1, ub_1, ua_2, ...), so memory does not grow
+    with the trial count; each value is the same matmul chain, bit for bit, as a trial alone.
     """
     _check_count(rotation_trials, "trial count")
     zp, xp, b0, b1, pair = _bell_operators()
     values = []
-    for us in _haar_rotation_chunks(rng, 2 * rotation_trials, 4, 2 * _BELL_CHUNK_TRIALS):
-        ua, ub = us[0::2], us[1::2]
+    for us in _haar_rotation_chunks(rng, 2 * rotation_trials, 4):
+        ua, ub = us.reshape(-1, 2, 16, 16).transpose(1, 0, 2, 3)  # an odd batch raises here
         rotated = ua @ pair @ ub.transpose(0, 2, 1)
         adjoint = rotated.conj().transpose(0, 2, 1)
         # <A (x) B> = tr(rotated^dag A rotated B^T); each A side is shared by both B

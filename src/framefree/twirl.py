@@ -24,9 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DensityOperator, RandomSource, _MC_ENTRY_BUDGET, _check_count,
-                   _check_qubit_count, _haar_rotation_chunks, _qubit_count, _readonly,
-                   weight_indices)
+from .core import (DensityOperator, RandomSource, _check_count, _check_qubit_count,
+                   _haar_rotation_chunks, _qubit_count, _readonly, weight_indices)
 from .irreps import decompose
 
 
@@ -106,14 +105,13 @@ def twirl_su2_monte_carlo(rho: DensityOperator, samples: int,
                           rng: RandomSource) -> DensityOperator:
     """Average U rho U^dag over explicit Haar samples of collective rotations.
 
-    Samples come checked from ``core._haar_rotation_chunks``, in chunks of at most
-    ``_MC_ENTRY_BUDGET`` entries: chunked, but deterministic for a given source.
+    Samples come checked from ``core._haar_rotation_chunks``, a batch at a time, so memory
+    stays flat as samples grow; batched, but deterministic for a given source.
     """
     _check_count(samples, "sample count")
     n = _qubit_count(rho.dim)
     acc = np.zeros((rho.dim, rho.dim), dtype=complex)
-    chunk = max(1, _MC_ENTRY_BUDGET // (rho.dim * rho.dim))
-    for us in _haar_rotation_chunks(rng, samples, n, chunk):
+    for us in _haar_rotation_chunks(rng, samples, n):
         acc += np.einsum("kab,bc,kdc->ad", us, rho.matrix, us.conj(), optimize=True)
     out = acc / samples
     return DensityOperator(0.5 * (out + out.conj().T))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from framefree import core
-from framefree.cli import main
+from framefree.cli import RunConfig, main, run_command
 from framefree.core import (ATOL, MAX_QUBITS, MAX_RATE_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
                             _check_su2, _haar_rotation_chunks, _qubit_count, _tensor_powers,
@@ -65,12 +65,15 @@ COUNT_GUARDS = (
      lambda t: twirl_su2_monte_carlo(DensityOperator.maximally_mixed(2), t, RandomSource(0))),
     ("sample_counts", lambda t: RandomSource(0).sample_counts([0.5, 0.5], t)),
     ("split", lambda t: RandomSource(0).split(t)),
+    ("classical", lambda t: run_command(RunConfig("classical", n=2, trials=t))),
+    ("quantum", lambda t: run_command(RunConfig("quantum", trials=t))),
+    ("twirl-check", lambda t: run_command(RunConfig("twirl-check", n=2, trials=t))),
 )
 
 
 @pytest.mark.parametrize("call, count", [
     pytest.param(call, count, id=f"{name}-{count}")
-    for name, call in COUNT_GUARDS for count in (2.5, True, 0, np.float64(3.0))])
+    for name, call in COUNT_GUARDS for count in (2.5, True, 0, -3, np.float64(3.0))])
 def test_count_that_is_not_a_positive_integer_raises_the_one_message(call, count):
     message = f"count must be a positive integer, got {count!r}"
     with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
@@ -128,10 +131,17 @@ class TestRandomSource:
     def test_sample_index_point_mass(self, rng):
         assert all(rng.sample_index([0.0, 1.0, 0.0]) == 1 for _ in range(50))
 
-    @pytest.mark.parametrize("bad", [[0.5, 0.6], [-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0]])
+    # the last three are 2-D, 0-D and empty: no vector to draw from
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0],
+                                     [[0.5, 0.5]], 1.0, []])
     def test_sample_index_rejects_non_distributions(self, rng, bad):
-        with pytest.raises(ValueError, match="not a probability vector"):
+        with pytest.raises(ValueError, match="^not a probability vector"):
             rng.sample_index(bad)
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0.5]], [[1.0]], 1.0, []])
+    def test_sample_counts_rejects_what_is_not_a_vector(self, rng, bad):
+        with pytest.raises(ValueError, match="^not a probability vector"):
+            rng.sample_counts(bad, 3)
 
     @pytest.mark.parametrize("bad", [[0.5, 0.6], [-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0]])
     @pytest.mark.parametrize("check", [lambda rng, p: rng.sample_counts(p, 10),
@@ -315,15 +325,24 @@ class TestCollectiveRotationOracle:
         # build peaked at 20.13 MiB, with the 4 MiB level-9 matrix beside the result
         assert u.nbytes == 2 ** 24 and peak <= 18 * 2 ** 20
 
+    # a budget of chunk * 64 entries is batches of chunk draws at n = 3
     @pytest.mark.parametrize("draws, chunk", [(1, 4), (8, 4), (10, 4), (10, 10), (3, 64)])
-    def test_producer_yields_the_kernel_of_the_same_draws(self, draws, chunk):
+    def test_producer_yields_the_kernel_of_the_same_draws(self, monkeypatch, draws, chunk):
+        monkeypatch.setattr(core, "_TENSOR_CHUNK_ENTRIES", chunk * 64)
         produced, oracle = RandomSource(19), RandomSource(19)
-        stacks = list(_haar_rotation_chunks(produced, draws, 3, chunk))
+        stacks = list(_haar_rotation_chunks(produced, draws, 3))
         sizes = [min(chunk, draws - start) for start in range(0, draws, chunk)]
         assert [len(s) for s in stacks] == sizes
         for stack, size in zip(stacks, sizes):
             assert np.array_equal(stack, _tensor_powers(haar_random_su2_batch(oracle, size), 3))
         assert np.array_equal(produced.normal(4), oracle.normal(4))
+
+    # at the shipped 2^16 entries: 256 powers a batch at n = 4, 16 at n = 6, one from n = 8
+    @pytest.mark.parametrize("n, draws, sizes", [(4, 257, [256, 1]), (6, 40, [16, 16, 8]),
+                                                 (8, 2, [1, 1]), (9, 2, [1, 1])])
+    def test_producer_batches_by_the_one_rule(self, n, draws, sizes):
+        stacks = list(_haar_rotation_chunks(RandomSource(5), draws, n))
+        assert [s.shape for s in stacks] == [(k, 2 ** n, 2 ** n) for k in sizes]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matrix_free_matches_dense(self, rng, n):

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framefree import protocols
+from framefree import core, protocols
 from framefree.core import (MAX_QUBITS, MAX_RATE_QUBITS, DensityOperator, GroupElement,
-                            RandomSource, StateVector, _BELL_CHUNK_TRIALS,
+                            RandomSource, StateVector, _powers_per_stack,
                             collective_rotation, fidelity, haar_random_su2, random_density,
                             random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import HalfInteger, decompose, total_irrep_count
@@ -28,6 +28,7 @@ from racah_oracle import racah_blocks
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
+BELL_BATCH_TRIALS = _powers_per_stack(4) // 2  # two draws a trial: 128 at the shipped size
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +725,7 @@ class TestLogicalBellChsh:
 
 
 class TestLogicalBellChshOracle:
-    """The chunked batch against the per-trial loop: same values, same stream position."""
+    """The batched trials against the per-trial loop: same values, same stream position."""
 
     @staticmethod
     def assert_matches_per_trial(seed: int, trials: int):
@@ -733,19 +734,27 @@ class TestLogicalBellChshOracle:
                               per_trial_chsh(oracle_rng, trials))
         assert np.array_equal(batched_rng.normal(4), oracle_rng.normal(4))
 
-    @pytest.mark.parametrize("trials", [1, 2, 10, _BELL_CHUNK_TRIALS + 1])
+    @pytest.mark.parametrize("trials", [1, 2, 10, BELL_BATCH_TRIALS + 1])
     def test_bit_for_bit_at_the_shipped_chunk(self, trials):
         for seed in (0, 7, 41):
             self.assert_matches_per_trial(seed, trials)
 
     @pytest.mark.parametrize("trials", [1, 3, 4, 5, 8, 9, 14])
     def test_bit_for_bit_across_chunk_boundaries(self, monkeypatch, trials):
-        monkeypatch.setattr(protocols, "_BELL_CHUNK_TRIALS", 4)
+        monkeypatch.setattr(core, "_TENSOR_CHUNK_ENTRIES", 2048)  # 4 trials, 8 draws at n = 4
         for seed in (0, 7, 41):
             self.assert_matches_per_trial(seed, trials)
 
+    # budgets of one and three draws at n = 4: a batch that splits a trial raises rather than
+    # pair the wrong rotations or drop trials
+    @pytest.mark.parametrize("budget", [256, 3 * 256])
+    def test_a_batch_of_part_trials_raises(self, monkeypatch, budget):
+        monkeypatch.setattr(core, "_TENSOR_CHUNK_ENTRIES", budget)
+        with pytest.raises(ValueError, match="cannot reshape"):
+            logical_bell_chsh_trials(RandomSource(1), 5)
+
     def test_peak_memory_does_not_grow_with_trials(self):
-        trials = 10 * _BELL_CHUNK_TRIALS
+        trials = 10 * BELL_BATCH_TRIALS
         logical_bell_chsh_trials(RandomSource(3), 1)  # cached operators, as in any later call
         tracemalloc.start()
         try:
@@ -754,5 +763,5 @@ class TestLogicalBellChshOracle:
         finally:
             tracemalloc.stop()
         assert np.abs(values - 2 * SQRT2).max() < 1e-9
-        # one 64-trial chunk peaks near 2.5 MB; all 640 trials at once would need about 24 MB
+        # one 128-trial batch peaks near 4.5 MiB; all 1280 trials at once peak near 35
         assert peak < 5 * 2 ** 20

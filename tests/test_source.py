@@ -34,7 +34,9 @@ def named_outside_core(kept_in_core: set[str]) -> list[str]:
 
 def test_only_core_draws_checks_and_expands_haar_rotations():
     # every other module takes its batches from core._haar_rotation_chunks, which checks them
-    assert not named_outside_core({"_check_su2", "_tensor_powers", "haar_random_su2_batch"})
+    # and sizes them by the one budget
+    assert not named_outside_core({"_check_su2", "_tensor_powers", "haar_random_su2_batch",
+                                   "_TENSOR_CHUNK_ENTRIES", "_powers_per_stack"})
 
 
 def test_only_core_decides_from_which_dimension_a_state_keeps_its_parts():

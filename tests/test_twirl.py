@@ -1,9 +1,10 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from framefree import core, twirl
+from framefree import core
 from framefree.core import (_BLOCK_MIN_DIM, MAX_QUBITS, DensityOperator, GroupElement,
                             RandomSource, StateVector, collective_rotation, haar_random_su2,
                             random_density, random_state_vector, trace_distance, weight_indices)
@@ -141,7 +142,7 @@ class TestMonteCarloTwirl:
             return draw(source, size)
 
         monkeypatch.setattr(core, "haar_random_su2_batch", recording_draw)
-        monkeypatch.setattr(twirl, "_MC_ENTRY_BUDGET", 7 * 16)  # 7 samples of a 4 x 4 state
+        monkeypatch.setattr(core, "_TENSOR_CHUNK_ENTRIES", 7 * 16)  # 7 samples of a 4 x 4 state
         split = twirl_su2_monte_carlo(rho, 100, split_rng)
         assert sizes == [7] * 14 + [2]
         assert np.abs(split.matrix - whole.matrix).max() < 1e-15
@@ -151,6 +152,19 @@ class TestMonteCarloTwirl:
     def test_rejects_non_qubit_dimensions(self, dim):
         with pytest.raises(ValueError, match="not a qubit count"):
             twirl_su2_monte_carlo(DensityOperator(np.eye(dim) / dim), 4, RandomSource(0))
+
+    # a batch is at most 2^16 entries, 1 MiB: 256 samples at n = 4, one at n = 8.  Batches of
+    # 1M entries peaked at 32.8 MiB (n = 4) and 77.0 MiB (n = 8); these peak near 4.0 and 7.1
+    @pytest.mark.parametrize("n, samples, mib", [(4, 16384, 8), (8, 64, 12)])
+    def test_peak_memory_does_not_grow_with_samples(self, n, samples, mib):
+        rho = random_density(RandomSource(n), 2 ** n)
+        tracemalloc.start()
+        try:
+            twirl_su2_monte_carlo(rho, samples, RandomSource(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
 
 
 class TestChannelArguments:

@@ -82,6 +82,14 @@ MUTANTS = (
     Mutant("haar-chunks-unchecked", "src/framefree/core.py",
            "        _check_su2(gs)\n", "",
            "tests/test_twirl.py::TestMonteCarloTwirl::test_rejects_a_draw_that_is_not_su2"),
+    Mutant("haar-batch-ignores-qubit-count", "src/framefree/core.py",
+           "    batch = _powers_per_stack(n)\n", "    batch = _TENSOR_CHUNK_ENTRIES\n",
+           "tests/test_twirl.py::TestMonteCarloTwirl"
+           "::test_peak_memory_does_not_grow_with_samples[4-16384-8]"),
+    Mutant("bell-pairs-by-stride", "src/framefree/protocols.py",
+           "us.reshape(-1, 2, 16, 16).transpose(1, 0, 2, 3)", "us[0::2], us[1::2]",
+           "tests/test_protocols.py::TestLogicalBellChshOracle"
+           "::test_a_batch_of_part_trials_raises[256]"),
     Mutant("fidelity-no-noise-floor", "src/framefree/core.py",
            "    w[w < rho.dim * np.finfo(float).eps * max(w.max(), 0.0)] = 0.0\n", "",
            "tests/test_cli.py::TestCommands::test_quantum"),
