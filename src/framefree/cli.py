@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (DensityOperator, MAX_QUBITS, MAX_RATE_QUBITS, MAX_TWIRL_CHECK_QUBITS,
-                   RandomSource, _check_count, fidelity, haar_random_su2, random_density,
-                   random_state_vector, trace_distance)
+                   RandomSource, _check_count, _check_qubit_count, fidelity, haar_random_su2,
+                   random_density, random_state_vector, trace_distance)
 from .irreps import decompose
 from .optics import run_optical_protocol
 from .protocols import (build_classical_codebook, classical_rate_asymptote, classical_trial,
@@ -267,8 +267,9 @@ _Option = tuple[str, dict]  # a flag and its add_argument keywords
 
 
 def _qubits(flag: str, largest: int, default: int) -> tuple[_Option]:
-    return ((flag, {"dest": "n", "default": default, "type": _checked(
-        "qubit count", int, range(1, largest + 1).__contains__, f"in 1..{largest}")}),)
+    check = _checked("qubit count", int, range(1, largest + 1).__contains__, f"in 1..{largest}")
+    check.largest = largest  # run_command holds a RunConfig's n to the same ceiling
+    return ((flag, {"dest": "n", "default": default, "type": check}),)
 
 
 # only the sampled commands read these; optics's verdicts ask for zero errors, no tolerance
@@ -304,9 +305,17 @@ _COMMANDS = {
 
 
 def run_command(cfg: RunConfig) -> Report:
-    """Run one command; its report echoes only the settings that command reads."""
+    """Run one command; its report echoes only the settings that command reads.
+
+    The qubit count and the trial count get the checks argparse gives their options,
+    raised as the library's ``ValueError``s.
+    """
+    options = _COMMANDS[cfg.command].options
     read = {"command"} | {spec.get("dest", flag[2:].replace("-", "_"))
-                          for flag, spec in _COMMANDS[cfg.command].options + _OUTPUT}
+                          for flag, spec in options + _OUTPUT}
+    for _, spec in options:
+        if spec.get("dest") == "n":
+            _check_qubit_count(cfg.n, spec["type"].largest)
     if "trials" in read:
         _check_count(cfg.trials, "trial count")
     start = time.perf_counter()

@@ -24,10 +24,12 @@ ATOL = 1e-10
 # numpy 2.4.6).  At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
 # takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at n = 13): that
 # build takes 81-82 ms with a 257.5 MiB traced peak (best of 5, three processes).  Next
-# come the W_k an SU(2) twirl channel keeps: 21.6 MB in all, built in 87-112 ms (best of 5, nine
-# processes) with a 68.2 MB traced peak.  full_su2(12).apply(maximally_mixed(4096)) takes
-# 0.56-0.63 s on a cold channel (its W_k built) and 0.48-0.53 s warm (three processes of five
-# calls), with a 418 MB traced peak and 781 MB peak RSS, input included.  decompose(12) is not a
+# come the W_k an SU(2) twirl channel keeps, one complex copy: 43.3 MB in all, built in
+# 129-135 ms (best of 5, three processes) with a 68.1 MB traced peak.  On a VM that ran the
+# per-weight twirl 1.7 times slower than when it was first timed here,
+# full_su2(12).apply(maximally_mixed(4096)) takes 1.06-1.29 s on a cold channel (its W_k built)
+# and 0.83-0.84 s warm (three processes of five calls; 1.25-1.34 and 0.88-0.91 s one weight at a
+# time), with a 480 MB traced peak and 854 MB peak RSS, input included.  decompose(12) is not a
 # bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.  Nor
 # are the codes: classical --n 12 --trials 1, one trial of each of 924 messages from a cold
 # decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and 123 MiB max RSS (three processes).
@@ -47,14 +49,14 @@ MAX_TWIRL_CHECK_QUBITS = 8
 # n = 4/6/8 13.1-14.6 us/216-234 us/6.0-6.4 ms against 8.8-10.9 us/170-184 us/4.7-5.1 ms a sample
 # (glibc faults each batch's arrays in afresh), 4.0/5.1/7.1 against 32.8/61.1/77.0 MiB traced.
 _TENSOR_CHUNK_ENTRIES = 2 ** 16
-# Smallest dimension at which _from_weight_blocks keeps the Hamming-weight blocks it is built
+# Smallest dimension at which _from_weight_stacks keeps the Hamming-weight blocks it is built
 # from, and a full SU(2) twirl output its j sectors; blocks are never found in a matrix, which is
-# always checked dense.  Building and checking a twirled SU(2) state from its blocks and sectors
-# took 157-160 us against 34 us dense at dimension 32, and 190-191 against 135-144 us at 64; a
-# trace distance between two such states then took 35-37 us on the sectors against 59-62 us
-# dense at 32, and 56 against 266-271 us at 64 (best of five timings of 300 calls, two runs,
-# 2 cores).  Build and distance together: 192-197 against 93-96 us at 32, 246-247 against
-# 401-415 us at 64.
+# always checked dense.  Building and checking a twirled SU(2) state from its block stacks and
+# sectors took 71-77 us against 34-36 us dense at dimension 32, and 99-104 against 127-135 us at
+# 64; a trace distance between two such states then took 36-37 us on the sectors against
+# 54-55 us dense at 32, and 54-55 against 267-275 us at 64 (best of five timings of 300 calls,
+# two runs, 2 cores).  Build and distance together: 108-113 against 89-90 us at 32, 153-159
+# against 402 us at 64.
 _BLOCK_MIN_DIM = 64
 
 
@@ -90,11 +92,12 @@ def _qubit_count(dim: int) -> int:
     return n
 
 
-def _as_complex_array(values, ndim: int) -> np.ndarray:
+def _as_complex_array(values, ndim: int, finite: bool = True) -> np.ndarray:
+    """A complex copy with ``ndim`` axes; with ``finite``, also no NaN or infinite entry."""
     a = np.array(values, dtype=complex)
     if a.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):
         raise ValueError("array has non-finite entries")
     return a
 
@@ -263,17 +266,43 @@ def weight_indices(dim: int) -> tuple[np.ndarray, ...]:
     return tuple(_readonly(np.flatnonzero(weights == k)) for k in range(n + 1))
 
 
+def _in_stacks(per_weight) -> list[list]:
+    """Per-weight items, weight 0 first, in stacks of equal block shape: weights k and n - k
+    for k < n/2, then n/2 alone for even n.  C(n, k) = C(n, n - k): the collective spin flip
+    maps one weight onto the other."""
+    n = len(per_weight) - 1
+    return [[per_weight[k], per_weight[n - k]][:1 + (2 * k < n)] for k in range(n // 2 + 1)]
+
+
+def _by_weight(stacks) -> list:
+    """The inverse of ``_in_stacks``: item 0 of stack k is weight k, item 1 weight n - k."""
+    return [s[0] for s in stacks] + [s[1] for s in reversed(stacks) if len(s) == 2]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _weight_stacks(dim: int) -> tuple[np.ndarray, ...]:
+    """``weight_indices(dim)`` stacked by ``_in_stacks``: read-only (s, C(n, k)) index arrays."""
+    return tuple(_readonly(np.stack(s)) for s in _in_stacks(weight_indices(dim)))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace operator.
 
     ``DensityOperator(matrix)`` checks the matrix as one dense matrix and
     keeps no ``blocks`` and no ``sectors``.  Blocks are built, never found: a
-    state of dimension 2^n >= ``_BLOCK_MIN_DIM`` made by ``_from_weight_blocks``
-    (each twirl output, and ``maximally_mixed``) keeps its Hamming-weight
-    blocks (``weight_indices``), read-only and weight 0 first, as ``blocks``,
-    and its Hermitian and positivity checks read only those, which have the
-    same largest |m - m^dag| entry and, together, the same spectrum.
+    state of dimension 2^n >= ``_BLOCK_MIN_DIM`` made by ``_from_weight_stacks``
+    (each twirl output) or ``_from_weight_blocks`` (``maximally_mixed``) keeps
+    its Hamming-weight blocks (``weight_indices``) as read-only stacks of
+    equal shape, weights k and n - k together (``_in_stacks``), and
+    ``blocks`` is the tuple of per-weight views into them, weight 0 first.
+    Its Hermitian and positivity checks run once per stack and read only
+    those blocks, which have the same largest |m - m^dag| entry and,
+    together, the same spectrum.  A non-finite entry makes m - m^dag
+    non-finite, so the Hermitian check rejects it too, and names it; with no
+    separate finiteness pass, a dense 16 x 16 check took 22.0 against 25.8 us
+    and a 256 x 256 one 4.14 against 4.23 ms (medians of 150 alternating
+    rounds in one process, 2 cores).
     Positivity is a Cholesky factorisation of each part plus ATOL * 1: it
     succeeds exactly when the lowest eigenvalue is above -ATOL, up to rounding
     of order dim * eps * |m|.
@@ -288,21 +317,23 @@ class DensityOperator:
     matrix: np.ndarray
     blocks: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
     sectors: tuple[tuple[int, np.ndarray], ...] | None = field(init=False, repr=False)
+    _stacks: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = _as_complex_array(self.matrix, 2)
+        m = _as_complex_array(self.matrix, 2, finite=False)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got {m.shape}")
         self._keep_checked(m, None, None)
 
-    def _keep_checked(self, m: np.ndarray, blocks: tuple[np.ndarray, ...] | None,
+    def _keep_checked(self, m: np.ndarray, stacks: tuple[np.ndarray, ...] | None,
                       multiplicity: tuple[np.ndarray, np.ndarray] | None) -> None:
-        """Check the finite square m, reading only its read-only blocks when given, and the
+        """Check the square m, reading only its read-only block stacks when given, and the
         read-only Q with its carriers when given; keep m, the blocks and Q's j sectors."""
-        parts = (m,) if blocks is None else blocks
-        hermitian = parts if multiplicity is None else (*parts, multiplicity[0])
-        if max(np.abs(p - p.conj().T).max() for p in hermitian) > ATOL:
-            raise ValueError("matrix is not Hermitian")
+        parts = (m,) if stacks is None else stacks
+        for p in parts if multiplicity is None else (*parts, multiplicity[0]):
+            if not np.abs(p - p.conj().mT).max() <= ATOL:  # a non-finite entry fails too
+                raise ValueError("matrix is not Hermitian" if np.isfinite(p).all()
+                                 else "array has non-finite entries")
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace {tr} is not 1")
@@ -316,42 +347,52 @@ class DensityOperator:
             sectors = tuple((int(carriers[a]), q[a:b, a:b]) for a, b in zip(edges, edges[1:]))
         try:
             for p in parts:
-                shifted = p.copy()
-                shifted.reshape(-1)[::len(p) + 1] += ATOL  # p + ATOL * 1, without building 1
+                shifted = p.copy()  # p + ATOL * 1, without building 1
+                shifted.reshape(*p.shape[:-2], -1)[..., ::p.shape[-1] + 1] += ATOL
                 np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise ValueError("matrix has a negative eigenvalue") from None
         object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", None if stacks is None else tuple(_by_weight(stacks)))
         object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "_stacks", stacks)
 
     @staticmethod
-    def _from_weight_blocks(blocks, multiplicity=None) -> "DensityOperator":
-        """The operator with these Hamming-weight blocks, weight 0 first, and zeros elsewhere.
+    def _from_weight_stacks(stacks, multiplicity=None) -> "DensityOperator":
+        """The operator with these Hamming-weight blocks, stacked as ``_weight_stacks`` stacks
+        their indices, and zeros elsewhere.
 
-        The matrix is built by scattering the blocks into zeros, and the
-        blocks kept are copies of the same arrays, so the two always agree.
+        The matrix is built by scattering each stack into zeros, and the
+        stacks kept are copies of the same arrays, so the two always agree.
         ``multiplicity``, an SU(2) output's Q = (+)_j Q_j and each block's 2j+1, is copied
         once, read-only, and checked; the Q_j are kept as views cut at the runs of equal
         carriers.  Below ``_BLOCK_MIN_DIM`` this is ``DensityOperator(matrix)``, which keeps
         neither and never reads Q.
         """
+        dim = sum(s.shape[0] * s.shape[1] for s in stacks)
+        m = np.zeros((dim, dim), dtype=complex)
+        for rows, s in zip(_weight_stacks(dim), stacks, strict=True):
+            m[rows[:, :, None], rows[:, None, :]] = s
+        if dim < _BLOCK_MIN_DIM:
+            return DensityOperator(m)
+        if multiplicity is not None:
+            q = _readonly(_as_complex_array(multiplicity[0], 2, finite=False))
+            multiplicity = q, multiplicity[1]
+        rho = object.__new__(DensityOperator)
+        rho._keep_checked(m, tuple(_readonly(_as_complex_array(s, 3, finite=False))
+                                   for s in stacks), multiplicity)
+        return rho
+
+    @staticmethod
+    def _from_weight_blocks(blocks, multiplicity=None) -> "DensityOperator":
+        """``_from_weight_stacks`` of per-weight blocks, weight 0 first."""
         n = len(blocks) - 1
-        shapes = [b.shape for b in blocks]
+        shapes = [np.shape(b) for b in blocks]
         if n < 1 or shapes != [(comb(n, k),) * 2 for k in range(n + 1)]:
             raise ValueError(f"blocks of shapes {shapes} are not the Hamming-weight blocks "
                              f"of n >= 1 qubits")
-        m = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for rows, b in zip(weight_indices(2 ** n), blocks):
-            m[rows[:, None], rows] = b
-        if len(m) < _BLOCK_MIN_DIM:
-            return DensityOperator(m)
-        if multiplicity is not None:
-            multiplicity = _readonly(_as_complex_array(multiplicity[0], 2)), multiplicity[1]
-        rho = object.__new__(DensityOperator)
-        rho._keep_checked(m, tuple(_readonly(_as_complex_array(b, 2)) for b in blocks),
-                          multiplicity)
-        return rho
+        return DensityOperator._from_weight_stacks([np.stack(s) for s in _in_stacks(blocks)],
+                                                   multiplicity)
 
     @property
     def dim(self) -> int:
@@ -493,6 +534,16 @@ def _trace_norm_of_difference(a: np.ndarray, b: np.ndarray) -> float:
     return np.abs(np.linalg.eigvalsh(a - b)).sum()
 
 
+def _trace_norms_of_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_trace_norm_of_difference`` of each pair in two (s, d, d) stacks, one ``eigvalsh``
+    on the stack of the unequal pairs: the same per-matrix LAPACK call and row sum."""
+    unequal = (a != b).any(axis=(1, 2))
+    norms = np.zeros(len(a))
+    if unequal.any():
+        norms[unequal] = np.abs(np.linalg.eigvalsh(a[unequal] - b[unequal])).sum(axis=-1)
+    return norms
+
+
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma, unclipped.
 
@@ -510,7 +561,8 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
       values agree to order dim * eps.
     * Both keep ``blocks`` (twirl outputs and ``maximally_mixed``): the
       difference is block diagonal in Hamming weight, so the distance is
-      1/2 sum_k ||B_k - B'_k||_1.
+      1/2 sum_k ||B_k - B'_k||_1, read one block stack at a time and added
+      weight 0 first.
     * Otherwise, the dense ``eigvalsh`` of rho - sigma.
 
     A pair of equal parts adds exactly 0 without being decomposed.
@@ -518,13 +570,13 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     if rho.sectors is not None and sigma.sectors is not None:
-        parts = [(carrier, q, p) for (carrier, q), (_, p)
-                 in zip(rho.sectors, sigma.sectors, strict=True)]
-    elif rho.blocks is not None and sigma.blocks is not None:
-        parts = [(1, b, c) for b, c in zip(rho.blocks, sigma.blocks, strict=True)]
+        total = sum(carrier * _trace_norm_of_difference(q, p) for (carrier, q), (_, p)
+                    in zip(rho.sectors, sigma.sectors, strict=True))
+    elif rho._stacks is not None and sigma._stacks is not None:
+        total = sum(_by_weight([_trace_norms_of_stacks(a, b) for a, b
+                                in zip(rho._stacks, sigma._stacks, strict=True)]))
     else:
-        parts = [(1, rho.matrix, sigma.matrix)]
-    total = sum(carrier * _trace_norm_of_difference(a, b) for carrier, a, b in parts)
+        total = _trace_norm_of_difference(rho.matrix, sigma.matrix)
     return 0.5 * float(total)
 
 

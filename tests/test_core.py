@@ -7,9 +7,10 @@ import pytest
 
 from framefree import core
 from framefree.cli import RunConfig, main, run_command
-from framefree.core import (ATOL, MAX_QUBITS, MAX_RATE_QUBITS,
+from framefree.core import (ATOL, MAX_QUBITS, MAX_RATE_QUBITS, MAX_TWIRL_CHECK_QUBITS,
                             DensityOperator, GroupElement, RandomSource, StateVector,
-                            _check_su2, _haar_rotation_chunks, _qubit_count, _tensor_powers,
+                            _by_weight, _check_su2, _haar_rotation_chunks, _in_stacks,
+                            _qubit_count, _tensor_powers,
                             apply_collective_rotation, collective_rotation, fidelity,
                             haar_random_su2, haar_random_su2_batch, random_density,
                             random_state_vector, trace_distance, weight_indices)
@@ -41,6 +42,13 @@ QUBIT_COUNT_GUARDS = (
     ("dephasing_sector_encoding", dephasing_sector_encoding, 1, MAX_QUBITS),
     ("rate_table", rate_table, 1, MAX_RATE_QUBITS),
     ("classical_rate_asymptote", classical_rate_asymptote, 1, None),
+    # run_command holds n to the ceiling of the command's --n or --max-n, as argparse does
+    ("run_command-decompose", lambda n: run_command(RunConfig("decompose", n=n)), 1, MAX_QUBITS),
+    ("run_command-rates", lambda n: run_command(RunConfig("rates", n=n)), 1, MAX_RATE_QUBITS),
+    ("run_command-twirl-check", lambda n: run_command(RunConfig("twirl-check", n=n, trials=1)),
+     1, MAX_TWIRL_CHECK_QUBITS),
+    ("run_command-classical", lambda n: run_command(RunConfig("classical", n=n, trials=1)),
+     1, MAX_QUBITS),
 )
 
 
@@ -472,13 +480,15 @@ def weight_diagonal(rng, n: int = 6) -> np.ndarray:
     return m
 
 
-def with_block_eigenvalue(lowest: float) -> np.ndarray:
-    """A weight-diagonal 64 x 64 matrix of trace 1 whose weight-3 block has the eigenvalue ``lowest``."""
-    spectrum = np.full(20, 1 / 64)
+def with_block_eigenvalue(lowest: float, weight: int = 3) -> np.ndarray:
+    """A weight-diagonal 64 x 64 matrix of trace 1 whose weight block (1..5) has the eigenvalue
+    ``lowest``; every other block is 1/64."""
+    size = comb(6, weight)
+    spectrum = np.full(size, 1 / 64)
     spectrum[0], spectrum[1] = lowest, 2 / 64 - lowest
-    q, _ = np.linalg.qr(RandomSource(3).normal((20, 20)))
+    q, _ = np.linalg.qr(RandomSource(3).normal((size, size)))
     m = np.eye(64, dtype=complex) / 64
-    rows = weight_indices(64)[3]
+    rows = weight_indices(64)[weight]
     m[rows[:, None], rows] = (q * spectrum) @ q.T
     return m
 
@@ -524,8 +534,16 @@ def nan_entry(blocks):
     blocks[1][0, 0] = np.nan
 
 
+def infinite_entry_in_weight_5(blocks):
+    blocks[5][2, 3] = np.inf  # weight 5 is the second block of the weights 1 and 5 stack
+
+
 def skew_entry(blocks):
     blocks[1][0, 1] += 2 * ATOL
+
+
+def skew_entry_in_weight_4(blocks):
+    blocks[4][0, 1] += 2 * ATOL
 
 
 def trace_off(blocks):
@@ -561,15 +579,34 @@ class TestFromWeightBlocks:
                 block[0, 0] = 0.0
 
     @pytest.mark.parametrize("fault, message", [pytest.param(f, m, id=f.__name__) for f, m in (
-        (nan_entry, "non-finite"), (skew_entry, "not Hermitian"), (trace_off, "trace"),
-        (negative_eigenvalue, "negative eigenvalue"), (block_missing, "Hamming-weight blocks"),
-        (block_short, "Hamming-weight blocks"))])
+        (nan_entry, "non-finite"), (infinite_entry_in_weight_5, "non-finite"),
+        (skew_entry, "not Hermitian"), (skew_entry_in_weight_4, "not Hermitian"),
+        (trace_off, "trace"), (negative_eigenvalue, "negative eigenvalue"),
+        (block_missing, "Hamming-weight blocks"), (block_short, "Hamming-weight blocks"))])
     def test_rejects(self, fault, message):
         blocks = weight_blocks(with_block_eigenvalue(0.0))
         assert DensityOperator._from_weight_blocks(blocks).blocks is not None
         fault(blocks)
         with pytest.raises(ValueError, match=message):
             DensityOperator._from_weight_blocks(blocks)
+
+    @pytest.mark.parametrize("weight", [1, 2, 4, 5])
+    def test_rejects_a_negative_eigenvalue_in_either_block_of_a_stack(self, weight):
+        # weights k and 6 - k share a stack: 4 and 5 are the second block of theirs
+        m = with_block_eigenvalue(-2 * ATOL, weight)
+        assert np.linalg.eigvalsh(m).min() < -ATOL  # the dense predicate says the same
+        partner = weight_indices(64)[6 - weight]  # 1/64, so positive
+        assert np.array_equal(m[partner[:, None], partner], np.eye(len(partner)) / 64)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            from_blocks(m)
+
+    def test_blocks_are_read_only_views_of_the_stacks(self, rng):
+        rho = from_blocks(weight_diagonal(rng))
+        assert [s.shape for s in rho._stacks] == [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
+        for stack, pair in zip(rho._stacks, _in_stacks(rho.blocks), strict=True):
+            assert not stack.flags.writeable
+            assert all(b.base is stack for b in pair)
+            assert np.array_equal(stack, np.stack(pair))
 
 
 def sector_skew(q, carriers):
@@ -594,13 +631,13 @@ class TestFromWeightBlocksWithSectors:
     @staticmethod
     def parts(rng, monkeypatch):
         """The blocks, Q and carriers that an n = 6 full SU(2) twirl hands over, as copies."""
-        given, build = [], DensityOperator._from_weight_blocks
-        monkeypatch.setattr(DensityOperator, "_from_weight_blocks",
+        given, build = [], DensityOperator._from_weight_stacks
+        monkeypatch.setattr(DensityOperator, "_from_weight_stacks",
                             staticmethod(lambda *args: given.append(args) or build(*args)))
         TwirlChannel.full_su2(6).apply(random_density(rng, 64))
         monkeypatch.undo()
-        [(blocks, (q, carriers))] = given
-        return list(blocks), q.copy(), carriers.copy()
+        [(stacks, (q, carriers))] = given
+        return [b.copy() for b in _by_weight(stacks)], q.copy(), carriers.copy()
 
     def test_sectors_are_read_only_views_of_one_copy(self, rng, monkeypatch):
         blocks, q, carriers = self.parts(rng, monkeypatch)
@@ -701,12 +738,13 @@ class TestBlockForm:
         assert abs(d - dense_distance(rho, sigma)) < 1e-15
 
     def test_same_frame_distance_trusts_the_blocks(self, rng, monkeypatch):
-        # the sizes of the matrices decomposed show which path was taken
+        # the shapes of the matrices decomposed show which path was taken: one stack of
+        # weights k and 6 - k at a time
         rho, sigma = from_blocks(weight_diagonal(rng)), from_blocks(weight_diagonal(rng))
-        sizes, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         trace_distance(rho, sigma)
-        assert sizes == self.SIZES
+        assert shapes == [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
 
     def test_other_frames_take_the_dense_path_exactly(self, rng):
         rho = from_blocks(weight_diagonal(rng))
@@ -745,10 +783,10 @@ class TestMaximallyMixed:
     def test_twirl_check_fixed_point_distance_reads_the_blocks(self, monkeypatch):
         # each channel's idempotence and fixed-point distances, one state; a pair of parts
         # that are equal bit for bit is never decomposed
-        sizes, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         assert main(["twirl-check", "--n", "6", "--trials", "1"]) == 0
         # SU(2) idempotence: the sectors c_j = 1, 5, 9, 5, the 1 x 1 j = 3 pair equal;
-        # SU(2) fixed point: the weight blocks, the 1 x 1 pairs at weights 0 and 6 equal;
+        # SU(2) fixed point: the weight block stacks, the 1 x 1 pairs at weights 0 and 6 equal;
         # U(1): every block of both distances equal
-        assert sizes == [5, 9, 5] + TestBlockForm.SIZES[1:-1]
+        assert shapes == [(5, 5), (9, 9), (5, 5), (2, 6, 6), (2, 15, 15), (1, 20, 20)]

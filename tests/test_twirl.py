@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -6,11 +7,13 @@ import pytest
 
 from framefree import core
 from framefree.core import (_BLOCK_MIN_DIM, MAX_QUBITS, DensityOperator, GroupElement,
-                            RandomSource, StateVector, collective_rotation, haar_random_su2,
-                            random_density, random_state_vector, trace_distance, weight_indices)
+                            RandomSource, StateVector, _by_weight, _in_stacks,
+                            collective_rotation, haar_random_su2, random_density,
+                            random_state_vector, trace_distance, weight_indices)
 from framefree.irreps import decompose
 from framefree.twirl import TwirlChannel, twirl_su2_monte_carlo
 from dense_coupling_oracle import dense_coupling_matrix
+from per_weight_twirl_oracle import per_weight_apply, weight_maps
 from racah_oracle import racah_blocks
 
 SINGLET = StateVector.normalized([0.0, 1.0, -1.0, 0.0])
@@ -344,18 +347,70 @@ class TestBlockForm:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_weight_maps_are_orthogonal_and_rebuild_the_coupling_matrix(self, n):
-        widths, maps = TwirlChannel.full_su2(n)._weight_maps
-        # every later output's mask and carriers: read-only, like each W_k
+        widths, stacks = TwirlChannel.full_su2(n)._weight_maps
+        # every later output's mask and carriers: read-only, like each stack of W_k
         assert np.array_equal(widths, decompose(n).twice_j + 1) and not widths.flags.writeable
-        assert not any(w.flags.writeable for w in maps)
+        assert not any(s.flags.writeable for s in stacks)
+        # one complex copy of each real W_k, W_k and W_{n-k} in one stack
+        assert [s.shape for s in stacks] == [(len(pair), comb(n, k), comb(n, k))
+                                             for k, pair in enumerate(_in_stacks(range(n + 1)))]
+        assert all(s.dtype == complex and not s.imag.any() for s in stacks)
         dense = dense_coupling_matrix(n)
         placed = np.zeros_like(dense)
-        for rows, w in zip(weight_indices(2 ** n), maps):
+        for rows, w in zip(weight_indices(2 ** n), _by_weight([s.real for s in stacks])):
             assert np.abs(w.T @ w - np.eye(len(w))).max() <= self.BOUND
             # the columns |j, m, r> supported on these rows, in canonical order
             cols = np.flatnonzero(np.any(dense[rows] != 0, axis=0))
             placed[rows[:, None], cols] = w
         assert placed.tobytes() == dense.tobytes()
+
+
+def assert_same_state(a: DensityOperator, b: DensityOperator) -> None:
+    """Matrix, blocks and sectors equal bit for bit, each kept or not alike."""
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert (a.blocks is None) == (b.blocks is None) and (a.sectors is None) == (b.sectors is None)
+    if a.blocks is not None:
+        assert [x.tobytes() for x in a.blocks] == [x.tobytes() for x in b.blocks]
+    if a.sectors is not None:
+        assert [(c, q.tobytes()) for c, q in a.sectors] == [(c, q.tobytes()) for c, q in b.sectors]
+
+
+class TestStackedTwirl:
+    """Each stage runs once per stack of equal-shape weight blocks, weights k and n - k
+    together; the output has the bits of the per-weight twirl in tests/."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_stacks_pair_weight_k_with_n_minus_k(self, n):
+        weights = list(range(n + 1))
+        assert _in_stacks(weights) == [[k, n - k][:1 + (2 * k < n)] for k in range(n // 2 + 1)]
+        assert _by_weight(_in_stacks(weights)) == weights
+        for k, rows in enumerate(core._weight_stacks(2 ** n)):
+            assert not rows.flags.writeable
+            assert [list(r) for r in rows] == [list(weight_indices(2 ** n)[w])
+                                               for w in _in_stacks(weights)[k]]
+
+    @pytest.mark.parametrize("kind", ["full_su2", "u1_dephasing"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_the_per_weight_twirl_bit_for_bit(self, rng, kind, n):
+        channel = channel_of(kind, n)
+        for _ in range(1 if n >= 9 else 3):
+            rho = random_density(rng, 2 ** n)
+            once = channel.apply(rho)
+            assert_same_state(once, per_weight_apply(channel, rho))
+            assert_same_state(channel.apply(once), per_weight_apply(channel, once))
+
+    def test_equals_the_per_weight_twirl_at_twelve_qubits(self):
+        # one 4096 x 4096 output at a time: each is 256 MiB, so compare digests of the bits
+        mixed = DensityOperator.maximally_mixed(2 ** 12)
+        digests = []
+        for twirl in (TwirlChannel.full_su2(12).apply,
+                      lambda rho: per_weight_apply(TwirlChannel.full_su2(12), rho)):
+            out = twirl(mixed)
+            digests.append((hashlib.sha256(out.matrix).hexdigest(),
+                            [hashlib.sha256(b).hexdigest() for b in out.blocks],
+                            [(c, hashlib.sha256(q.copy()).hexdigest()) for c, q in out.sectors]))
+            del out
+        assert digests[0] == digests[1]
 
 
 def eps_bound(dim: int) -> float:
@@ -378,7 +433,7 @@ def unskipped_block_distance(a: DensityOperator, b: DensityOperator) -> float:
 def cut_then_symmetrised(channel: TwirlChannel, rho: DensityOperator) -> list:
     """The oracle sectors: each Q_j cut from the masked multiplicity matrix at the counts of
     ``multiplicity_table``, then made Hermitian on its own, as (2j+1, Q_j) pairs."""
-    widths, maps = channel._weight_maps
+    widths, maps = weight_maps(channel.n)
     mult = np.zeros((len(widths), len(widths)), dtype=complex)
     for w, rows in zip(maps, weight_indices(channel.dim)):
         mult[:len(w), :len(w)] += w.T @ rho.matrix[rows[:, None], rows] @ w

@@ -72,7 +72,7 @@ MUTANTS = (
            "w, y, x, z = (q / np.linalg.norm(q, axis=1)[:, None]).T",
            "tests/test_core.py::TestHaarSampling::test_fixed_seed_draw_is_the_quaternion_map"),
     Mutant("su2-twirl-no-hermitian-part", "src/framefree/twirl.py",
-           "        blocks = [0.5 * (b + b.conj().T) for b in blocks]\n", "",
+           "        stacks = [0.5 * (s + s.conj().mT) for s in stacks]\n", "",
            "tests/test_twirl.py::TestChannelProperties::test_su2_output_is_exactly_hermitian"),
     Mutant("tensor-rows-at-head-offset", "src/framefree/core.py",
            "result[us, start * span:start * span + part.shape[1]]",
@@ -97,10 +97,11 @@ MUTANTS = (
            "lowest >= 0.0", "lowest >= -ATOL",
            "tests/test_core.py::TestRandomSource::test_rejects_any_negative_entry"),
     Mutant("block-trace-distance-max", "src/framefree/core.py",
-           "np.abs(np.linalg.eigvalsh(a - b)).sum()", "np.abs(np.linalg.eigvalsh(a - b)).max()",
+           "eigvalsh(a[unequal] - b[unequal])).sum(axis=-1)",
+           "eigvalsh(a[unequal] - b[unequal])).max(axis=-1)",
            "tests/test_core.py::TestBlockForm::test_same_frame_distance_reads_the_blocks"),
     Mutant("sector-distance-without-carrier", "src/framefree/core.py",
-           "parts = [(carrier, q, p)", "parts = [(1, q, p)",
+           "sum(carrier * _trace_norm_of_difference(q, p)", "sum(_trace_norm_of_difference(q, p)",
            "tests/test_twirl.py::TestSectors::test_sector_distance_matches_the_block_path_and_dense"),
     Mutant("sectors-from-unmasked-mult", "src/framefree/twirl.py",
            "0.5 * (kept + kept.conj().T)", "0.5 * (mult + mult.conj().T)",
@@ -111,7 +112,7 @@ MUTANTS = (
            "tests/test_twirl.py::TestSectors"
            "::test_sectors_are_the_bits_of_cutting_then_symmetrising"),
     Mutant("equal-skip-compares-a-block-with-itself", "src/framefree/core.py",
-           "np.array_equal(a, b)", "np.array_equal(a, a)",
+           "unequal = (a != b).any(axis=(1, 2))", "unequal = (a != a).any(axis=(1, 2))",
            "tests/test_twirl.py::TestSectors"
            "::test_equal_block_skip_gives_the_bits_of_eigvalsh_on_every_block"),
     Mutant("maximally-mixed-dense", "src/framefree/core.py",
@@ -121,11 +122,20 @@ MUTANTS = (
            "tests/test_core.py::TestMaximallyMixed"
            "::test_is_the_identity_over_dim_kept_as_blocks_from_64"),
     Mutant("cholesky-without-atol-shift", "src/framefree/core.py",
-           "shifted.reshape(-1)[::len(p) + 1] += ATOL", "pass",
+           "shifted.reshape(*p.shape[:-2], -1)[..., ::p.shape[-1] + 1] += ATOL", "pass",
            "tests/test_core.py::TestPositivity::test_accepts_exactly_when_the_oracle_does"),
     Mutant("block-constructor-admits-non-finite", "src/framefree/core.py",
-           "_readonly(_as_complex_array(b, 2))", "_readonly(np.array(b, dtype=complex))",
+           "if not np.abs(p - p.conj().mT).max() <= ATOL:",
+           "if np.abs(p - p.conj().mT).max() > ATOL:",
            "tests/test_core.py::TestFromWeightBlocks::test_rejects[nan_entry]"),
+    Mutant("stack-check-reads-first-block", "src/framefree/core.py",
+           "parts = (m,) if stacks is None else stacks",
+           "parts = (m,) if stacks is None else tuple(s[:1] for s in stacks)",
+           "tests/test_core.py::TestFromWeightBlocks"
+           "::test_rejects_a_negative_eigenvalue_in_either_block_of_a_stack[4]"),
+    Mutant("stacks-pair-k-with-k-plus-1", "src/framefree/core.py",
+           "[per_weight[k], per_weight[n - k]]", "[per_weight[k], per_weight[k + 1]]",
+           "tests/test_twirl.py::TestStackedTwirl::test_stacks_pair_weight_k_with_n_minus_k[4]"),
     Mutant("block-constructor-admits-negative-eigenvalue", "src/framefree/core.py",
            "            raise ValueError(\"matrix has a negative eigenvalue\") from None\n",
            "            pass\n",
