@@ -24,15 +24,16 @@ ATOL = 1e-10
 # numpy 2.4.6).  At n = 12 the bound is the dense 2^n x 2^n complex matrices: every twirl channel
 # takes and returns one, and collective_rotation builds one, 256 MiB each (1 GiB at n = 13): that
 # build takes 81-82 ms with a 257.5 MiB traced peak (best of 5, three processes).  Next
-# come the W_k an SU(2) twirl channel keeps, one complex copy: 43.3 MB in all, built in
-# 129-135 ms (best of 5, three processes) with a 68.1 MB traced peak.  On a VM that ran the
-# per-weight twirl 1.7 times slower than when it was first timed here,
-# full_su2(12).apply(maximally_mixed(4096)) takes 1.06-1.29 s on a cold channel (its W_k built)
-# and 0.83-0.84 s warm (three processes of five calls; 1.25-1.34 and 0.88-0.91 s one weight at a
-# time), with a 480 MB traced peak and 854 MB peak RSS, input included.  decompose(12) is not a
-# bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps 256 KB of factors.  Nor
-# are the codes: classical --n 12 --trials 1, one trial of each of 924 messages from a cold
-# decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and 123 MiB max RSS (three processes).
+# come the W_k an SU(2) twirl channel keeps, one float64 copy: 21.6 MB in all, built in
+# 72-103 ms (best of 5, three processes) with a 68.1 MB traced peak; the flat positions of the
+# weight blocks, cached once per dimension, take 21.6 MB more.
+# full_su2(12).apply(maximally_mixed(4096)) takes 0.69-0.87 s on a cold channel (its W_k built)
+# and 0.52-0.72 s warm (three processes of five calls; 0.89-1.07 and 0.63-0.89 s with complex
+# W_k), with a 791 MB traced peak over the input's build and the six calls, and 821 MB peak RSS.
+# decompose(12) is not a bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps
+# 256 KB of factors.  Nor are the codes: classical --n 12 --trials 1, one trial of each of 924
+# messages from a cold decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and 123 MiB max
+# RSS (three processes).
 MAX_QUBITS = 12
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
 # twirl-check --n 8 --trials 20 takes 0.54-0.73 s (five runs), two thirds of it random_density:
@@ -281,8 +282,11 @@ def _by_weight(stacks) -> list:
 
 @lru_cache(maxsize=None, typed=True)
 def _weight_stacks(dim: int) -> tuple[np.ndarray, ...]:
-    """``weight_indices(dim)`` stacked by ``_in_stacks``: read-only (s, C(n, k)) index arrays."""
-    return tuple(_readonly(np.stack(s)) for s in _in_stacks(weight_indices(dim)))
+    """The Hamming-weight blocks of a dim x dim matrix as flat positions, stacked by
+    ``_in_stacks``: read-only (s, C(n, k), C(n, k)) arrays rows[:, :, None] * dim +
+    rows[:, None, :], for the (s, C(n, k)) stack of ``weight_indices(dim)`` rows."""
+    return tuple(_readonly(rows[:, :, None] * dim + rows[:, None, :])
+                 for rows in map(np.stack, _in_stacks(weight_indices(dim))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +364,9 @@ class DensityOperator:
     @staticmethod
     def _from_weight_stacks(stacks, multiplicity=None) -> "DensityOperator":
         """The operator with these Hamming-weight blocks, stacked as ``_weight_stacks`` stacks
-        their indices, and zeros elsewhere.
+        their positions, and zeros elsewhere.
 
-        The matrix is built by scattering each stack into zeros, and the
+        The matrix is built by one flat assignment of each stack into zeros, and the
         stacks kept are copies of the same arrays, so the two always agree.
         ``multiplicity``, an SU(2) output's Q = (+)_j Q_j and each block's 2j+1, is copied
         once, read-only, and checked; the Q_j are kept as views cut at the runs of equal
@@ -371,8 +375,9 @@ class DensityOperator:
         """
         dim = sum(s.shape[0] * s.shape[1] for s in stacks)
         m = np.zeros((dim, dim), dtype=complex)
-        for rows, s in zip(_weight_stacks(dim), stacks, strict=True):
-            m[rows[:, :, None], rows[:, None, :]] = s
+        flat = m.reshape(-1)
+        for positions, s in zip(_weight_stacks(dim), stacks, strict=True):
+            flat[positions] = s
         if dim < _BLOCK_MIN_DIM:
             return DensityOperator(m)
         if multiplicity is not None:

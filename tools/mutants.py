@@ -133,6 +133,14 @@ MUTANTS = (
            "parts = (m,) if stacks is None else tuple(s[:1] for s in stacks)",
            "tests/test_core.py::TestFromWeightBlocks"
            "::test_rejects_a_negative_eigenvalue_in_either_block_of_a_stack[4]"),
+    Mutant("twirl-maps-back-by-w-transposed", "src/framefree/twirl.py",
+           "_real_congruence(w, kept[", "_real_congruence(w.mT, kept[",
+           "tests/test_twirl.py::TestExactTwirl::test_sector_views_match_whole_matrix_oracle[3]"),
+    Mutant("weight-positions-transposed", "src/framefree/core.py",
+           "rows[:, :, None] * dim + rows[:, None, :])",
+           "rows[:, None, :] * dim + rows[:, :, None])",
+           "tests/test_twirl.py::TestStackedTwirl"
+           "::test_flat_positions_gather_and_scatter_the_weight_blocks[4]"),
     Mutant("stacks-pair-k-with-k-plus-1", "src/framefree/core.py",
            "[per_weight[k], per_weight[n - k]]", "[per_weight[k], per_weight[k + 1]]",
            "tests/test_twirl.py::TestStackedTwirl::test_stacks_pair_weight_k_with_n_minus_k[4]"),

@@ -38,6 +38,7 @@ MATRIX = (
     "rates --max-n 64",
     "rates --max-n 20 --output csv",
     "twirl-check --n 8 --trials 3 --seed 5",
+    "twirl-check --n 6 --trials 2 --seed 1",
     "twirl-check --n 3 --trials 20 --output csv",
     "classical --n 1 --trials 5",
     "classical --n 2 --trials 20",
