@@ -275,7 +275,8 @@ def _qubits(flag: str, largest: int, default: int) -> tuple[_Option]:
 # only the sampled commands read these; optics's verdicts ask for zero errors, no tolerance
 _SAMPLING = (("--trials", {"type": _positive_int}), ("--seed", {"type": _nonnegative_int}))
 _TOLERANCE = (("--tolerance", {"type": _positive_float}),)
-_OUTPUT = (("--output", {"dest": "output_format", "choices": ("json", "csv")}),
+_FORMATS = ("json", "csv")
+_OUTPUT = (("--output", {"dest": "output_format", "choices": _FORMATS}),
            ("--out-file", {"dest": "output_path", "metavar": "OUT_FILE"}))
 
 
@@ -307,8 +308,8 @@ _COMMANDS = {
 def run_command(cfg: RunConfig) -> Report:
     """Run one command; its report echoes only the settings that command reads.
 
-    The qubit count and the trial count get the checks argparse gives their options,
-    raised as the library's ``ValueError``s.
+    The qubit count, trial count, tolerance, output format and singlet-first flag get the
+    checks argparse gives their options, raised as ``ValueError``s before any work.
     """
     options = _COMMANDS[cfg.command].options
     read = {"command"} | {spec.get("dest", flag[2:].replace("-", "_"))
@@ -318,6 +319,12 @@ def run_command(cfg: RunConfig) -> Report:
             _check_qubit_count(cfg.n, spec["type"].largest)
     if "trials" in read:
         _check_count(cfg.trials, "trial count")
+    if "tolerance" in read and not 0 < cfg.tolerance < inf:  # NaN fails the comparison too
+        raise ValueError(f"tolerance must be positive and finite, got {cfg.tolerance}")
+    if cfg.output_format not in _FORMATS:
+        raise ValueError(f"output format must be json or csv, got {cfg.output_format!r}")
+    if "singlet_first" in read and cfg.singlet_first and cfg.n != 2:
+        raise ValueError(f"singlet_first only applies to n = 2, got n = {cfg.n}")
     start = time.perf_counter()
     payload, verdicts = _COMMANDS[cfg.command].handler(cfg)
     duration = time.perf_counter() - start

@@ -43,8 +43,9 @@ MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this ca
 MAX_TWIRL_CHECK_QUBITS = 8
 # The one batch size, in entries (1 MiB of complex128): _haar_rotation_chunks draws 256 powers
 # a batch at n = 4, 16 at n = 6 and one from n = 8, and _tensor_powers builds levels whole up to
-# it, then in parts whose scratch and stretch of the result stay in the 2 MiB L2: one power at
-# n = 10 took 2.8-3.0 ms against 3.7-4.0 whole (best of 5), and 2^13, 2^14, 2^15 or 2^17 no less.
+# it, then, for the one power a batch from n = 9, in runs of head rows whose scratch and stretch
+# of the result stay in the 2 MiB L2: one power at n = 10 took 2.8-3.0 ms against 3.7-4.0 whole
+# (best of 5), and 2^13, 2^14, 2^15 or 2^17 no less.
 # Against 64-trial Bell and 1M-entry Monte Carlo batches (best of 7, 2 cores), bell took 22.6-23.2
 # against 23.8-24.7 us a trial, 4.54 against 2.40 MiB traced over ten batches, and the twirl at
 # n = 4/6/8 13.1-14.6 us/216-234 us/6.0-6.4 ms against 8.8-10.9 us/170-184 us/4.7-5.1 ms a sample
@@ -299,10 +300,10 @@ class DensityOperator:
     (each twirl output) or ``_from_weight_blocks`` (``maximally_mixed``) keeps
     its Hamming-weight blocks (``weight_indices``) as read-only stacks of
     equal shape, weights k and n - k together (``_in_stacks``), and
-    ``blocks`` is the tuple of per-weight views into them, weight 0 first.
-    Its Hermitian and positivity checks run once per stack and read only
-    those blocks, which have the same largest |m - m^dag| entry and,
-    together, the same spectrum.  A non-finite entry makes m - m^dag
+    ``blocks`` is the tuple of per-weight views into them, weight 0 first;
+    no other field holds the stacks.  Its Hermitian and positivity checks run
+    once per stack and read only those blocks, which have the same largest
+    |m - m^dag| entry and, together, the same spectrum.  A non-finite entry makes m - m^dag
     non-finite, so the Hermitian check rejects it too, and names it; with no
     separate finiteness pass, a dense 16 x 16 check took 22.0 against 25.8 us
     and a 256 x 256 one 4.14 against 4.23 ms (medians of 150 alternating
@@ -321,7 +322,6 @@ class DensityOperator:
     matrix: np.ndarray
     blocks: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
     sectors: tuple[tuple[int, np.ndarray], ...] | None = field(init=False, repr=False)
-    _stacks: tuple[np.ndarray, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix, 2, finite=False)
@@ -359,7 +359,6 @@ class DensityOperator:
         object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "blocks", None if stacks is None else tuple(_by_weight(stacks)))
         object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "_stacks", stacks)
 
     @staticmethod
     def _from_weight_stacks(stacks, multiplicity=None) -> "DensityOperator":
@@ -427,47 +426,43 @@ def _tensor_powers(matrices: np.ndarray, n: int) -> np.ndarray:
     would go out to memory and be read back four times to write the next
     (at n = 10, the 4 MiB level 9 for the 16 MiB result).  But row a of the
     head level alone fixes rows a 2^t .. (a + 1) 2^t - 1 of the level t
-    further on.  So the remaining levels run on one part at a time, whole
-    powers of a group of u or a run of head rows of one u, in scratch arrays
-    that stay in cache, and the last level writes the part's stretch of the
-    result, contiguous and at most that many entries, in place.  Each entry
-    is the same product of the same operands as in a whole-level build, so
-    the bits are the same; only the order in which rows are visited changes.
+    further on.  So the remaining levels run on one run of head rows of the
+    whole stack at a time, in scratch arrays that stay in cache, and the last
+    level writes the run's stretch of the result, at most that many entries,
+    in place.  The one batch size (``_powers_per_stack``) holds every stack
+    that reaches the runs to one power, from n = 9, so its stretch is
+    contiguous.  Each entry is the same product of the same operands as in a
+    whole-level build, so the bits are the same; only the order in which rows
+    are visited changes.
     """
     k = len(matrices)
     out = np.array(matrices, dtype=complex)
     factors = [(i, j, matrices[:, i, j, None, None]) for i in range(2) for j in range(2)]
 
-    def grow(src: np.ndarray, dst: np.ndarray, group_factors: list) -> np.ndarray:
-        """The next level of src, (g, r, d), in dst, (g, r, 2, d, 2): the u of group_factors."""
-        for i, j, factor in group_factors:
+    def grow(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The next level of src, (k, r, d), in dst, (k, r, 2, d, 2)."""
+        for i, j, factor in factors:
             np.multiply(src, factor, out=dst[:, :, i, :, j])
-        return dst.reshape(len(src), 2 * src.shape[1], 2 * src.shape[2])
+        return dst.reshape(k, 2 * src.shape[1], 2 * src.shape[2])
 
     head = 1
     while head < n and k * 4 ** (head + 1) <= _TENSOR_CHUNK_ENTRIES:
         d = 2 ** head
-        out = grow(out, np.empty((k, d, 2, d, 2), dtype=complex), factors)
+        out = grow(out, np.empty((k, d, 2, d, 2), dtype=complex))
         head += 1
     if head == n:
         return out
     d = 2 ** (n - 1)
     result = np.empty((k, d, 2, d, 2), dtype=complex)
     span = 2 ** (n - 1 - head)  # rows of level n - 1 that one head row fixes
-    # a part is whole powers of a group of u or a run of head rows of one u, never rows of
-    # several u, 4^n entries apart: slower than whole levels (12.6 against 6.9 ms, 3906 at n = 4)
-    group = _powers_per_stack(n)
-    rows = min(2 ** head, max(1, _TENSOR_CHUNK_ENTRIES // (1 << (2 * n - head))))
-    scratch = [np.empty((group, rows << (level - head), 2, 2 ** level, 2), dtype=complex)
+    rows = min(2 ** head, max(1, _TENSOR_CHUNK_ENTRIES // (k << (2 * n - head))))
+    scratch = [np.empty((k, rows << (level - head), 2, 2 ** level, 2), dtype=complex)
                for level in range(head, n - 1)]
-    for u in range(0, k, group):
-        us = slice(u, u + group)
-        part_factors = [(i, j, factor[us]) for i, j, factor in factors]
-        for start in range(0, 2 ** head, rows):
-            part = out[us, start:start + rows]
-            for buf in scratch:
-                part = grow(part, buf[:len(part), :part.shape[1]], part_factors)
-            grow(part, result[us, start * span:start * span + part.shape[1]], part_factors)
+    for start in range(0, 2 ** head, rows):
+        part = out[:, start:start + rows]
+        for buf in scratch:
+            part = grow(part, buf[:, :part.shape[1]])
+        grow(part, result[:, start * span:start * span + part.shape[1]])
     return result.reshape(k, 2 * d, 2 * d)
 
 
@@ -539,16 +534,6 @@ def _trace_norm_of_difference(a: np.ndarray, b: np.ndarray) -> float:
     return np.abs(np.linalg.eigvalsh(a - b)).sum()
 
 
-def _trace_norms_of_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_trace_norm_of_difference`` of each pair in two (s, d, d) stacks, one ``eigvalsh``
-    on the stack of the unequal pairs: the same per-matrix LAPACK call and row sum."""
-    unequal = (a != b).any(axis=(1, 2))
-    norms = np.zeros(len(a))
-    if unequal.any():
-        norms[unequal] = np.abs(np.linalg.eigvalsh(a[unequal] - b[unequal])).sum(axis=-1)
-    return norms
-
-
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma, unclipped.
 
@@ -566,23 +551,23 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
       values agree to order dim * eps.
     * Both keep ``blocks`` (twirl outputs and ``maximally_mixed``): the
       difference is block diagonal in Hamming weight, so the distance is
-      1/2 sum_k ||B_k - B'_k||_1, read one block stack at a time and added
+      1/2 sum_k ||B_k - B'_k||_1, read one weight block at a time and added
       weight 0 first.
     * Otherwise, the dense ``eigvalsh`` of rho - sigma.
 
-    A pair of equal parts adds exactly 0 without being decomposed.
+    Each path sums its weighted parts through ``_trace_norm_of_difference``,
+    so a pair of equal parts adds exactly 0 without being decomposed.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     if rho.sectors is not None and sigma.sectors is not None:
-        total = sum(carrier * _trace_norm_of_difference(q, p) for (carrier, q), (_, p)
-                    in zip(rho.sectors, sigma.sectors, strict=True))
-    elif rho._stacks is not None and sigma._stacks is not None:
-        total = sum(_by_weight([_trace_norms_of_stacks(a, b) for a, b
-                                in zip(rho._stacks, sigma._stacks, strict=True)]))
+        parts = [(carrier, q, p) for (carrier, q), (_, p)
+                 in zip(rho.sectors, sigma.sectors, strict=True)]
+    elif rho.blocks is not None and sigma.blocks is not None:
+        parts = [(1, a, b) for a, b in zip(rho.blocks, sigma.blocks, strict=True)]
     else:
-        total = _trace_norm_of_difference(rho.matrix, sigma.matrix)
-    return 0.5 * float(total)
+        parts = [(1, rho.matrix, sigma.matrix)]
+    return 0.5 * float(sum(weight * _trace_norm_of_difference(a, b) for weight, a, b in parts))
 
 
 def random_state_vector(rng: RandomSource, dim: int) -> StateVector:

@@ -1,7 +1,9 @@
 import gc
 import json
 import os
+import re
 import tracemalloc
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -156,6 +158,45 @@ def test_a_report_echoes_only_the_settings_its_command_reads(command, monkeypatc
                         cli._COMMANDS[command]._replace(handler=lambda cfg: ({}, ())))
     config = run_command(parse_args([command])).config
     assert set(config) == _READ[command] | {"command", "output_format", "output_path"}
+
+
+# settings argparse refuses, handed to run_command directly
+_REFUSED = (
+    (RunConfig("quantum", trials=3, tolerance=inf),
+     "tolerance must be positive and finite, got inf"),
+    (RunConfig("bell", trials=1, tolerance=nan),
+     "tolerance must be positive and finite, got nan"),
+    (RunConfig("twirl-check", n=2, trials=1, tolerance=0.0),
+     "tolerance must be positive and finite, got 0.0"),
+    (RunConfig("classical", n=2, trials=1, tolerance=-1e-9),
+     "tolerance must be positive and finite, got -1e-09"),
+    (RunConfig("decompose", n=4, output_format="xml"),
+     "output format must be json or csv, got 'xml'"),
+    (RunConfig("rates", n=4, output_format="JSON"),
+     "output format must be json or csv, got 'JSON'"),
+    (RunConfig("classical", n=4, trials=1, singlet_first=True),
+     "singlet_first only applies to n = 2, got n = 4"),
+)
+
+
+def _refuse(cfg):
+    raise AssertionError("the settings are checked before any work")
+
+
+@pytest.mark.parametrize("cfg, message", _REFUSED)
+def test_run_command_refuses_what_argparse_refuses(cfg, message, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, cfg.command,
+                        cli._COMMANDS[cfg.command]._replace(handler=_refuse))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_command(cfg)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig("optics", trials=1, tolerance=inf),
+                                 RunConfig("decompose", n=4, tolerance=-1.0, singlet_first=True)])
+def test_run_command_leaves_a_setting_its_command_does_not_read_unchecked(cfg, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, cfg.command,
+                        cli._COMMANDS[cfg.command]._replace(handler=lambda cfg: ({}, ())))
+    assert run_command(cfg).passed
 
 
 class TestCommands:

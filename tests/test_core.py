@@ -305,10 +305,10 @@ class TestCollectiveRotationOracle:
         for u, power in zip(stack, powers):
             assert np.array_equal(power, kron_chain(GroupElement(u), n))
 
-    # 16: one-row runs, tails of up to six levels, and a stack of 15 past the budget at level 1;
-    # 48: also a ragged last run (three head rows of four at n = 3); 1000: level-3 and level-4
-    # heads, ragged runs of up to 15 rows, and runs of three whole powers (n = 4, k = 15);
-    # 2000: a ragged last group of powers (7, 7 and 1 at n = 4, k = 15)
+    # 16: one-row runs, tails of up to six levels, and stacks of 3 and 15 past the budget at
+    # level 1; 48: also a ragged last run (three head rows of four at n = 3, k = 1); 1000 and
+    # 2000: level-3 to level-5 heads, ragged last runs of up to 15 rows, and runs over a stack
+    # of three whose ragged stretch is not contiguous (5 and 10 head rows of 16 at n = 5)
     @pytest.mark.parametrize("budget", [16, 48, 1000, 2000])
     @pytest.mark.parametrize("k", [1, 3, 15])
     def test_row_chunks_equal_both_oracles_bit_for_bit(self, monkeypatch, budget, k):
@@ -601,9 +601,12 @@ class TestFromWeightBlocks:
             from_blocks(m)
 
     def test_blocks_are_read_only_views_of_the_stacks(self, rng):
+        # weights k and 6 - k view one read-only stack, weight 3 one of its own
         rho = from_blocks(weight_diagonal(rng))
-        assert [s.shape for s in rho._stacks] == [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
-        for stack, pair in zip(rho._stacks, _in_stacks(rho.blocks), strict=True):
+        pairs = _in_stacks(rho.blocks)
+        assert [p[0].base.shape for p in pairs] == [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
+        for pair in pairs:
+            stack = pair[0].base
             assert not stack.flags.writeable
             assert all(b.base is stack for b in pair)
             assert np.array_equal(stack, np.stack(pair))
@@ -738,13 +741,13 @@ class TestBlockForm:
         assert abs(d - dense_distance(rho, sigma)) < 1e-15
 
     def test_same_frame_distance_trusts_the_blocks(self, rng, monkeypatch):
-        # the shapes of the matrices decomposed show which path was taken: one stack of
-        # weights k and 6 - k at a time
+        # the shapes of the matrices decomposed show which path was taken: one weight
+        # block at a time, weight 0 first
         rho, sigma = from_blocks(weight_diagonal(rng)), from_blocks(weight_diagonal(rng))
         shapes, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         trace_distance(rho, sigma)
-        assert shapes == [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
+        assert shapes == [(comb(6, k),) * 2 for k in range(7)]
 
     def test_other_frames_take_the_dense_path_exactly(self, rng):
         rho = from_blocks(weight_diagonal(rng))
@@ -787,6 +790,6 @@ class TestMaximallyMixed:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         assert main(["twirl-check", "--n", "6", "--trials", "1"]) == 0
         # SU(2) idempotence: the sectors c_j = 1, 5, 9, 5, the 1 x 1 j = 3 pair equal;
-        # SU(2) fixed point: the weight block stacks, the 1 x 1 pairs at weights 0 and 6 equal;
+        # SU(2) fixed point: the weight blocks, the 1 x 1 pairs at weights 0 and 6 equal;
         # U(1): every block of both distances equal
-        assert shapes == [(5, 5), (9, 9), (5, 5), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
+        assert shapes == [(5, 5), (9, 9), (5, 5), (6, 6), (15, 15), (20, 20), (15, 15), (6, 6)]
