@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (DensityOperator, MAX_QUBITS, MAX_RATE_QUBITS, MAX_TWIRL_CHECK_QUBITS,
-                   RandomSource, _check_count, _check_qubit_count, fidelity, haar_random_su2,
-                   random_density, random_state_vector, trace_distance)
+                   RandomSource, _check_count, _check_qubit_count, _is_real, fidelity,
+                   haar_random_su2, random_density, random_state_vector, trace_distance)
 from .irreps import decompose
 from .optics import run_optical_protocol
 from .protocols import (build_classical_codebook, classical_rate_asymptote, classical_trial,
@@ -309,7 +309,8 @@ def run_command(cfg: RunConfig) -> Report:
     """Run one command; its report echoes only the settings that command reads.
 
     The qubit count, trial count, tolerance, output format and singlet-first flag get the
-    checks argparse gives their options, raised as ``ValueError``s before any work.
+    checks argparse gives their options, raised as ``ValueError``s before any work: a
+    tolerance is a positive, finite real number and not a bool, and the flag is a bool.
     """
     options = _COMMANDS[cfg.command].options
     read = {"command"} | {spec.get("dest", flag[2:].replace("-", "_"))
@@ -319,23 +320,37 @@ def run_command(cfg: RunConfig) -> Report:
             _check_qubit_count(cfg.n, spec["type"].largest)
     if "trials" in read:
         _check_count(cfg.trials, "trial count")
-    if "tolerance" in read and not 0 < cfg.tolerance < inf:  # NaN fails the comparison too
-        raise ValueError(f"tolerance must be positive and finite, got {cfg.tolerance}")
+    if "tolerance" in read:
+        if not _is_real(cfg.tolerance):
+            raise ValueError(f"tolerance must be a real number, got {cfg.tolerance!r}")
+        if not 0 < cfg.tolerance < inf:  # NaN fails the comparison too
+            raise ValueError(f"tolerance must be positive and finite, got {cfg.tolerance}")
     if cfg.output_format not in _FORMATS:
         raise ValueError(f"output format must be json or csv, got {cfg.output_format!r}")
-    if "singlet_first" in read and cfg.singlet_first and cfg.n != 2:
-        raise ValueError(f"singlet_first only applies to n = 2, got n = {cfg.n}")
+    if "singlet_first" in read:
+        if type(cfg.singlet_first) is not bool:
+            raise ValueError(f"singlet_first must be a bool, got {cfg.singlet_first!r}")
+        if cfg.singlet_first and cfg.n != 2:
+            raise ValueError(f"singlet_first only applies to n = 2, got n = {cfg.n}")
     start = time.perf_counter()
     payload, verdicts = _COMMANDS[cfg.command].handler(cfg)
     duration = time.perf_counter() - start
     return Report(
         command=cfg.command,
-        config={key: value for key, value in asdict(cfg).items() if key in read},
+        config={key: value for key, value in vars(cfg).items() if key in read},
         payload=payload,
         verdicts=verdicts,
         passed=all(v.passed for v in verdicts),
         duration_s=duration,
     )
+
+
+def _report_dict(report: Report) -> dict:
+    """The report's fields, with each verdict's fields, as one dict for ``json.dumps``.
+
+    It shares the config and payload with the report rather than copying them.
+    """
+    return {**vars(report), "verdicts": [vars(v) for v in report.verdicts]}
 
 
 def _csv_text(report: Report) -> str:
@@ -350,7 +365,7 @@ def _csv_text(report: Report) -> str:
                              repr(row["asymptotic_gap"])])
     else:
         writer.writerow(["key", "value"])
-        flat = json.loads(json.dumps(asdict(report), sort_keys=True))
+        flat = json.loads(json.dumps(_report_dict(report), sort_keys=True))
         for key, value in sorted(_flatten(flat).items()):
             writer.writerow([key, repr(value) if isinstance(value, float) else value])
     return buffer.getvalue()
@@ -369,12 +384,13 @@ def emit_report(report: Report, cfg: RunConfig) -> str:
     """Serialize and write the report; returns the emitted text.
 
     An output file is written to a temporary file beside it and renamed into
-    place, so a failed write leaves the target as it was.
+    place, so a failed write leaves the target as it was.  The temporary file is
+    removed only when the write or the rename fails: a rename has moved it.
     """
     if cfg.output_format == "csv":
         text = _csv_text(report)
     else:
-        text = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n"
     if cfg.output_path:
         target = Path(cfg.output_path)
         temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
@@ -382,8 +398,9 @@ def emit_report(report: Report, cfg: RunConfig) -> str:
             with open(temp, "x", encoding="utf-8") as handle:
                 handle.write(text)
             os.replace(temp, target)
-        finally:
+        except BaseException:
             temp.unlink(missing_ok=True)
+            raise
     else:
         sys.stdout.write(text)
     return text

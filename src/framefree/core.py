@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from numbers import Real
 
 import numpy as np
 
@@ -30,10 +31,10 @@ ATOL = 1e-10
 # full_su2(12).apply(maximally_mixed(4096)) takes 0.69-0.87 s on a cold channel (its W_k built)
 # and 0.52-0.72 s warm (three processes of five calls; 0.89-1.07 and 0.63-0.89 s with complex
 # W_k), with a 791 MB traced peak over the input's build and the six calls, and 821 MB peak RSS.
-# decompose(12) is not a bound: a cold build takes 1.2-2.1 ms (0.7 MB traced peak) and keeps
-# 256 KB of factors.  Nor are the codes: classical --n 12 --trials 1, one trial of each of 924
-# messages from a cold decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and 123 MiB max
-# RSS (three processes).
+# decompose(12) is not a bound: a cold build takes 0.63-0.73 ms (0.75 MiB traced peak) and
+# keeps 256 KiB of factors.  Nor are the codes: classical --n 12 --trials 1, one trial of each
+# of 924 messages from a cold decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and
+# 123 MiB max RSS (three processes).
 MAX_QUBITS = 12
 MAX_RATE_QUBITS = 64  # rates are integer combinatorics, cheap at any n; this caps the table length
 # twirl-check --n 8 --trials 20 takes 0.54-0.73 s (five runs), two thirds of it random_density:
@@ -70,6 +71,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _is_integer(value) -> bool:
     """The library's one integer rule: a Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The library's one real-number rule: a Python or numpy real number, not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_qubit_count(n: int, high: int | None = MAX_QUBITS, low: int = 1) -> None:

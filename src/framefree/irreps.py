@@ -204,18 +204,23 @@ def decompose(n: int) -> IrrepDecomposition:
     coupling matrix is built from them on request.  The result is cached and
     immutable.
 
-    Each level k is a fixed few dozen numpy calls over arrays of its paths and
-    its 2^k columns: a stable sort on -2j and a running sum of the block widths
-    place the children of the level below, and the closed-form spin-1/2
-    coefficients of every column come from the same float operations as the
-    per-column loop in tests/dense_coupling_oracle.py (an int-to-float division,
-    a square root and a sign multiplied in), so the factors equal that loop's
-    bit for bit.  A cold ``decompose(12)`` takes 1.2-2.1 ms against 10-16 ms
-    for the loop (2 cores); at n = 2..4, where a level has at most 16 columns,
-    the loop was 3-4 times faster, 15-60 against 60-170 us.
+    Each level k makes a fixed dozen numpy calls over arrays of its paths: a stable
+    sort on -2j and a running sum of the block widths place the children of the
+    level below, and the blocks are checked against the closed-form table.  The
+    columns are then built in two array passes, levels 2..n-1 together and level n
+    alone, so the two dozen calls that build every column's sources and
+    coefficients run twice, not once per level, and no pass is wider than 2^n
+    columns.  Each coefficient comes from the same float operations as the
+    per-column loop in tests/dense_coupling_oracle.py (an int-to-float division, a
+    square root and a sign multiplied in), so the factors equal that loop's bit for
+    bit.  A cold ``decompose(12)`` takes 0.63-0.73 ms, against 0.95-1.0 ms with one
+    pass per level and 12 ms for the loop (2 cores, alternating in one process); at
+    n = 2..4, where a level has at most 16 columns, the loop is 2-2.5 times faster.
     """
     _check_qubit_count(n)
-    factors = []
+    # of each level's blocks, in column order: 2j, width, parent's 2j and first column,
+    # first column
+    levels = []
     path_tj, path_start = np.array([1]), np.array([0])  # 2j, first column; in path order
     new_tj, first = path_tj, path_start  # in canonical order: at n = 1, the one block
     for k in range(2, n + 1):
@@ -234,22 +239,46 @@ def decompose(n: int) -> IrrepDecomposition:
             raise RuntimeError(f"the level-{k} blocks do not tile 2^{k} columns with c_j "
                                f"blocks of each j: {counts.tolist()} blocks by j descending")
         first = ends - width
-        # every column at once, from its block's values and its 2m
-        step = (new_tj - tj).repeat(width)  # +1 up, -1 down
-        tj1 = (tj + 1).repeat(width)
-        tm = (new_tj + 2 * first).repeat(width) - np.arange(0, 2 ** (k + 1), 2)
-        tm1 = tm - _TMU  # 2m of the source column in the parent block
-        present = abs(tm1) < tj1  # |tm1| <= tj
-        # start + (tj - tm1) / 2, exact where present
-        src = np.where(present, ((2 * start + tj).repeat(width) - tm1) >> 1, 0)
-        # sqrt((tj + 1 + step tmu tm) / (2 tj + 2)), times -tmu for a down-step: only a
-        # down-step's |0> part is negative
-        coef = np.sqrt((tj1 + _TMU * (step * tm)) / (2 * tj1))
-        coef[0] *= step
-        coef = np.where(present, coef, 0.0)
-        src, coef = _readonly(src), _readonly(coef)
-        factors.append((src[0], coef[0], src[1], coef[1]))
-        path_tj, path_start = child, np.empty_like(first)
-        path_start[order] = first
+        levels.append((new_tj, width, tj, start, first))
+        if k < n:  # the next level reads this one in path order
+            path_tj, path_start = child, np.empty_like(first)
+            path_start[order] = first
+    # levels 2..n-1 in one pass, then level n alone: no pass is wider than 2^n columns
+    factors = _factor_pass(levels[:-1], 2) + _factor_pass(levels[-1:], n)
     return IrrepDecomposition(n=n, factors=tuple(factors), twice_j=_readonly(new_tj),
                               column_starts=_readonly(first))
+
+
+def _factor_pass(levels: list, low: int) -> list:
+    """The factors C_k, k = low, low + 1, ..., of the given levels' blocks, in one array pass.
+
+    Level k's 2^k columns sit at 2^k - 2^low in the pass.  Every column's source and
+    coefficient come from its block's values and its 2m by elementwise operations, so
+    the bits do not depend on which levels share a pass.
+    """
+    if not levels:
+        return []
+    if len(levels) == 1:  # nothing to join, and joining one level would copy each array
+        new_tj, width, tj, start, at = levels[0]
+    else:  # with each level's first columns counted from the pass's first column
+        new_tj, width, tj, start, at = map(np.concatenate, zip(*(
+            (new_tj, width, tj, start, first + (2 ** k - 2 ** low))
+            for k, (new_tj, width, tj, start, first) in enumerate(levels, start=low))))
+    step = (new_tj - tj).repeat(width)  # +1 up, -1 down
+    tj1 = (tj + 1).repeat(width)
+    tm = (new_tj + 2 * at).repeat(width) - np.arange(0, 2 * len(step), 2)
+    tm1 = tm - _TMU  # 2m of the source column in the parent block
+    present = abs(tm1) < tj1  # |tm1| <= tj
+    # start + (tj - tm1) / 2, exact where present
+    src = np.where(present, ((2 * start + tj).repeat(width) - tm1) >> 1, 0)
+    # sqrt((tj + 1 + step tmu tm) / (2 tj + 2)), times -tmu for a down-step: only a
+    # down-step's |0> part is negative.  Only an up-step has an absent part, at
+    # tm = -tmu (tj + 1), where the numerator is 0, so its coefficient is +0.0.
+    coef = np.sqrt((tj1 + _TMU * (step * tm)) / (2 * tj1))
+    coef[0] *= step
+    src, coef = _readonly(src), _readonly(coef)
+    factors = []
+    for k in range(low, low + len(levels)):
+        cols = slice(2 ** k - 2 ** low, 2 ** (k + 1) - 2 ** low)  # four read-only views each
+        factors.append((src[0, cols], coef[0, cols], src[1, cols], coef[1, cols]))
+    return factors

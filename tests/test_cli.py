@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 from math import inf, nan
 
 import numpy as np
@@ -176,6 +177,12 @@ _REFUSED = (
      "output format must be json or csv, got 'JSON'"),
     (RunConfig("classical", n=4, trials=1, singlet_first=True),
      "singlet_first only applies to n = 2, got n = 4"),
+    # types argparse's casts rule out: a bool is no tolerance, and text is neither
+    (RunConfig("bell", trials=2, tolerance=True), "tolerance must be a real number, got True"),
+    (RunConfig("quantum", trials=2, tolerance="1e-9"),
+     "tolerance must be a real number, got '1e-9'"),
+    (RunConfig("classical", n=2, trials=1, singlet_first="yes"),
+     "singlet_first must be a bool, got 'yes'"),
 )
 
 
@@ -189,6 +196,14 @@ def test_run_command_refuses_what_argparse_refuses(cfg, message, monkeypatch):
                         cli._COMMANDS[cfg.command]._replace(handler=_refuse))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_command(cfg)
+
+
+@pytest.mark.parametrize("tolerance", [1, np.float64(1e-9), np.float32(1e-3), Fraction(1, 3)])
+def test_run_command_takes_a_tolerance_of_any_real_type(tolerance, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "bell",
+                        cli._COMMANDS["bell"]._replace(handler=lambda cfg: ({}, ())))
+    assert run_command(RunConfig("bell", trials=1, tolerance=tolerance)).config["tolerance"] \
+        is tolerance
 
 
 @pytest.mark.parametrize("cfg", [RunConfig("optics", trials=1, tolerance=inf),

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,17 @@ class TestSchurFactors:
         for k, (old, new) in enumerate(zip(before, after), start=2):
             for a, b in zip(old, new):
                 assert not np.shares_memory(a, b), k
+
+    def test_a_cold_build_of_twelve_qubits_peaks_under_one_mib(self):
+        # the two column passes are at most 2^12 columns wide; the factors they keep are 256 KiB
+        decompose.cache_clear()
+        tracemalloc.start()
+        try:
+            decompose(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
     def test_one_qubit_has_no_factor_levels(self):
         d = decompose(1)

@@ -1,11 +1,14 @@
 import copy
 import dataclasses
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from math import nextafter
 from pathlib import Path
 
 import pytest
 
 import report_digests
+from framefree import cli
 from framefree.cli import emit_report, parse_args, run_command
 
 _CFG = parse_args(["twirl-check", "--n", "1", "--trials", "3"])
@@ -60,3 +63,24 @@ def test_every_report_matches_its_pinned_digest():
     environments = f"recorded with {recorded[2:]}; now {report_digests.environment()}"
     for command, line in zip(report_digests.MATRIX, expected):
         assert report_digests.digest_line(command) == line, environments
+
+
+def test_reports_serialize_as_their_deep_copies_do(monkeypatch):
+    # the oracle serializes dataclasses.asdict(report), a deep copy of every field
+    emitted = 0
+    for command in report_digests.MATRIX:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                cfg = parse_args(command.split())
+            except SystemExit:  # argparse refused it or printed help: no report
+                continue
+            report = run_command(cfg)
+        for fmt in ("json", "csv"):
+            cfg = dataclasses.replace(cfg, output_format=fmt, output_path=None)
+            with redirect_stdout(io.StringIO()):
+                text = emit_report(report, cfg)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "_report_dict", dataclasses.asdict)
+                    assert text == emit_report(report, cfg), (command, fmt)
+        emitted += 1
+    assert emitted == 24  # the matrix's 32 commands, less 5 that argparse refuses and 3 --help

@@ -50,6 +50,10 @@ MUTANTS = (
            "coef[0] *= step", "coef[0] *= abs(step)",
            "tests/test_irreps.py::TestSchurFactors"
            "::test_factors_equal_the_per_column_loop_bit_for_bit"),
+    Mutant("decompose-lower-pass-without-column-offset", "src/framefree/irreps.py",
+           "first + (2 ** k - 2 ** low)", "first",
+           "tests/test_irreps.py::TestSchurFactors"
+           "::test_factors_equal_the_per_column_loop_bit_for_bit"),
     Mutant("block-table-in-path-order", "src/framefree/irreps.py",
            "twice_j=_readonly(new_tj)", "twice_j=_readonly(path_tj)",
            "tests/test_irreps.py::TestBlockIndexOracle::test_block_index_matches_scan"),
@@ -181,6 +185,9 @@ MUTANTS = (
     Mutant("mode-transform-admits-nan", "src/framefree/optics.py",
            " or not np.isfinite(u).all()", "",
            "tests/test_optics.py::TestModeTransform::test_rejects[nan]"),
+    Mutant("emit-keeps-temp-after-failed-replace", "src/framefree/cli.py",
+           "            temp.unlink(missing_ok=True)\n", "",
+           "tests/test_cli.py::TestEmission::test_failed_replace_keeps_the_old_file_and_no_temp"),
     Mutant("classical-reads-block-0", "src/framefree/cli.py",
            "probs[entry.message.index]", "probs[0]",
            "tests/test_cli.py::TestCommands::test_classical_runs_clean"),
