@@ -31,7 +31,7 @@ ATOL = 1e-10
 # full_su2(12).apply(maximally_mixed(4096)) takes 0.69-0.87 s on a cold channel (its W_k built)
 # and 0.52-0.72 s warm (three processes of five calls; 0.89-1.07 and 0.63-0.89 s with complex
 # W_k), with a 791 MB traced peak over the input's build and the six calls, and 821 MB peak RSS.
-# decompose(12) is not a bound: a cold build takes 0.63-0.73 ms (0.75 MiB traced peak) and
+# decompose(12) is not a bound: a cold build takes 0.4-0.8 ms (0.76 MiB traced peak) and
 # keeps 256 KiB of factors.  Nor are the codes: classical --n 12 --trials 1, one trial of each
 # of 924 messages from a cold decompose, takes 0.93-0.99 s with an 88.3 MiB traced peak and
 # 123 MiB max RSS (three processes).

@@ -213,9 +213,11 @@ def decompose(n: int) -> IrrepDecomposition:
     columns.  Each coefficient comes from the same float operations as the
     per-column loop in tests/dense_coupling_oracle.py (an int-to-float division, a
     square root and a sign multiplied in), so the factors equal that loop's bit for
-    bit.  A cold ``decompose(12)`` takes 0.63-0.73 ms, against 0.95-1.0 ms with one
-    pass per level and 12 ms for the loop (2 cores, alternating in one process); at
-    n = 2..4, where a level has at most 16 columns, the loop is 2-2.5 times faster.
+    bit.  A cold ``decompose(12)`` takes 0.41 ms against 0.61 ms with one pass per
+    level (medians of 30 alternating rounds in one process, each the best of 20
+    builds, 2 cores), and the loop takes 9-10 ms; at n = 2..4, where a level has at
+    most 16 columns, the loop is 1.5-2.5 times faster.  One pass over every level
+    took 0.38 ms but peaked at 1.08 MiB traced, against 0.76 MiB for two passes.
     """
     _check_qubit_count(n)
     # of each level's blocks, in column order: 2j, width, parent's 2j and first column,
